@@ -4,7 +4,11 @@ Everything here is dense linear algebra on the coefficient matrix of a state
 for a split (S | S'): unfolding, Schmidt decomposition, reduced density
 operators and the shared numerical-rank policy.  Dense conversion is refused
 above ``DENSE_CAP`` total dimensions; large truncated constructions are probed
-through slice windows instead (see :mod:`hyperstate.certify`).
+through slice windows instead (see :mod:`hyperstate.certify`).  Window
+certificates apply :func:`numerical_rank` only on their dense fallback route
+(window matrices up to 256 MiB); their structural route proves full rank by
+singleton elimination and reports a certified lower bound on the smallest
+singular value as ``RankReport.min_kept``, with a 4x margin over the cutoff.
 """
 
 from __future__ import annotations
@@ -51,7 +55,8 @@ class RankReport:
     """Numerical rank of a matrix plus the gap the threshold straddles.
 
     ``min_kept`` is the smallest singular value counted into the rank (0.0
-    when the rank is zero); ``max_dropped`` the largest one discarded (0.0
+    when the rank is zero; a certified lower bound on it for structural
+    window certificates); ``max_dropped`` the largest one discarded (0.0
     when nothing was discarded).  ``tied`` flags thresholds falling inside a
     crowded stretch of the spectrum: some singular value lies within a factor
     of two of the cutoff, so the reported rank is sensitive to the tolerance.
@@ -138,7 +143,7 @@ class SchmidtDecomposition:
     ``coeffs`` holds all ``min(dim H_S, dim H_S')`` values in nonincreasing
     order, including numerical zeros; those zeros are what bipartite repair
     replaces.  ``left_vectors[k]`` lives in H_S, ``right_vectors[k]`` in
-    H_S', each row-stacked and orthonormal.
+    H_S', each row-stacked and orthonormal.  All three arrays are read-only.
     """
 
     subsystem: Subsystem
@@ -162,6 +167,8 @@ def schmidt_decompose(
     # Full matrices: zero Schmidt directions carry the orthonormal vectors
     # that repair and witnesses need.
     u, s, vh = np.linalg.svd(m, full_matrices=True)
+    for arr in (u, s, vh):
+        arr.flags.writeable = False
     k = min(m.shape)
     report = numerical_rank(m, tol)
     return SchmidtDecomposition(
@@ -178,7 +185,10 @@ def schmidt_decompose(
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Reduced density operator on a subsystem, eigenvalues nonincreasing."""
+    """Reduced density operator on a subsystem, eigenvalues nonincreasing.
+
+    Both arrays are read-only.
+    """
 
     subsystem: Subsystem
     matrix: np.ndarray
@@ -193,4 +203,6 @@ def reduced_density(v: StateTensor, subsystem: Subsystem | int | Iterable[int]) 
     rho = kept_rows @ kept_rows.conj().T
     rho = (rho + rho.conj().T) / 2.0
     eig = np.linalg.eigvalsh(rho)[::-1]
+    rho.flags.writeable = False
+    eig.flags.writeable = False
     return DensityMatrix(subsystem=part, matrix=rho, eigenvalues=eig)

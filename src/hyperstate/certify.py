@@ -11,18 +11,28 @@ Finite equal-dimension bipartite states can genuinely pass.  For more than
 two factors only infinite-dimensional states can, so finite n > 2 states are
 gated out by dimensions alone unless they are flagged as truncations, in
 which case window certificates on slice families are the meaningful check.
+
+A window certificate reads only the entries whose complement key is a window
+member and takes one of two routes.  The structural route proves the rows
+independent by column-singleton elimination and certifies a lower bound on
+the smallest singular value; it is taken only when that bound clears both
+the cutoff in force and the Frobenius-scaled default cutoff by
+``STRUCTURAL_MARGIN`` (4x), so the dense SVD would give the same rank and no
+tie.  Otherwise the window matrix is built densely, up to
+``WINDOW_DENSE_BUDGET`` bytes (256 MiB), and its SVD decides.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .bilinear import RankReport, numerical_rank, rank_tolerance, reduced_density
-from .state import MultiIndex, StateTensor, Subsystem, slice_family
+from .state import MultiIndex, StateTensor, Subsystem
 
 __all__ = [
     "Feasibility",
@@ -35,11 +45,19 @@ __all__ = [
     "hyperentanglement_test",
     "window_certificate",
     "cube_window",
+    "STRUCTURAL_MARGIN",
+    "WINDOW_DENSE_BUDGET",
 ]
 
 HYPERENTANGLED = "hyperentangled"
 NOT_HYPERENTANGLED = "not_hyperentangled"
 INFEASIBLE_DIMS = "infeasible_dims"
+
+# Factor by which a structural singular-value bound must clear the rank
+# cutoff; it absorbs the rounding of both the bound and the dense SVD.
+STRUCTURAL_MARGIN = 4.0
+# Largest dense window matrix the fallback route allocates, in bytes.
+WINDOW_DENSE_BUDGET = 256 * 2**20
 
 
 @dataclass(frozen=True)
@@ -179,13 +197,65 @@ class Window:
 
 @dataclass(frozen=True)
 class WindowCertificate:
-    """Rank certificate for the slice vectors selected by a window."""
+    """Rank certificate for the slice vectors selected by a window.
+
+    ``route`` says how the rank was decided.  On ``"structural"`` the rows
+    were proved independent by singleton elimination: ``report.rank`` is
+    ``size``, ``report.min_kept`` is a certified lower bound on the smallest
+    singular value (not a computed one), ``max_dropped`` is 0.0 and
+    ``report.threshold`` is the cutoff the bound cleared ``STRUCTURAL_MARGIN``
+    times over.  On
+    ``"dense_svd"`` the report is :func:`numerical_rank` of the window
+    matrix.
+    """
 
     window: Window
     size: int
     rank: int
     passed: bool
     report: RankReport
+    route: str  # "structural" | "dense_svd"
+
+
+def _singleton_bound(
+    rows: np.ndarray, cols: np.ndarray, mags: np.ndarray, nrows: int
+) -> float | None:
+    """Lower bound on the smallest singular value of an ``nrows``-row matrix.
+
+    The matrix holds magnitudes ``mags`` at ``(rows, cols)``; phases do not
+    matter.  Rows are eliminated in rounds: a column with exactly one nonzero
+    among the remaining rows pivots that row.  Each round's rows form a
+    diagonal block ``D`` (smallest pivot ``d``) on its pivot columns, with
+    zeros below it, so with ``N`` the Frobenius norm of the round's rows off
+    their pivots and ``s`` a bound for the later rounds,
+    ``sigma_min >= d * s / hypot(d + N, s)``.  Returns None when some row
+    is never pivoted.
+    """
+    _, cols = np.unique(cols, return_inverse=True)
+    entry = np.arange(rows.size)
+    rounds: list[tuple[float, float]] = []
+    remaining = nrows
+    while remaining:
+        counts = np.bincount(cols[entry])
+        single = entry[counts[cols[entry]] == 1]
+        if single.size == 0:
+            return None
+        # A row with several singleton columns pivots on its largest entry.
+        single = single[np.lexsort((-mags[single], rows[single]))]
+        first = np.ones(single.size, dtype=bool)
+        first[1:] = rows[single[1:]] != rows[single[:-1]]
+        pivots = single[first]
+        pivot_row = np.zeros(nrows, dtype=bool)
+        pivot_row[rows[pivots]] = True
+        in_round = pivot_row[rows[entry]]
+        off = np.setdiff1d(entry[in_round], pivots, assume_unique=True)
+        rounds.append((float(mags[pivots].min()), float(np.linalg.norm(mags[off]))))
+        entry = entry[~in_round]
+        remaining -= pivots.size
+    sigma = rounds[-1][0]
+    for d, off_norm in reversed(rounds[:-1]):
+        sigma = d * sigma / math.hypot(d + off_norm, sigma)
+    return sigma
 
 
 def window_certificate(
@@ -193,26 +263,77 @@ def window_certificate(
 ) -> WindowCertificate:
     """Pass iff the selected slice vectors have numerical rank ``len(members)``.
 
-    Works directly on the sparse entries, so it applies to truncated
-    constructions far beyond the dense cap.  ``tol`` cuts singular values.
+    Only the entries whose complement key is a window member are gathered,
+    so this applies to truncated constructions far beyond the dense cap.
+    Singleton elimination (:func:`_singleton_bound`) settles the rank when
+    its bound clears ``STRUCTURAL_MARGIN`` times both the cutoff in force
+    and :func:`rank_tolerance` scaled by the Frobenius norm (which bounds
+    the largest singular value); the SVD could then neither drop a row nor
+    flag a tie.  Otherwise the window matrix is built densely, up to
+    ``WINDOW_DENSE_BUDGET`` bytes, and :func:`numerical_rank` decides with
+    ``tol`` cutting singular values.
     """
-    fam = slice_family(v, (window.axis,))
+    axis = window.axis
+    Subsystem((axis,)).validate_for(v.nfactors)
+    comp_dims = v.dims[:axis] + v.dims[axis + 1:]
     for j in window.members:
-        if len(j) != len(fam.complement_dims) or any(
-            k < 0 or k >= d for k, d in zip(j, fam.complement_dims)
+        if len(j) != len(comp_dims) or any(
+            k < 0 or k >= d for k, d in zip(j, comp_dims)
         ):
             raise ValueError(
-                f"window member {j} out of range for complement dims {fam.complement_dims}"
+                f"window member {j} out of range for complement dims {comp_dims}"
             )
-    mat = fam.matrix(window.members)
-    report = numerical_rank(mat, tol)
+    row_of = {j: r for r, j in enumerate(window.members)}
+    rows: list[int] = []
+    cols: list[int] = []
+    amps: list[complex] = []
+    for idx, amp in v.items():
+        r = row_of.get(idx[:axis] + idx[axis + 1:])
+        if r is not None:
+            rows.append(r)
+            cols.append(idx[axis])
+            amps.append(amp)
     size = len(window.members)
+    shape = (size, v.dims[axis])
+    rows_a = np.array(rows, dtype=np.intp)
+    cols_a = np.array(cols, dtype=np.intp)
+    amps_a = np.array(amps, dtype=np.complex128)
+    mags = np.abs(amps_a)
+
+    bound = _singleton_bound(rows_a, cols_a, mags, size)
+    policy = rank_tolerance(max(shape), float(np.linalg.norm(mags)))
+    in_force = policy if tol is None else float(tol)
+    if (
+        bound is not None
+        and bound >= STRUCTURAL_MARGIN * in_force
+        and bound >= STRUCTURAL_MARGIN * policy
+    ):
+        report = RankReport(
+            rank=size,
+            min_kept=bound,
+            max_dropped=0.0,
+            threshold=max(in_force, policy),
+            tied=False,
+        )
+        route = "structural"
+    else:
+        nbytes = shape[0] * shape[1] * np.dtype(np.complex128).itemsize
+        if nbytes > WINDOW_DENSE_BUDGET:
+            raise ValueError(
+                f"dense window matrix {shape[0]}x{shape[1]} needs {nbytes} bytes, "
+                f"beyond the {WINDOW_DENSE_BUDGET}-byte fallback budget"
+            )
+        mat = np.zeros(shape, dtype=np.complex128)
+        mat[rows_a, cols_a] = amps_a
+        report = numerical_rank(mat, tol)
+        route = "dense_svd"
     return WindowCertificate(
         window=window,
         size=size,
         rank=report.rank,
         passed=report.rank == size,
         report=report,
+        route=route,
     )
 
 

@@ -416,6 +416,19 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
 
     try:
         code, result, tolerances = _HANDLERS[args.command](args)
+        from .io import canonical_report_json
+
+        # Serialised in here: a non-finite value (a NaN --tol, say) must
+        # become an exit-2 error report, not a traceback.
+        text = canonical_report_json(
+            {
+                "argv": argv,
+                "command": args.command,
+                "result": result,
+                "timing_ms": (time.perf_counter() - start) * 1000.0,
+                "tolerances": tolerances,
+            }
+        )
     except Exception as exc:  # malformed input must exit 2, never a traceback
         report = {
             "argv": argv,
@@ -426,16 +439,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         print(json.dumps(report, indent=2, sort_keys=True, default=str))
         return 2
 
-    from .io import canonical_report_json
-
-    report = {
-        "argv": argv,
-        "command": args.command,
-        "result": result,
-        "timing_ms": (time.perf_counter() - start) * 1000.0,
-        "tolerances": tolerances,
-    }
-    sys.stdout.write(canonical_report_json(report))
+    sys.stdout.write(text)
     return code
 
 

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from .bilinear import schmidt_decompose
 from .certify import cube_window, window_certificate
 from .state import DROP_THRESHOLD, MultiIndex, StateTensor, Subsystem, make_state, norm
@@ -404,25 +406,16 @@ def repair_bipartite(
     fill = delta / (2.0 * math.sqrt(nzeros))
     coeffs = [float(c) if k < sd.rank else fill for k, c in enumerate(sd.coeffs)]
 
-    axis = part.indices[0]
-    entries: dict[MultiIndex, complex] = {}
+    # Rows of mat run over the subsystem's factor, columns over the other;
+    # transposed to (factor 0, factor 1) order when the subsystem is 1.
     d = v.dims[0]
-    for k in range(total):
-        ck = coeffs[k]
-        if ck == 0.0:
-            continue
-        left = sd.left_vectors[k]    # lives on factor `axis`
-        right = sd.right_vectors[k]  # lives on the other factor
-        for i in range(d):
-            li = left[i]
-            if li == 0j:
-                continue
-            for j in range(d):
-                rj = right[j]
-                if rj == 0j:
-                    continue
-                idx = (i, j) if axis == 0 else (j, i)
-                entries[idx] = entries.get(idx, 0j) + ck * li * rj
+    mat = np.zeros((d, d), dtype=np.complex128)
+    for ck, left, right in zip(coeffs, sd.left_vectors, sd.right_vectors):
+        if ck != 0.0:
+            mat += ck * np.outer(left, right)
+    if part.indices[0] == 1:
+        mat = mat.T
+    entries = {(int(i), int(j)): complex(mat[i, j]) for i, j in zip(*np.nonzero(mat))}
 
     metadata = dict(v.metadata)
     metadata["repair"] = {"replaced": int(nzeros), "delta": float(delta)}

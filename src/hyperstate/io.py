@@ -49,6 +49,55 @@ def _check_version(obj: dict, where: str) -> None:
         )
 
 
+class _NonFinite:
+    """Placeholder for a ``NaN``/``Infinity`` token, located after parsing."""
+
+    def __init__(self, token: str):
+        self.token = token
+
+
+def _find_nonfinite(obj: Any, path: str) -> tuple[str, str] | None:
+    """Field path and token of the first :class:`_NonFinite` in ``obj``."""
+    if isinstance(obj, _NonFinite):
+        return path, obj.token
+    if isinstance(obj, dict):
+        children = ((f"{path}.{k}" if path else k, x) for k, x in obj.items())
+    elif isinstance(obj, list):
+        children = ((f"{path}[{k}]", x) for k, x in enumerate(obj))
+    else:
+        return None
+    for sub, child in children:
+        found = _find_nonfinite(child, sub)
+        if found is not None:
+            return found
+    return None
+
+
+def _parse_json(path: Path) -> Any:
+    """Read and parse ``path``; non-finite constants are rejected by field."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise _fail(str(path), f"cannot read file ({exc})") from None
+    tokens: list[str] = []
+
+    def constant(token: str) -> _NonFinite:
+        tokens.append(token)
+        return _NonFinite(token)
+
+    try:
+        obj = json.loads(text, parse_constant=constant)
+    except json.JSONDecodeError as exc:
+        raise _fail(str(path), f"invalid JSON ({exc})") from None
+    if tokens:  # walk the tree only when a constant was seen
+        field, token = _find_nonfinite(obj, "")
+        raise _fail(
+            f"{path}: {field or 'top level'}",
+            f"non-finite number {token} is not allowed",
+        )
+    return obj
+
+
 def _float_field(entry: dict, key: str, where: str) -> float:
     if key not in entry:
         raise _fail(where, f"missing field {key!r}")
@@ -159,23 +208,17 @@ def _state_from_json(obj: Any, where: str) -> StateTensor:
 
 
 def save_state(v: StateTensor, path: str | Path) -> None:
+    """Write ``v``; non-finite metadata numbers raise ValueError first."""
     Path(path).write_text(
-        json.dumps(_state_to_json(v), indent=2, sort_keys=True) + "\n",
+        json.dumps(_state_to_json(v), indent=2, sort_keys=True, allow_nan=False)
+        + "\n",
         encoding="utf-8",
     )
 
 
 def load_state(path: str | Path) -> StateTensor:
     p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _fail(str(p), f"cannot read file ({exc})") from None
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise _fail(str(p), f"invalid JSON ({exc})") from None
-    return _state_from_json(obj, str(p))
+    return _state_from_json(_parse_json(p), str(p))
 
 
 def save_projector(p: Projector, path: str | Path) -> None:
@@ -196,12 +239,7 @@ def load_projector(path: str | Path) -> Projector:
     import numpy as np
 
     p = Path(path)
-    try:
-        obj = json.loads(p.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise _fail(str(p), f"cannot read file ({exc})") from None
-    except json.JSONDecodeError as exc:
-        raise _fail(str(p), f"invalid JSON ({exc})") from None
+    obj = _parse_json(p)
     where = str(p)
     if not isinstance(obj, dict):
         raise _fail(where, "top level must be a JSON object")

@@ -9,6 +9,7 @@ how work is split across threads.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass
@@ -143,7 +144,8 @@ class StateTensor:
 
     @property
     def metadata(self) -> dict:
-        return self._metadata
+        """A deep copy: editing it never changes the state."""
+        return copy.deepcopy(self._metadata)
 
     @property
     def is_normalized(self) -> bool:
@@ -220,16 +222,15 @@ def make_state(
         cleaned[idx] = amp
 
     items = tuple(sorted(cleaned.items()))
-    state = StateTensor(dims_t, items, bool(truncated_from_infinite), dict(metadata or {}))
+    meta = copy.deepcopy(dict(metadata or {}))
+    state = StateTensor(dims_t, items, bool(truncated_from_infinite), meta)
     if normalize:
         n = state._norm
         if n == 0.0:
             raise ValueError("cannot normalize the zero state")
         if abs(n - 1.0) > 0.0:
             items = tuple((idx, amp / n) for idx, amp in items)
-            state = StateTensor(
-                dims_t, items, bool(truncated_from_infinite), dict(metadata or {})
-            )
+            state = StateTensor(dims_t, items, bool(truncated_from_infinite), meta)
     return state
 
 

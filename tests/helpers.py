@@ -7,7 +7,7 @@ import itertools
 
 import numpy as np
 
-from hyperstate import StateTensor, make_state
+from hyperstate import StateTensor, make_state, rank_tolerance
 
 
 def dense_tensor(v: StateTensor) -> np.ndarray:
@@ -131,3 +131,28 @@ def rank1(subsystem, vec):
         subsystem=Subsystem.coerce(subsystem),
         basis=vec[None, :] / np.linalg.norm(vec),
     )
+
+
+def cube_window_matrix(v: StateTensor, axis: int, size: int) -> np.ndarray:
+    """Slice vectors of the ``size`` cube window on ``axis``, one row per key.
+
+    Rows follow the lexicographic order of the complement keys; built by an
+    index loop over the stored entries, so it also works far past the size
+    at which :func:`dense_tensor` fits in memory.
+    """
+    nkeys = v.nfactors - 1
+    out = np.zeros((size**nkeys, v.dims[axis]), dtype=np.complex128)
+    for idx, amp in v.items():
+        key = idx[:axis] + idx[axis + 1:]
+        if max(key) < size:
+            row = 0
+            for k in key:
+                row = row * size + k
+            out[row, idx[axis]] = amp
+    return out
+
+
+def svd_rank(m: np.ndarray) -> tuple[int, float]:
+    """Rank under the default policy and the smallest singular value."""
+    s = np.linalg.svd(m, compute_uv=False)
+    return int(np.count_nonzero(s > rank_tolerance(max(m.shape), s[0]))), float(s[-1])

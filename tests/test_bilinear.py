@@ -144,6 +144,13 @@ class TestSchmidt:
         assert math.fsum(float(c) ** 2 for c in sd.coeffs) == pytest.approx(1.0)
 
 
+    def test_arrays_are_read_only(self):
+        sd = schmidt_decompose(random_state(np.random.default_rng(4), (3, 3)), 0)
+        for arr in (sd.coeffs, sd.left_vectors, sd.right_vectors):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+
 class TestReducedDensity:
     @given(st.integers(0, 2 ** 31 - 1), st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 3, 2)]))
     def test_matches_loop_oracle(self, seed, dims):
@@ -162,6 +169,13 @@ class TestReducedDensity:
         eig = rho.eigenvalues
         assert np.all(np.diff(eig) <= 1e-15)
         assert np.all(eig >= -1e-14)
+
+    def test_arrays_are_read_only(self):
+        rho = reduced_density(random_state(np.random.default_rng(4), (2, 3)), 0)
+        with pytest.raises(ValueError):
+            rho.matrix[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            rho.eigenvalues[0] = 0.0
 
     def test_subsystem_recorded(self):
         v = make_state((2, 2, 2), {(0, 0, 0): 1.0})

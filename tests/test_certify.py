@@ -1,11 +1,18 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import dense_tensor, haar_unitary, random_schmidt_state
+from helpers import (
+    cube_window_matrix,
+    dense_tensor,
+    haar_unitary,
+    random_schmidt_state,
+    svd_rank,
+)
 from hyperstate import (
     Subsystem,
     Window,
@@ -14,6 +21,10 @@ from hyperstate import (
     dimension_gate,
     hyperentanglement_test,
     make_state,
+    method1_build,
+    method2_build,
+    pairing_fn,
+    rank_tolerance,
     window_certificate,
 )
 
@@ -188,3 +199,145 @@ class TestWindows:
             eig_pass = cyclicity_test(v, axis).passed
             win_pass = window_certificate(v, cube_window((d, d), axis, d)).passed
             assert eig_pass == win_pass == (rank == d)
+
+
+STAGE_EPS = (0.01, 0.005, 0.0025)
+
+
+def planted_matrix(rng, n, ncols, cascade, eps):
+    """Rows ``< cascade`` form an upper-triangular singleton cascade (pivot
+    ``eps`` on the diagonal and 1 above it when ``eps`` is set, random
+    magnitudes otherwise); the other rows are a dense residual, sometimes
+    rank-deficient.  Rows and columns are shuffled to hide the structure."""
+    m = np.zeros((n, ncols), dtype=np.complex128)
+    phase = lambda: np.exp(2j * np.pi * rng.uniform())  # noqa: E731
+    for i in range(cascade):
+        if eps is None:
+            m[i, i] = 10.0 ** rng.uniform(-8, 0) * phase()
+            later = np.arange(i + 1, ncols)
+            keep = later[rng.uniform(size=later.size) < 0.5]
+            m[i, keep] = 10.0 ** rng.uniform(-3, 1, size=keep.size) * phase()
+        else:
+            m[i, i] = eps
+            if i + 1 < ncols:
+                m[i, i + 1] = 1.0
+    rest = n - cascade
+    if rest and ncols > cascade:
+        block = rng.standard_normal((rest, ncols - cascade)) + 1j * rng.standard_normal(
+            (rest, ncols - cascade)
+        )
+        if rest > 1 and rng.uniform() < 0.5:
+            block[-1] = block[0] * phase()
+        m[cascade:, cascade:] = block
+    return m[rng.permutation(n)][:, rng.permutation(ncols)]
+
+
+class TestWindowRoutes:
+    """The structural route against dense SVDs of the same window matrix."""
+
+    @pytest.mark.parametrize("stages", [1, 2, 3])
+    def test_method2_windows_are_structural(self, stages):
+        v = method2_build(stages, STAGE_EPS[:stages])
+        for size in v.metadata["window_sizes"]:
+            for axis in range(3):
+                cert = window_certificate(v, cube_window(v.dims, axis, size))
+                rank, sigma_min = svd_rank(cube_window_matrix(v, axis, size))
+                assert cert.route == "structural", (stages, size, axis)
+                assert (cert.rank, cert.passed) == (rank, rank == size * size)
+                assert cert.report.min_kept <= sigma_min
+
+    @pytest.mark.parametrize(
+        "kind, bounds, structural",
+        [
+            # axis 2, size 3: the bound equals sigma_min = 1.0e-12, inside
+            # the margin over the 4.3e-13 cutoff, so the SVD decides
+            ("injection_2a3b", (3, 3, 37), {(0, 1), (1, 1), (2, 1), (2, 2)}),
+            (
+                "bijection_interleave",
+                (16, 16, 16),
+                {(axis, size) for axis in range(3) for size in range(1, 5)},
+            ),
+        ],
+    )
+    def test_method1_windows(self, kind, bounds, structural):
+        v = method1_build(3, pairing_fn(kind), bounds)
+        for axis in range(3):
+            comp = [d for k, d in enumerate(bounds) if k != axis]
+            for size in range(1, min(comp) + 1):
+                cert = window_certificate(v, cube_window(v.dims, axis, size))
+                rank, sigma_min = svd_rank(cube_window_matrix(v, axis, size))
+                assert (cert.rank, cert.passed) == (rank, rank == size * size)
+                want = "structural" if (axis, size) in structural else "dense_svd"
+                assert cert.route == want, (axis, size)
+                if want == "structural":
+                    assert cert.report.min_kept <= sigma_min
+
+    @given(
+        st.integers(0, 2 ** 31 - 1),
+        st.integers(1, 9),
+        st.integers(-2, 4),
+        st.integers(0, 9),
+        st.sampled_from([None, None, 0.5, 1e-2, 1e-4, 1e-8]),
+    )
+    def test_planted_cascades_match_svd(self, seed, n, extra, cascade, eps):
+        rng = np.random.default_rng(seed)
+        ncols = max(1, n + extra)
+        m = planted_matrix(rng, n, ncols, min(cascade, n, ncols), eps)
+        dims = (max(n, 2), max(ncols, 2))
+        padded = np.zeros((n, dims[1]), dtype=np.complex128)
+        padded[:, :ncols] = m
+        entries = {(r, c): complex(m[r, c]) for r, c in zip(*np.nonzero(m))}
+        if not entries:
+            return
+        v = make_state(dims, entries)
+        cert = window_certificate(v, Window(axis=1, members=[(r,) for r in range(n)]))
+        rank, sigma_min = svd_rank(padded)
+        assert cert.rank == rank
+        assert cert.passed == (rank == n)
+        if cert.route == "structural":
+            # slack: the SVD's own backward error, 1/64 of the cutoff
+            slack = max(padded.shape) * 2.0 ** -52 * np.linalg.norm(padded, 2)
+            assert sigma_min + slack >= cert.report.min_kept
+            assert cert.report.min_kept >= 4 * cert.report.threshold
+
+    def test_ill_conditioned_chain(self):
+        # [[e, 1], [0, e]] has sigma_min ~ e**2; below the margin the SVD decides
+        for e, route in ((0.5, "structural"), (1e-7, "dense_svd"), (1e-9, "dense_svd")):
+            v = make_state((2, 2), {(0, 0): e, (0, 1): 1.0, (1, 1): e})
+            cert = window_certificate(v, cube_window((2, 2), 1, 2))
+            m = np.array([[e, 1.0], [0.0, e]])
+            assert cert.route == route
+            assert cert.rank == svd_rank(m)[0]
+
+    def test_structural_report_semantics(self):
+        v = method2_build(2, STAGE_EPS[:2])
+        cert = window_certificate(v, cube_window(v.dims, 0, 5))
+        rep = cert.report
+        assert cert.route == "structural"
+        assert (rep.rank, rep.max_dropped, rep.tied) == (25, 0.0, False)
+        # threshold: the Frobenius-scaled policy, which dominates the dense one
+        frob = float(np.linalg.norm(cube_window_matrix(v, 0, 5)))
+        assert rep.threshold == pytest.approx(rank_tolerance(26, frob), rel=1e-12)
+        loose = window_certificate(v, cube_window(v.dims, 0, 5), tol=rep.min_kept)
+        assert loose.route == "dense_svd"
+
+    def test_stage3_without_slice_family(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("slice_family called")
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("hyperstate") and hasattr(mod, "slice_family"):
+                monkeypatch.setattr(mod, "slice_family", refuse)
+        v = method2_build(3, STAGE_EPS)
+        for size in v.metadata["window_sizes"]:
+            for axis in range(3):
+                cert = window_certificate(v, cube_window(v.dims, axis, size))
+                assert cert.passed and cert.route == "structural"
+
+    def test_dense_fallback_over_budget_is_refused(self):
+        # 4 x 2**25 complex matrix (2 GiB); key (1, 1) carries no slice, so
+        # elimination cannot finish and the fallback would be needed
+        dims = (2 ** 25, 2, 2)
+        v = make_state(dims, {(0, 0, 0): 1.0, (1, 0, 1): 0.5, (2, 1, 0): 0.25})
+        with pytest.raises(ValueError, match="4x33554432.*budget"):
+            window_certificate(v, cube_window(dims, 0, 2))

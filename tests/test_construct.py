@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import random_schmidt_state
+from helpers import dense_tensor, random_schmidt_state
 from hyperstate import (
     PAPER_STATE_NAMES,
     ExtensionParams,
@@ -23,6 +23,7 @@ from hyperstate import (
     paper_state,
     pairing_eval,
     pairing_fn,
+    rank_tolerance,
     repair_bipartite,
     schmidt_decompose,
     support_test,
@@ -322,6 +323,26 @@ class TestRepair:
         # by at most delta keeps the degree below delta
         out = repair_bipartite(make_state((d, d), {(0, 0): 1.0}), delta=delta)
         assert degree_bipartite(out).value < delta
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_matches_svd_oracle(self, axis):
+        # U diag(c') Vh of the unfolding (rows over the other factor),
+        # renormalised, with the dropped coefficients set to the fill value
+        d, rank, delta = 64, 40, 0.1
+        v = random_schmidt_state(np.random.default_rng(11), d, rank)
+        out = repair_bipartite(v, axis, delta)
+        t = dense_tensor(v)
+        u, s, vh = np.linalg.svd(np.ascontiguousarray(t.T if axis == 0 else t))
+        kept = int(np.count_nonzero(s > rank_tolerance(d, s[0])))
+        c = s.copy()
+        c[kept:] = delta / (2.0 * math.sqrt(d - kept))
+        r = (u * c) @ vh
+        r /= np.linalg.norm(r)
+        np.testing.assert_allclose(
+            dense_tensor(out), r.T if axis == 0 else r, rtol=0, atol=1e-14
+        )
+        assert out.metadata["repair"] == {"replaced": d - rank, "delta": delta}
+        assert hyperentanglement_test(out).overall == "hyperentangled"
 
     def test_axis_choice(self):
         v = make_state((2, 2), {(0, 0): 1.0})

@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -21,6 +22,7 @@ from hyperstate.io import (
 )
 
 R2 = 1.0 / math.sqrt(2.0)
+NONFINITE_SEED = pathlib.Path(__file__).parent / "fixtures" / "nonfinite_seed.json"
 
 
 def run(capsys, *argv):
@@ -139,6 +141,51 @@ class TestProjectorFiles:
         }))
         with pytest.raises(StateFileError, match="length"):
             load_projector(path)
+
+
+class TestNonFiniteJson:
+    """NaN/Infinity are not JSON: loaders cite the field, savers refuse them."""
+
+    def test_state_loader_cites_field(self, tmp_path):
+        path = tmp_path / "v.json"
+        path.write_text(
+            '{"format_version": "1.0", "dims": [2, 2],'
+            ' "entries": [{"index": [0, 0], "re": Infinity, "im": 0}]}'
+        )
+        with pytest.raises(StateFileError, match=r"entries\[0\]\.re: non-finite number Infinity"):
+            load_state(path)
+        with pytest.raises(StateFileError, match=r"stage_history\[0\]\.epsilon: .*NaN"):
+            load_state(NONFINITE_SEED)
+
+    def test_projector_loader_cites_field(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(
+            '{"format_version": "1.0", "subsystem": [0],'
+            ' "vectors": [{"re": [1.0, 0.0], "im": [0.0, -Infinity]}]}'
+        )
+        with pytest.raises(StateFileError, match=r"vectors\[0\]\.im\[1\]: .*-Infinity"):
+            load_projector(path)
+
+    def test_save_refuses_nonfinite_metadata(self, tmp_path):
+        v = make_state((2, 2), {(0, 0): 1.0}, metadata={"x": float("nan")})
+        path = tmp_path / "v.json"
+        with pytest.raises(ValueError):
+            save_state(v, path)
+        assert not path.exists()
+
+    def test_cli_exits_two_with_a_json_report(self, capsys, tmp_path):
+        out = tmp_path / "m2.json"
+        code, rep = run(
+            capsys, "construct", "method2", "--stages", "1", "--eps", "0.01",
+            "--seed-file", str(NONFINITE_SEED), "--out", str(out),
+        )
+        assert code == 2
+        assert "stage_history[0].epsilon" in rep["error"]
+        assert not out.exists()
+        # a NaN tolerance reaches the report itself, which cannot be JSON
+        code, rep = run(capsys, "certify", "--paper", "bohm", "--tol", "nan")
+        assert code == 2
+        assert set(rep) == {"argv", "command", "error", "timing_ms"}
 
 
 class TestCanonicalReports:

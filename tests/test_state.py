@@ -13,6 +13,7 @@ from hyperstate import (
     inner,
     make_state,
     norm,
+    paper_state,
     slice_family,
 )
 
@@ -109,6 +110,18 @@ class TestMakeState:
         assert v.metadata == {"tag": 1}
         meta["tag"] = 2
         assert v.metadata == {"tag": 1}
+
+    def test_metadata_is_a_deep_copy(self):
+        meta = {"history": [{"p": 2}]}
+        v = make_state((2, 2), {(0, 0): 1.0}, metadata=meta)
+        meta["history"][0]["p"] = 3
+        got = v.metadata
+        got["history"].append("x")
+        got["tag"] = 1
+        assert v.metadata == {"history": [{"p": 2}]}
+        bohm = paper_state("bohm")
+        bohm.metadata["catalog"] = "ghz"
+        assert bohm.metadata["catalog"] == "bohm"
 
     def test_equality(self):
         a = make_state((2, 2), {(0, 1): R2, (1, 0): R2})
