@@ -1,8 +1,9 @@
 """Construction, certification and probing of hyperentangled pure states.
 
-Submodules are imported lazily so the command line can apply the
-HYPERSTATE_THREADS cap to the environment before the linear algebra backend
-loads.
+The package namespace is the union of the submodules' ``__all__`` lists.
+Submodules are imported lazily, on first access to one of their names, so the
+command line can apply the HYPERSTATE_THREADS cap to the environment before
+the linear algebra backend loads.
 """
 
 from importlib import import_module
@@ -10,89 +11,22 @@ from typing import Any
 
 __version__ = "0.1.0"
 
-_EXPORTS = {
-    # state
-    "DROP_THRESHOLD": ".state",
-    "UNIT_NORM_TOL": ".state",
-    "MultiIndex": ".state",
-    "Subsystem": ".state",
-    "StateTensor": ".state",
-    "SliceFamily": ".state",
-    "make_state": ".state",
-    "norm": ".state",
-    "inner": ".state",
-    "slice_family": ".state",
-    # bilinear
-    "DENSE_CAP": ".bilinear",
-    "RANK_SAFETY": ".bilinear",
-    "RankReport": ".bilinear",
-    "UnfoldingMatrix": ".bilinear",
-    "SchmidtDecomposition": ".bilinear",
-    "DensityMatrix": ".bilinear",
-    "rank_tolerance": ".bilinear",
-    "numerical_rank": ".bilinear",
-    "unfold": ".bilinear",
-    "schmidt_decompose": ".bilinear",
-    "reduced_density": ".bilinear",
-    # certify
-    "Feasibility": ".certify",
-    "CyclicityResult": ".certify",
-    "CertVerdict": ".certify",
-    "Window": ".certify",
-    "WindowCertificate": ".certify",
-    "dimension_gate": ".certify",
-    "cyclicity_test": ".certify",
-    "hyperentanglement_test": ".certify",
-    "window_certificate": ".certify",
-    "cube_window": ".certify",
-    # construct
-    "PairingFn": ".construct",
-    "pairing_fn": ".construct",
-    "pairing_eval": ".construct",
-    "geometric_weights": ".construct",
-    "support_test": ".construct",
-    "method1_build": ".construct",
-    "ExtensionParams": ".construct",
-    "method2_extend": ".construct",
-    "method2_build": ".construct",
-    "default_seed": ".construct",
-    "repair_bipartite": ".construct",
-    "paper_state": ".construct",
-    "PAPER_STATE_NAMES": ".construct",
-    # witness
-    "Projector": ".witness",
-    "CorrelationQuery": ".witness",
-    "WitnessResult": ".witness",
-    "LocalOperator": ".witness",
-    "conditional_probability": ".witness",
-    "steering_operator": ".witness",
-    "correlation_witness": ".witness",
-    # degree
-    "DegreeResult": ".degree",
-    "degree_bipartite": ".degree",
-    "degree_multipartite": ".degree",
-    # io
-    "FORMAT_VERSION": ".io",
-    "StateFileError": ".io",
-    "save_state": ".io",
-    "load_state": ".io",
-    "save_projector": ".io",
-    "load_projector": ".io",
-    "canonical_report_json": ".io",
-    # cli
-    "run_cli": ".cli",
-}
-
-__all__ = sorted(_EXPORTS)
+# Searched in this order; cli is first because it alone imports no numerics.
+_SUBMODULES = ("cli", "state", "bilinear", "certify", "construct", "witness", "degree", "io")
 
 
 def __getattr__(name: str) -> Any:
-    try:
-        module = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    return getattr(import_module(module, __name__), name)
+    if name == "__all__":
+        return sorted(
+            {n for sub in _SUBMODULES for n in import_module(f".{sub}", __name__).__all__}
+        )
+    if not (name.startswith("__") and name.endswith("__")):
+        for sub in _SUBMODULES:
+            module = import_module(f".{sub}", __name__)
+            if name in module.__all__:
+                return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted(set(__all__) | set(globals()))
+    return __getattr__("__all__")

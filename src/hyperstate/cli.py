@@ -1,10 +1,12 @@
 """Command line interface: construct, certify, schmidt, witness, degree.
 
 Every invocation prints one JSON report to stdout and exits 0 on success,
-1 on a certified-negative result and 2 on usage or input errors.  Only the
-standard library is imported at module load: the numerical modules are pulled
-in inside handlers, after the HYPERSTATE_THREADS cap has been applied to the
-environment, so the linear algebra backend sees it when it initializes.
+1 on a certified-negative result and 2 on usage or input errors; a bad argv
+gets the same error report as a bad file, and only ``--help`` prints plain
+text.  Only the standard library is imported at module load: the numerical
+modules, and the catalog and pairing names the parser offers as choices, are
+pulled in by ``run_cli`` after the HYPERSTATE_THREADS cap has been applied to
+the environment, so the linear algebra backend sees it when it initializes.
 """
 
 from __future__ import annotations
@@ -15,18 +17,12 @@ import math
 import os
 import sys
 import time
-from typing import Sequence
+from typing import TYPE_CHECKING, NoReturn, Sequence
+
+if TYPE_CHECKING:
+    from .state import Subsystem
 
 __all__ = ["run_cli", "main"]
-
-_PAPER_NAMES = (
-    "bohm",
-    "ghz",
-    "hardy2",
-    "hardy3",
-    "spin1_singlet",
-    "spin1_two_term",
-)
 
 _BLAS_VARS = (
     "OMP_NUM_THREADS",
@@ -53,16 +49,27 @@ def _apply_thread_cap() -> None:
         os.environ.setdefault(var, str(n))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, so they become JSON reports like any other."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _add_source(parser: argparse.ArgumentParser) -> None:
+    from .construct import PAPER_STATE_NAMES
+
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--state", metavar="FILE", help="state file to read")
     group.add_argument(
-        "--paper", choices=_PAPER_NAMES, help="named catalog state to build"
+        "--paper", choices=PAPER_STATE_NAMES, help="named catalog state to build"
     )
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    from .construct import PAIRING_NAMES, PAPER_STATE_NAMES
+
+    top = _Parser(
         prog="hyperstate",
         description="Construct, certify and probe hyperentangled states.",
     )
@@ -73,11 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     m1 = modes.add_parser("method1", help="truncated pairing-support state")
     m1.add_argument("--n", type=int, choices=(3, 4), default=3)
-    m1.add_argument(
-        "--pairing",
-        choices=("injection_2a3b", "bijection_interleave"),
-        default="injection_2a3b",
-    )
+    m1.add_argument("--pairing", choices=PAIRING_NAMES, default=PAIRING_NAMES[0])
     m1.add_argument(
         "--bounds", required=True, help="comma-separated per-axis bounds, e.g. 3,3,37"
     )
@@ -92,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     m2.add_argument("--out", required=True, metavar="FILE")
 
     pp = modes.add_parser("paper", help="named catalog state")
-    pp.add_argument("--name", choices=_PAPER_NAMES, required=True)
+    pp.add_argument("--name", choices=PAPER_STATE_NAMES, required=True)
     pp.add_argument("--out", required=True, metavar="FILE")
 
     rp = modes.add_parser("repair", help="move a bipartite state onto the certified set")
@@ -155,22 +158,16 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
     return values
 
 
-def _parse_split(text: str, nfactors: int) -> tuple[int, ...]:
+def _parse_split(text: str, nfactors: int) -> Subsystem:
+    from .state import Subsystem
+
     left, bar, right = text.partition("|")
-    part = tuple(sorted(_parse_int_list(left, "--split")))
-    if len(set(part)) != len(part):
-        raise ValueError(f"--split indices must be distinct, got {text!r}")
-    if any(k < 0 or k >= nfactors for k in part):
-        raise ValueError(f"--split indices out of range for {nfactors} factors")
-    if len(part) >= nfactors:
-        raise ValueError("--split must leave at least one factor on the right")
-    complement = tuple(k for k in range(nfactors) if k not in part)
-    if bar and right:
-        declared = tuple(sorted(_parse_int_list(right, "--split")))
-        if declared != complement:
-            raise ValueError(
-                f"--split right side {declared} is not the complement {complement}"
-            )
+    part = Subsystem.coerce(_parse_int_list(left, "--split"))
+    complement = part.complement(nfactors)
+    if bar and right and Subsystem.coerce(_parse_int_list(right, "--split")) != complement:
+        raise ValueError(
+            f"--split right side {right!r} is not the complement {complement.indices}"
+        )
     return part
 
 
@@ -408,13 +405,11 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         print(json.dumps({"error": str(exc)}, indent=2, sort_keys=True))
         return 2
 
-    parser = _build_parser()
+    # The subcommand lands here before its own arguments are parsed, so a
+    # usage error inside a subcommand still reports which one it was.
+    args = argparse.Namespace(command=None)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-
-    try:
+        _build_parser().parse_args(argv, namespace=args)
         code, result, tolerances = _HANDLERS[args.command](args)
         from .io import canonical_report_json
 
@@ -429,10 +424,12 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
                 "tolerances": tolerances,
             }
         )
+    except SystemExit as exc:  # --help; usage errors raise ValueError instead
+        return exc.code if isinstance(exc.code, int) else 2
     except Exception as exc:  # malformed input must exit 2, never a traceback
         report = {
             "argv": argv,
-            "command": getattr(args, "command", None),
+            "command": args.command,
             "error": str(exc),
             "timing_ms": (time.perf_counter() - start) * 1000.0,
         }

@@ -33,6 +33,7 @@ __all__ = [
     "repair_bipartite",
     "paper_state",
     "PAPER_STATE_NAMES",
+    "PAIRING_NAMES",
 ]
 
 # Pairing values must stay within unsigned 64-bit range.
@@ -79,6 +80,8 @@ _BUILTINS: dict[str, Callable[[int, int], int]] = {
     "injection_2a3b": _pow_2a3b,
     "bijection_interleave": _interleave_bits,
 }
+
+PAIRING_NAMES: tuple[str, ...] = tuple(_BUILTINS)
 
 
 def pairing_fn(kind: str) -> PairingFn:
@@ -442,60 +445,35 @@ _R3 = 1.0 / math.sqrt(3.0)
 _R7 = 1.0 / math.sqrt(7.0)
 
 
-def _catalog_builders() -> dict[str, Callable[[], StateTensor]]:
-    def bohm() -> StateTensor:
-        # Two spin-1/2 particles, one up and one down, z basis (up = 0).
-        return make_state((2, 2), {(0, 1): _R2, (1, 0): _R2})
+# name -> (dims, amplitudes) of the named reference states.
+_CATALOG: dict[str, tuple[tuple[int, ...], dict[MultiIndex, float]]] = {
+    # Two spin-1/2 particles, one up and one down, z basis (up = 0).
+    "bohm": ((2, 2), {(0, 1): _R2, (1, 0): _R2}),
+    # Two qubits, z basis: equal weight on every index except (0, 0).
+    "hardy2": ((2, 2), {(0, 1): _R3, (1, 0): _R3, (1, 1): _R3}),
+    # Two spin-1 particles in the orthonormal basis of null directions
+    # of the y, x, z spin components (indices 0, 1, 2 respectively).
+    "spin1_singlet": ((3, 3), {(0, 0): _R3, (1, 1): -_R3, (2, 2): -_R3}),
+    # Same basis as spin1_singlet with the z-null term removed: one
+    # Schmidt coefficient is exactly zero, so this is not cyclic.
+    "spin1_two_term": ((3, 3), {(0, 0): _R2, (1, 1): -_R2}),
+    "ghz": ((2, 2, 2), {(0, 0, 0): _R2, (1, 1, 1): _R2}),
+    # Three qubits, z basis: equal weight everywhere except (0, 0, 0).
+    "hardy3": (
+        (2, 2, 2),
+        {idx: _R7 for idx in itertools.product(range(2), repeat=3) if idx != (0, 0, 0)},
+    ),
+}
 
-    def hardy2() -> StateTensor:
-        # Two qubits, z basis: equal weight on every index except (0, 0).
-        return make_state((2, 2), {(0, 1): _R3, (1, 0): _R3, (1, 1): _R3})
-
-    def spin1_singlet() -> StateTensor:
-        # Two spin-1 particles in the orthonormal basis of null directions
-        # of the y, x, z spin components (indices 0, 1, 2 respectively).
-        return make_state((3, 3), {(0, 0): _R3, (1, 1): -_R3, (2, 2): -_R3})
-
-    def spin1_two_term() -> StateTensor:
-        # Same basis as spin1_singlet with the z-null term removed: one
-        # Schmidt coefficient is exactly zero, so this is not cyclic.
-        return make_state((3, 3), {(0, 0): _R2, (1, 1): -_R2})
-
-    def ghz() -> StateTensor:
-        return make_state((2, 2, 2), {(0, 0, 0): _R2, (1, 1, 1): _R2})
-
-    def hardy3() -> StateTensor:
-        # Three qubits, z basis: equal weight everywhere except (0, 0, 0).
-        entries = {
-            idx: _R7
-            for idx in itertools.product(range(2), repeat=3)
-            if idx != (0, 0, 0)
-        }
-        return make_state((2, 2, 2), entries)
-
-    return {
-        "bohm": bohm,
-        "hardy2": hardy2,
-        "spin1_singlet": spin1_singlet,
-        "spin1_two_term": spin1_two_term,
-        "ghz": ghz,
-        "hardy3": hardy3,
-    }
-
-
-PAPER_STATE_NAMES: tuple[str, ...] = tuple(sorted(_catalog_builders()))
+PAPER_STATE_NAMES: tuple[str, ...] = tuple(sorted(_CATALOG))
 
 
 def paper_state(name: str) -> StateTensor:
     """Build a state from the named reference catalog."""
-    builders = _catalog_builders()
     try:
-        build = builders[name]
+        dims, entries = _CATALOG[name]
     except KeyError:
         raise ValueError(
-            f"unknown state {name!r}; expected one of {sorted(builders)}"
+            f"unknown state {name!r}; expected one of {list(PAPER_STATE_NAMES)}"
         ) from None
-    v = build()
-    meta = dict(v.metadata)
-    meta["catalog"] = name
-    return make_state(v.dims, dict(v.items()), metadata=meta)
+    return make_state(dims, entries, metadata={"catalog": name})

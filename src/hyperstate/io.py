@@ -127,6 +127,39 @@ def _float_field(entry: dict, key: str, where: str) -> float:
     return value
 
 
+def _is_count(x: Any) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
+
+
+def _check_metadata(metadata: dict, where: str) -> None:
+    """Validate the metadata fields that constructions and the CLI read back."""
+
+    def need(ok: bool, field: str, rule: str, value: Any) -> None:
+        if not ok:
+            raise _fail(f"{where}: metadata.{field}", f"must be {rule}, got {value!r}")
+
+    history = metadata.get("stage_history", [])
+    need(isinstance(history, list), "stage_history", "a list of stage records", history)
+    for k, rec in enumerate(history):
+        need(isinstance(rec, dict), f"stage_history[{k}]", "an object", rec)
+        for key in ("p", "m", "p_prime", "epsilon"):
+            if key not in rec:
+                raise _fail(f"{where}: metadata.stage_history[{k}]", f"missing field {key!r}")
+        for key in ("p", "m", "p_prime"):
+            need(_is_count(rec[key]), f"stage_history[{k}].{key}", "an integer >= 1", rec[key])
+        eps = rec["epsilon"]
+        need(
+            isinstance(eps, (int, float)) and not isinstance(eps, bool) and 0 < eps < math.inf,
+            f"stage_history[{k}].epsilon",
+            "a finite positive number",
+            eps,
+        )
+    sizes = metadata.get("window_sizes", [])
+    need(isinstance(sizes, list), "window_sizes", "a list of integers >= 1", sizes)
+    for k, size in enumerate(sizes):
+        need(_is_count(size), f"window_sizes[{k}]", "an integer >= 1", size)
+
+
 def _state_to_json(v: StateTensor) -> dict:
     entries = []
     for idx, amp in v.items():
@@ -174,6 +207,7 @@ def _state_from_json(obj: Any, where: str) -> StateTensor:
     metadata = obj.get("metadata", {})
     if not isinstance(metadata, dict):
         raise _fail(where, "field 'metadata' must be an object")
+    _check_metadata(metadata, where)
 
     entries: dict[MultiIndex, complex] = {}
     for k, entry in enumerate(raw_entries):

@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .bilinear import unfold
-from .state import StateTensor, Subsystem, slice_family
+from .state import StateTensor, Subsystem
 
 __all__ = [
     "ORTHONORMALITY_TOL",
@@ -122,12 +122,12 @@ def steering_operator(
 
     Solves A v_j = target_j * embed against the slice family; requires the
     family to be linearly independent (the cyclicity criterion), otherwise
-    raises.  ``embed`` defaults to the first basis vector of H_S.
+    raises.  ``embed`` defaults to the first basis vector of H_S.  The slices
+    come from :func:`unfold`, so states above ``DENSE_CAP`` are refused.
     """
-    part = Subsystem.coerce(subsystem)
-    part.validate_for(v.nfactors)
-    fam = slice_family(v, part)
-    slices = fam.matrix()  # (n_keys, dim_S)
+    unf = unfold(v, subsystem)
+    part = unf.subsystem
+    slices = unf.matrix  # (n_keys, dim_S)
     n_keys, dim_s = slices.shape
 
     phi = np.asarray(target, dtype=np.complex128).reshape(-1)

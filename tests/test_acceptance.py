@@ -287,11 +287,14 @@ def test_criterion_9_cli_contract():
             assert code == 2, f.name
             assert "error" in json.loads(out), f.name
 
-        # spot-check through a real process: message stays out of stderr
-        proc = subprocess.run(
-            [sys.executable, "-m", "hyperstate", "certify", "--state", str(fixtures[0])],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 2
-        assert proc.stderr == ""
+        # spot-check through a real process: message stays out of stderr,
+        # for malformed files and malformed argv alike
+        for argv in (["--state", str(fixtures[0])], ["--paper", "nope"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "hyperstate", "certify", *argv],
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 2
+            assert proc.stderr == ""
+            assert "error" in json.loads(proc.stdout)

@@ -114,6 +114,64 @@ class TestStateFiles:
             load_state(path)
 
 
+class TestMetadataFields:
+    """stage_history and window_sizes are read back, so they are checked at load."""
+
+    RECORD = {"p": 2, "m": 1, "epsilon": 0.01, "p_prime": 5}
+
+    def write(self, tmp_path, metadata):
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps({
+            "format_version": "1.0",
+            "dims": [2, 2, 2],
+            "entries": [{"index": [0, 0, 0], "re": 1.0, "im": 0}],
+            "metadata": metadata,
+        }))
+        return path
+
+    def test_valid_fields_load(self, tmp_path):
+        meta = {"stage_history": [self.RECORD], "window_sizes": [2]}
+        assert load_state(self.write(tmp_path, meta)).metadata == meta
+
+    @pytest.mark.parametrize("metadata, field", [
+        ({"stage_history": [{"m": 1, "epsilon": 0.01, "p_prime": 5}]},
+         r"stage_history\[0\]: missing field 'p'"),
+        ({"stage_history": [{**RECORD, "m": True}]}, r"stage_history\[0\]\.m: .*True"),
+        ({"stage_history": [{**RECORD, "p_prime": 0}]}, r"stage_history\[0\]\.p_prime: "),
+        ({"stage_history": [{**RECORD, "epsilon": -0.5}]}, r"stage_history\[0\]\.epsilon: "),
+        ({"stage_history": [{**RECORD, "epsilon": "0.01"}]}, r"stage_history\[0\]\.epsilon: "),
+        ({"stage_history": [RECORD, [2]]}, r"stage_history\[1\]: must be an object"),
+        ({"stage_history": {"p": 2}}, r"metadata\.stage_history: must be a list"),
+        ({"window_sizes": ["a"]}, r"window_sizes\[0\]: .*'a'"),
+        ({"window_sizes": [2, 2.5]}, r"window_sizes\[1\]: .*2\.5"),
+        ({"window_sizes": [True]}, r"window_sizes\[0\]: .*True"),
+        ({"window_sizes": [0]}, r"window_sizes\[0\]: "),
+        ({"window_sizes": 2}, r"metadata\.window_sizes: must be a list"),
+    ])
+    def test_bad_fields_cite_their_path(self, tmp_path, metadata, field):
+        with pytest.raises(StateFileError, match=field):
+            load_state(self.write(tmp_path, metadata))
+
+    def test_overflowing_epsilon(self, tmp_path):
+        path = self.write(tmp_path, {"stage_history": [self.RECORD]})
+        path.write_text(path.read_text().replace("0.01", "1e400"))
+        with pytest.raises(StateFileError, match=r"stage_history\[0\]\.epsilon: .*inf"):
+            load_state(path)
+
+    def test_cli_reports_the_field(self, capsys, tmp_path):
+        seed = self.write(tmp_path, {"stage_history": [{"m": 1, "epsilon": 0.01, "p_prime": 5}]})
+        code, rep = run(
+            capsys, "construct", "method2", "--stages", "1", "--eps", "0.01",
+            "--seed-file", str(seed), "--out", str(tmp_path / "m2.json"),
+        )
+        assert code == 2
+        assert "stage_history[0]: missing field 'p'" in rep["error"]
+        path = self.write(tmp_path, {"window_sizes": [2.5]})
+        code, rep = run(capsys, "certify", "--state", str(path), "--windows", "full")
+        assert code == 2
+        assert "window_sizes[0]" in rep["error"]
+
+
 class TestProjectorFiles:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -296,10 +354,10 @@ class TestCliAnalysis:
         code, rep = run(capsys, "schmidt", "--paper", "ghz", "--split", "0|2")
         assert code == 2
         assert "complement" in rep["error"]
-        code, rep = run(capsys, "schmidt", "--paper", "bohm", "--split", "0,1")
-        assert code == 2
-        code, rep = run(capsys, "schmidt", "--paper", "bohm", "--split", "5")
-        assert code == 2
+        for split, bad in (("0,1", "(0, 1)"), ("5", "(5,)"), ("1,1", "(1, 1)"), ("-1", "(-1,)")):
+            code, rep = run(capsys, "schmidt", "--paper", "bohm", "--split", split)
+            assert code == 2
+            assert bad in rep["error"]
 
     def test_witness(self, capsys, tmp_path):
         w = rand_unit(np.random.default_rng(3), 2)
@@ -347,24 +405,33 @@ class TestCliContract:
         assert rep["command"] == "certify"
 
     def test_argparse_failures_exit_two(self, capsys):
-        assert run_cli(["frobnicate"]) == 2
-        capsys.readouterr()
-        assert run_cli([]) == 2
-        capsys.readouterr()
-        assert run_cli(["construct", "method1", "--n", "5", "--pairing", "injection_2a3b", "--bounds", "2,2,2,2,2"]) == 2
-        capsys.readouterr()
+        for argv, command, needle in (
+            (["frobnicate"], None, "frobnicate"),
+            ([], None, "required"),
+            (["construct", "method1", "--n", "5", "--pairing", "injection_2a3b", "--bounds", "2,2,2,2,2"], "construct", "--n"),
+            (["construct", "method1", "--pairing", "zzz", "--bounds", "2,2,2", "--out", "x.json"], "construct", "zzz"),
+            (["certify", "--paper", "bohm", "--tol", "small"], "certify", "small"),
+        ):
+            assert run_cli(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            rep = json.loads(captured.out)
+            assert set(rep) == {"argv", "command", "error", "timing_ms"}
+            assert rep["argv"] == argv
+            assert rep["command"] == command
+            assert needle in rep["error"]
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"]) == 0
         capsys.readouterr()
 
     def test_unknown_catalog_name(self, capsys):
-        # rejected by argv validation, so the message lands on stderr
+        # rejected by argv validation, reported like any other input error
         code = run_cli(["certify", "--paper", "nope"])
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.out == ""
-        assert "nope" in captured.err
+        assert captured.err == ""
+        assert "nope" in json.loads(captured.out)["error"]
 
     def test_output_is_canonical(self, capsys):
         code = run_cli(["certify", "--paper", "bohm"])

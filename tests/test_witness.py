@@ -132,6 +132,12 @@ class TestSteering:
         with pytest.raises(ValueError):
             steering_operator(bohm, 0, np.ones(2), embed=np.ones(3))
 
+    def test_refused_above_dense_cap(self):
+        # refused before the 4096 x 2 slice matrix is built
+        v = make_state((2,) * 13, {(0,) * 13: 1.0})
+        with pytest.raises(ValueError, match="dense cap"):
+            steering_operator(v, 0, np.ones(2 ** 12))
+
 
 class TestCorrelationWitness:
     def test_query_validation(self, corpus):
