@@ -2,13 +2,14 @@
 
 Everything here is dense linear algebra on the coefficient matrix of a state
 for a split (S | S'): unfolding, Schmidt decomposition, reduced density
-operators and the shared numerical-rank policy.  Dense conversion is refused
-above ``DENSE_CAP`` total dimensions; large truncated constructions are probed
-through slice windows instead (see :mod:`hyperstate.certify`).  Window
-certificates apply :func:`numerical_rank` only on their dense fallback route
-(window matrices up to 256 MiB); their structural route proves full rank by
-singleton elimination and reports a certified lower bound on the smallest
-singular value as ``RankReport.min_kept``, with a 4x margin over the cutoff.
+operators and the shared numerical-rank policy.  The unfolding is one scatter
+of the state's entry arrays into a dense matrix, refused above ``DENSE_CAP``
+total dimensions; large truncated constructions are probed through slice
+windows instead (see :mod:`hyperstate.certify`).  Window certificates apply
+:func:`numerical_rank` only on their dense fallback route (window matrices
+up to 256 MiB); their structural route proves full rank by singleton
+elimination and reports a certified lower bound on the smallest singular
+value as ``RankReport.min_kept``, with a 4x margin over the cutoff.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .state import StateTensor, Subsystem, slice_family
+from .state import StateTensor, Subsystem, _positions
 
 __all__ = [
     "DENSE_CAP",
@@ -111,29 +112,26 @@ class UnfoldingMatrix:
         return float(np.linalg.norm(self.matrix))
 
 
-def _require_dense(v: StateTensor) -> None:
-    total = math.prod(v.dims)
-    if total > DENSE_CAP:
-        raise ValueError(
-            f"total dimension {total} exceeds the dense cap {DENSE_CAP}; "
-            "use slice windows for large truncated states"
-        )
-
-
 def unfold(v: StateTensor, subsystem: Subsystem | int | Iterable[int]) -> UnfoldingMatrix:
     """Dense coefficient matrix of ``v`` over the given split.
 
     The Frobenius norm of the result equals the state norm exactly: unfolding
     is a rearrangement, not arithmetic.
     """
-    _require_dense(v)
-    fam = slice_family(v, subsystem)
-    return UnfoldingMatrix(
-        matrix=fam.matrix(),
-        subsystem=fam.subsystem,
-        part_dims=fam.part_dims,
-        complement_dims=fam.complement_dims,
-    )
+    total = math.prod(v.dims)
+    if total > DENSE_CAP:
+        raise ValueError(
+            f"total dimension {total} exceeds the dense cap {DENSE_CAP}; "
+            "use slice windows for large truncated states"
+        )
+    part = Subsystem.coerce(subsystem)
+    comp = part.complement(v.nfactors)
+    part_dims = tuple(v.dims[k] for k in part)
+    comp_dims = tuple(v.dims[k] for k in comp)
+    matrix = np.zeros((math.prod(comp_dims), math.prod(part_dims)), dtype=np.complex128)
+    rows, cols = (_positions(v.indices, v.dims, s) for s in (comp, part))
+    matrix[rows, cols] = v.amplitudes
+    return UnfoldingMatrix(matrix, part, part_dims, comp_dims)
 
 
 @dataclass(frozen=True)

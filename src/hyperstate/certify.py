@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bilinear import RankReport, numerical_rank, rank_tolerance, reduced_density
-from .state import MultiIndex, StateTensor, Subsystem
+from .state import MultiIndex, StateTensor, Subsystem, _positions
 
 __all__ = [
     "Feasibility",
@@ -274,30 +274,21 @@ def window_certificate(
     ``tol`` cutting singular values.
     """
     axis = window.axis
-    Subsystem((axis,)).validate_for(v.nfactors)
-    comp_dims = v.dims[:axis] + v.dims[axis + 1:]
-    for j in window.members:
-        if len(j) != len(comp_dims) or any(
-            k < 0 or k >= d for k, d in zip(j, comp_dims)
-        ):
-            raise ValueError(
-                f"window member {j} out of range for complement dims {comp_dims}"
-            )
-    row_of = {j: r for r, j in enumerate(window.members)}
-    rows: list[int] = []
-    cols: list[int] = []
-    amps: list[complex] = []
-    for idx, amp in v.items():
-        r = row_of.get(idx[:axis] + idx[axis + 1:])
-        if r is not None:
-            rows.append(r)
-            cols.append(idx[axis])
-            amps.append(amp)
+    comp = Subsystem((axis,)).complement(v.nfactors)
+    comp_dims = tuple(v.dims[k] for k in comp)
     size = len(window.members)
+    keys = np.array(window.members)  # ragged members raise here
+    if keys.shape != (size, len(comp_dims)) or ((keys < 0) | (keys >= comp_dims)).any():
+        raise ValueError(f"window members out of range for complement dims {comp_dims}")
+    # Row r of the window matrix is member r; entries find their row by
+    # binary search among the sorted member positions.
+    member_pos = _positions(keys, comp_dims, range(len(comp_dims)))
+    order = np.argsort(member_pos)
+    member_pos, entry_pos = member_pos[order], _positions(v.indices, v.dims, comp)
+    slot = np.minimum(np.searchsorted(member_pos, entry_pos), size - 1)
+    hit = member_pos[slot] == entry_pos
+    rows_a, cols_a, amps_a = order[slot[hit]], v.indices[hit, axis], v.amplitudes[hit]
     shape = (size, v.dims[axis])
-    rows_a = np.array(rows, dtype=np.intp)
-    cols_a = np.array(cols, dtype=np.intp)
-    amps_a = np.array(amps, dtype=np.complex128)
     mags = np.abs(amps_a)
 
     bound = _singleton_bound(rows_a, cols_a, mags, size)

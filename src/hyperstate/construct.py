@@ -15,9 +15,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .bilinear import schmidt_decompose
+from .bilinear import schmidt_decompose, unfold
 from .certify import cube_window, window_certificate
 from .state import DROP_THRESHOLD, MultiIndex, StateTensor, Subsystem, make_state, norm
+from .state import _state_from_arrays
 
 __all__ = [
     "PairingFn",
@@ -234,15 +235,6 @@ class ExtensionParams:
         return self.p * self.p + self.p - self.m * self.m
 
 
-def _extended_keys(p: int, m: int) -> list[tuple[int, int]]:
-    # Lexicographic order over pairs with at least one coordinate >= m.
-    return [
-        (x, y)
-        for x, y in itertools.product(range(p), repeat=2)
-        if not (x < m and y < m)
-    ]
-
-
 def method2_extend(v: StateTensor, params: ExtensionParams) -> StateTensor:
     """One extension stage of the seed-and-extend construction.
 
@@ -267,18 +259,14 @@ def method2_extend(v: StateTensor, params: ExtensionParams) -> StateTensor:
             )
 
     pp = params.p_prime
-    keys = _extended_keys(p, m)
-    count = len(keys)  # p**2 - m**2
-    scale = math.sqrt(params.epsilon / (3.0 * count))
-
-    entries: dict[MultiIndex, complex] = dict(v.items())
-    appended: list[tuple[MultiIndex, complex]] = []
-    for i, (x, y) in enumerate(keys):
-        appended.append(((x, y, p + i), complex(scale)))  # axis-2 slices
-        appended.append(((x, p + i, y), complex(scale)))  # axis-1 slices
-        appended.append(((p + i, x, y), complex(scale)))  # axis-0 slices
-    for idx, amp in appended:
-        entries[idx] = amp
+    # Pairs (x, y) with a coordinate >= m, in lexicographic order; pair i
+    # gets the new coordinate p + i on axis 2, then axis 1, then axis 0.
+    x, y = np.divmod(np.arange(p * p), p)
+    wide = (x >= m) | (y >= m)
+    x, y, new = x[wide], y[wide], p + np.arange(np.count_nonzero(wide))
+    slots = ((x, y, new), (x, new, y), (new, x, y))
+    appended = np.concatenate([np.stack(cols, axis=1) for cols in slots])
+    scale = math.sqrt(params.epsilon / len(appended))
 
     metadata = dict(v.metadata)
     history = list(metadata.get("stage_history", []))
@@ -286,38 +274,32 @@ def method2_extend(v: StateTensor, params: ExtensionParams) -> StateTensor:
     metadata["stage_history"] = history
     metadata.setdefault("construction", "seed_extend")
 
-    out = make_state(
-        (pp, pp, pp), entries, truncated_from_infinite=True, metadata=metadata
+    out = _state_from_arrays(
+        (pp, pp, pp),
+        np.concatenate([v.indices, appended]),
+        np.concatenate([v.amplitudes, np.full(len(appended), scale, dtype=np.complex128)]),
+        truncated_from_infinite=True,
+        metadata=metadata,
     )
-    _check_extension(v, out, params, appended)
+    _check_extension(v, out, params)
     return out
 
 
-def _check_extension(
-    v: StateTensor,
-    out: StateTensor,
-    params: ExtensionParams,
-    appended: list[tuple[MultiIndex, complex]],
-) -> None:
+def _check_extension(v: StateTensor, out: StateTensor, params: ExtensionParams) -> None:
     """Structural postconditions, verified after every stage."""
     p, m = params.p, params.m
-    for idx, amp in v.items():
-        if out.amplitude(idx) != amp:
-            raise RuntimeError(f"extension altered preserved entry {idx}")
-    appended_set = {idx for idx, _ in appended}
-    new_mass = 0.0
-    for idx, amp in out.items():
-        if max(idx) < p:
-            continue  # preserved block
-        if idx not in appended_set:
-            raise RuntimeError(f"unexpected nonzero entry {idx} in extension region")
-        if sum(1 for k in idx if k < m) >= 2:
-            raise RuntimeError(f"zero-pattern violated at {idx}")
-        new_mass += amp.real * amp.real + amp.imag * amp.imag
-    if len(appended_set) != len(appended) or any(
-        out.amplitude(idx) != amp for idx, amp in appended
+    new = (out.indices >= p).any(axis=1)
+    if not (
+        np.array_equal(out.indices[~new], v.indices)
+        and np.array_equal(out.amplitudes[~new], v.amplitudes)
     ):
+        raise RuntimeError("extension altered the preserved p**3 block")
+    added, amps = out.indices[new], out.amplitudes[new]
+    if len(added) != 3 * (p * p - m * m) or ((added >= p).sum(axis=1) != 1).any():
         raise RuntimeError("appended standard-basis pattern corrupted")
+    if ((added < m).sum(axis=1) >= 2).any():
+        raise RuntimeError("zero-pattern violated in the extension region")
+    new_mass = math.fsum((amps.real * amps.real + amps.imag * amps.imag).tolist())
     if abs(new_mass - params.epsilon) > 1e-12 * max(1.0, params.epsilon):
         raise RuntimeError(
             f"appended mass {new_mass} differs from epsilon {params.epsilon}"
@@ -365,9 +347,10 @@ def method2_build(
 
     metadata = dict(v.metadata)
     metadata["window_sizes"] = [rec["p"] for rec in metadata.get("stage_history", [])]
-    return make_state(
+    return _state_from_arrays(
         v.dims,
-        dict(v.items()),
+        v.indices,
+        v.amplitudes,
         normalize=True,
         truncated_from_infinite=True,
         metadata=metadata,
@@ -418,23 +401,21 @@ def repair_bipartite(
             mat += ck * np.outer(left, right)
     if part.indices[0] == 1:
         mat = mat.T
-    entries = {(int(i), int(j)): complex(mat[i, j]) for i, j in zip(*np.nonzero(mat))}
+    support = np.nonzero(mat)
 
     metadata = dict(v.metadata)
     metadata["repair"] = {"replaced": int(nzeros), "delta": float(delta)}
-    out = make_state(
+    out = _state_from_arrays(
         v.dims,
-        entries,
+        np.stack(support, axis=1),
+        mat[support],
         normalize=True,
         truncated_from_infinite=v.truncated_from_infinite,
         metadata=metadata,
     )
 
-    # Distance guarantee, checked exactly on the sparse supports.
-    support = {idx for idx, _ in v.items()} | {idx for idx, _ in out.items()}
-    dist = math.sqrt(
-        math.fsum(abs(out.amplitude(i) - v.amplitude(i)) ** 2 for i in sorted(support))
-    )
+    # Distance guarantee, checked on the dense coefficient matrices.
+    dist = float(np.linalg.norm(unfold(out, 0).matrix - unfold(v, 0).matrix))
     if dist > delta:
         raise RuntimeError(f"repair moved {dist}, beyond delta={delta}")
     return out

@@ -76,16 +76,16 @@ def _als_sweep(
     v: StateTensor, factors: list[np.ndarray]
 ) -> tuple[list[np.ndarray], float]:
     """One round of factor updates; returns the new overlap |<w, v>|."""
-    n = v.nfactors
     overlap = 0.0
-    for k in range(n):
+    for k in range(v.nfactors):
+        re, im = v.amplitudes.real, v.amplitudes.imag
+        for l in range(v.nfactors):
+            if l != k:  # times conj(factor), by components to round as scalar products do
+                f = factors[l][v.indices[:, l]]
+                re, im = re * f.real + im * f.imag, im * f.real - re * f.imag
         g = np.zeros(v.dims[k], dtype=np.complex128)
-        for idx, amp in v.items():
-            contrib = amp
-            for l in range(n):
-                if l != k:
-                    contrib *= factors[l][idx[l]].conjugate()
-            g[idx[k]] += contrib
+        np.add.at(g.real, v.indices[:, k], re)
+        np.add.at(g.imag, v.indices[:, k], im)
         ng = float(np.linalg.norm(g))
         if ng == 0.0:
             continue  # keep the previous factor; the next sweep moves on

@@ -14,7 +14,7 @@ import re as _re
 from pathlib import Path
 from typing import Any
 
-from .state import MultiIndex, StateTensor, Subsystem, make_state
+from .state import StateTensor, Subsystem, make_state
 from .witness import Projector
 
 __all__ = [
@@ -87,7 +87,7 @@ def _parse_json(path: Path) -> Any:
 
     try:
         obj = json.loads(text, parse_constant=constant)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise _fail(str(path), f"invalid JSON ({exc})") from None
     if tokens:  # walk the tree only when a constant was seen
         field, token = _find_nonfinite(obj, "")
@@ -209,7 +209,8 @@ def _state_from_json(obj: Any, where: str) -> StateTensor:
         raise _fail(where, "field 'metadata' must be an object")
     _check_metadata(metadata, where)
 
-    entries: dict[MultiIndex, complex] = {}
+    # make_state checks index length, range and repeats, citing entries[k].
+    entries: list[tuple[list[int], complex]] = []
     for k, entry in enumerate(raw_entries):
         spot = f"{where}: entries[{k}]"
         if not isinstance(entry, dict):
@@ -219,16 +220,9 @@ def _state_from_json(obj: Any, where: str) -> StateTensor:
             isinstance(i, int) and not isinstance(i, bool) for i in index
         ):
             raise _fail(spot, "field 'index' must be a list of integers")
-        idx = tuple(index)
-        if len(idx) != len(dims):
-            raise _fail(spot, f"index {idx} has wrong length for dims {dims}")
-        if any(i < 0 or i >= d for i, d in zip(idx, dims)):
-            raise _fail(spot, f"index {idx} out of range for dims {dims}")
-        if idx in entries:
-            raise _fail(spot, f"duplicate index {idx}")
         re_val = _float_field(entry, "re", spot)
         im_val = _float_field(entry, "im", spot)
-        entries[idx] = complex(re_val, im_val)
+        entries.append((index, complex(re_val, im_val)))
 
     try:
         return make_state(

@@ -1,10 +1,12 @@
 """Sparse coefficient tensors for multipartite pure states.
 
-A pure state on factors of dimensions ``dims`` is stored as a mapping from
-index tuples to complex amplitudes; absent indices are exact zeros.  Every
-reduction (norm, inner product, slice extraction) walks the entries in
-lexicographic index order, so results do not depend on insertion order or on
-how work is split across threads.
+A pure state on factors of dimensions ``dims`` is stored as two read-only
+arrays: the indices of its nonzero entries (int64, one row per entry, in
+strictly increasing lexicographic order) and their complex amplitudes;
+absent indices are exact zeros.  Every layer reads these arrays directly.
+Reductions run in a fixed order or exactly (the norm uses ``math.fsum``), so
+results do not depend on insertion order or on how work is split across
+threads.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import copy
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -92,37 +94,34 @@ class Subsystem:
         return iter(self.indices)
 
 
-def _ravel(idx: MultiIndex, dims: tuple[int, ...]) -> int:
-    """C-order flat position of ``idx`` within a block of shape ``dims``."""
-    flat = 0
-    for k, d in zip(idx, dims):
-        flat = flat * d + k
-    return flat
+def _positions(indices: np.ndarray, dims: Sequence[int], axes: Iterable[int]) -> np.ndarray:
+    """C-order position of each row's coordinates on ``axes``, within those factors."""
+    return np.ravel_multi_index([indices[:, k] for k in axes], [dims[k] for k in axes])
 
 
 class StateTensor:
     """Immutable sparse tensor of complex amplitudes.
 
     Instances are built through :func:`make_state`, which validates indices,
-    drops negligible amplitudes and optionally rescales to unit norm.  Entry
-    iteration via :meth:`items` is always in lexicographic index order.
+    drops negligible amplitudes and optionally rescales to unit norm.  The
+    entries are the read-only arrays :attr:`indices` and :attr:`amplitudes`.
     """
 
-    __slots__ = ("_dims", "_items", "_lookup", "_norm", "_truncated", "_metadata")
+    __slots__ = ("_dims", "_indices", "_amplitudes", "_norm", "_truncated", "_metadata")
 
     def __init__(
         self,
         dims: tuple[int, ...],
-        items: tuple[tuple[MultiIndex, complex], ...],
+        indices: np.ndarray,
+        amplitudes: np.ndarray,
         truncated_from_infinite: bool,
         metadata: dict,
     ):
+        indices.flags.writeable = amplitudes.flags.writeable = False
         self._dims = dims
-        self._items = items
-        self._lookup = dict(items)
-        self._norm = math.sqrt(
-            math.fsum(a.real * a.real + a.imag * a.imag for _, a in items)
-        )
+        self._indices = indices
+        self._amplitudes = amplitudes
+        self._norm = math.sqrt(math.fsum((amplitudes.real**2 + amplitudes.imag**2).tolist()))
         self._truncated = truncated_from_infinite
         self._metadata = metadata
 
@@ -136,7 +135,17 @@ class StateTensor:
 
     @property
     def nnz(self) -> int:
-        return len(self._items)
+        return len(self._amplitudes)
+
+    @property
+    def indices(self) -> np.ndarray:
+        """int64 ``(nnz, nfactors)``, rows strictly increasing lexicographically."""
+        return self._indices
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """complex128 ``(nnz,)``, one per row of :attr:`indices`."""
+        return self._amplitudes
 
     @property
     def truncated_from_infinite(self) -> bool:
@@ -153,17 +162,22 @@ class StateTensor:
 
     def items(self) -> tuple[tuple[MultiIndex, complex], ...]:
         """All stored entries, sorted lexicographically by index."""
-        return self._items
+        return tuple(zip(map(tuple, self._indices.tolist()), self._amplitudes.tolist()))
 
     def amplitude(self, idx: Iterable[int]) -> complex:
-        return self._lookup.get(tuple(idx), 0j)
+        key = tuple(idx)
+        if len(key) != len(self._dims):  # a shorter key would broadcast
+            return 0j
+        hit = np.flatnonzero((self._indices == key).all(axis=1))
+        return complex(self._amplitudes[hit[0]]) if hit.size else 0j
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StateTensor):
             return NotImplemented
         return (
             self._dims == other._dims
-            and self._items == other._items
+            and np.array_equal(self._indices, other._indices)
+            and np.array_equal(self._amplitudes, other._amplitudes)
             and self._truncated == other._truncated
         )
 
@@ -187,68 +201,96 @@ def make_state(
     Parameters
     ----------
     dims:
-        Factor dimensions; at least two factors, each of dimension >= 2.
+        Factor dimensions; at least two factors, each of dimension >= 2, with
+        a product below 2**63.
     entries:
         Mapping (or iterable of pairs) from index tuples to amplitudes.
-        Indices must be in range; amplitudes must be finite.  Amplitudes with
-        magnitude <= ``DROP_THRESHOLD`` are discarded.
+        Indices must be in range and distinct; amplitudes must be finite.
+        Errors cite the offending pair as ``entries[k]`` in input order.
+        Amplitudes with magnitude <= ``DROP_THRESHOLD`` are discarded.
     normalize:
         Rescale so the result has unit norm.  Raises on the zero state.
     truncated_from_infinite:
         Marks finite windows cut out of infinite-dimensional constructions;
         certification treats those dimensions differently.
     """
+    pairs = list(entries.items() if isinstance(entries, Mapping) else entries)
+    amps = np.array([amp for _, amp in pairs], dtype=np.complex128)
+    return _state_from_arrays(
+        dims, [idx for idx, _ in pairs], amps, normalize, truncated_from_infinite, metadata
+    )
+
+
+def _state_from_arrays(
+    dims: Iterable[int],
+    indices: Sequence | np.ndarray,
+    amps: np.ndarray,
+    normalize: bool = False,
+    truncated_from_infinite: bool = False,
+    metadata: dict | None = None,
+) -> StateTensor:
+    """:func:`make_state` for index rows and an amplitude array."""
     dims_t = tuple(int(d) for d in dims)
     if len(dims_t) < 2:
         raise ValueError(f"need at least two tensor factors, got dims={dims_t}")
     if any(d < 2 for d in dims_t):
         raise ValueError(f"every factor dimension must be >= 2, got dims={dims_t}")
+    if math.prod(dims_t) >= 2**63:  # every index must have an int64 position
+        raise ValueError(f"dims {dims_t} span more than 2**63 - 1 positions")
+    try:
+        idx = np.asarray(indices, dtype=np.int64).reshape(len(amps), len(dims_t))
+        bad = ((idx < 0) | (idx >= dims_t)).any(axis=1) | ~np.isfinite(amps)
+    except (OverflowError, ValueError):  # ragged rows, or integers beyond int64
+        idx, bad = None, None
+    if bad is None or bad.any():  # name the first offending entry
+        for k, row in enumerate(indices):
+            key = tuple(int(i) for i in row)
+            if len(key) != len(dims_t):
+                problem = f"index {key} has wrong length for dims {dims_t}"
+            elif not all(0 <= i < d for i, d in zip(key, dims_t)):
+                problem = f"index {key} out of range for dims {dims_t}"
+            elif not np.isfinite(amps[k]):
+                problem = f"amplitude at {key} is not finite: {complex(amps[k])!r}"
+            else:
+                continue
+            raise ValueError(f"entries[{k}]: {problem}")
+    flat = _positions(idx, dims_t, range(len(dims_t)))
+    order = np.argsort(flat, kind="stable")
+    repeats = order[1:][flat[order[1:]] == flat[order[:-1]]]
+    if repeats.size:
+        k = int(repeats.min())
+        raise ValueError(f"entries[{k}]: duplicate index {tuple(idx[k].tolist())}")
+    order = order[np.abs(amps[order]) > DROP_THRESHOLD]
 
-    pairs = entries.items() if isinstance(entries, Mapping) else entries
-    cleaned: dict[MultiIndex, complex] = {}
-    for raw_idx, raw_amp in pairs:
-        idx = tuple(int(k) for k in raw_idx)
-        if len(idx) != len(dims_t):
-            raise ValueError(f"index {idx} has wrong length for dims {dims_t}")
-        if any(k < 0 or k >= d for k, d in zip(idx, dims_t)):
-            raise ValueError(f"index {idx} out of range for dims {dims_t}")
-        amp = complex(raw_amp)
-        if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
-            raise ValueError(f"amplitude at {idx} is not finite: {amp!r}")
-        if idx in cleaned:
-            raise ValueError(f"duplicate index {idx}")
-        if abs(amp) <= DROP_THRESHOLD:
-            continue
-        cleaned[idx] = amp
-
-    items = tuple(sorted(cleaned.items()))
     meta = copy.deepcopy(dict(metadata or {}))
-    state = StateTensor(dims_t, items, bool(truncated_from_infinite), meta)
-    if normalize:
-        n = state._norm
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero state")
-        if abs(n - 1.0) > 0.0:
-            items = tuple((idx, amp / n) for idx, amp in items)
-            state = StateTensor(dims_t, items, bool(truncated_from_infinite), meta)
-    return state
+    state = StateTensor(dims_t, idx[order], amps[order], bool(truncated_from_infinite), meta)
+    n = state._norm
+    if not normalize or n == 1.0:
+        return state
+    if n == 0.0:
+        raise ValueError("cannot normalize the zero state")
+    # CPython's complex / float (up to 3.13), bit for bit: it divides by n + 0j.
+    re, im = state.amplitudes.real, state.amplitudes.imag
+    scaled = np.empty_like(state.amplitudes)
+    scaled.real, scaled.imag = (re + im * 0.0) / n, (im - re * 0.0) / n
+    return StateTensor(dims_t, state.indices, scaled, state.truncated_from_infinite, meta)
 
 
 def norm(v: StateTensor) -> float:
-    """Euclidean norm, accumulated over entries in lexicographic order."""
+    """Euclidean norm, accumulated exactly (``math.fsum``) over the entries."""
     return v._norm
 
 
 def inner(u: StateTensor, v: StateTensor) -> complex:
-    """Inner product <u, v>, conjugate-linear in the first argument."""
+    """Inner product <u, v>, conjugate-linear in the first argument, summed exactly."""
     if u.dims != v.dims:
         raise ValueError(f"dimension mismatch: {u.dims} vs {v.dims}")
-    small, large = (u, v) if u.nnz <= v.nnz else (v, u)
-    shared = sorted(idx for idx, _ in small.items() if large.amplitude(idx) != 0j)
-    total = 0j
-    for idx in shared:
-        total += u.amplitude(idx).conjugate() * v.amplitude(idx)
-    return total
+    fu, fv = (_positions(w.indices, w.dims, range(w.nfactors)) for w in (u, v))
+    _, iu, iv = np.intersect1d(fu, fv, assume_unique=True, return_indices=True)
+    a, b = u.amplitudes[iu], v.amplitudes[iv]
+    re = a.real * b.real + a.imag * b.imag
+    im = a.real * b.imag - a.imag * b.real
+    return complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
 
 
 @dataclass(frozen=True)
@@ -308,28 +350,12 @@ def slice_family(v: StateTensor, subsystem: Subsystem | int | Iterable[int]) -> 
     extraction only moves amplitudes, it never does arithmetic on them.
     """
     part = Subsystem.coerce(subsystem)
-    part.validate_for(v.nfactors)
     comp = part.complement(v.nfactors)
     part_dims = tuple(v.dims[k] for k in part)
     comp_dims = tuple(v.dims[k] for k in comp)
-
-    part_size = math.prod(part_dims)
-    slices: dict[MultiIndex, np.ndarray] = {}
-    for idx, amp in v.items():
-        key = tuple(idx[k] for k in comp)
-        coords = tuple(idx[k] for k in part)
-        vec = slices.get(key)
-        if vec is None:
-            vec = np.zeros(part_size, dtype=np.complex128)
-            slices[key] = vec
-        vec[_ravel(coords, part_dims)] = amp
-    for vec in slices.values():
-        vec.flags.writeable = False
-
-    return SliceFamily(
-        subsystem=part,
-        part_dims=part_dims,
-        complement=comp,
-        complement_dims=comp_dims,
-        nonzero=slices,
-    )
+    keys, rows = np.unique(_positions(v.indices, v.dims, comp), return_inverse=True)
+    block = np.zeros((keys.size, math.prod(part_dims)), dtype=np.complex128)
+    block[rows, _positions(v.indices, v.dims, part)] = v.amplitudes
+    block.flags.writeable = False
+    labels = zip(*(c.tolist() for c in np.unravel_index(keys, comp_dims)))
+    return SliceFamily(part, part_dims, comp, comp_dims, dict(zip(labels, block)))
