@@ -1,12 +1,12 @@
 """Command line interface: construct, certify, schmidt, witness, degree.
 
 Every invocation prints one JSON report to stdout and exits 0 on success,
-1 on a certified-negative result and 2 on usage or input errors; a bad argv
-gets the same error report as a bad file, and only ``--help`` prints plain
-text.  Only the standard library is imported at module load: the numerical
-modules, and the catalog and pairing names the parser offers as choices, are
-pulled in by ``run_cli`` after the HYPERSTATE_THREADS cap has been applied to
-the environment, so the linear algebra backend sees it when it initializes.
+1 on a certified-negative result and 2 on usage or input errors (a bad argv
+or HYPERSTATE_THREADS included); only ``--help`` prints plain text.  Only
+the standard library is imported at module load: the numerical modules, and
+the catalog and pairing names the parser offers as choices, are pulled in by
+``run_cli`` after the HYPERSTATE_THREADS cap has been applied to the
+environment, so the linear algebra backend sees it when it initializes.
 """
 
 from __future__ import annotations
@@ -399,16 +399,11 @@ _HANDLERS = {
 def run_cli(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     start = time.perf_counter()
-    try:
-        _apply_thread_cap()
-    except ValueError as exc:
-        print(json.dumps({"error": str(exc)}, indent=2, sort_keys=True))
-        return 2
-
     # The subcommand lands here before its own arguments are parsed, so a
     # usage error inside a subcommand still reports which one it was.
     args = argparse.Namespace(command=None)
     try:
+        _apply_thread_cap()  # before _build_parser imports the numerical modules
         _build_parser().parse_args(argv, namespace=args)
         code, result, tolerances = _HANDLERS[args.command](args)
         from .io import canonical_report_json

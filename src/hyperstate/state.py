@@ -269,7 +269,7 @@ def _state_from_arrays(
         return state
     if n == 0.0:
         raise ValueError("cannot normalize the zero state")
-    # CPython's complex / float (up to 3.13), bit for bit: it divides by n + 0j.
+    # Bit for bit what CPython 3.11's complex / float gives: it divides by n + 0j.
     re, im = state.amplitudes.real, state.amplitudes.imag
     scaled = np.empty_like(state.amplitudes)
     scaled.real, scaled.imag = (re + im * 0.0) / n, (im - re * 0.0) / n

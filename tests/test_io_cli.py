@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -23,6 +25,8 @@ from hyperstate.io import (
 
 R2 = 1.0 / math.sqrt(2.0)
 NONFINITE_SEED = pathlib.Path(__file__).parent / "fixtures" / "nonfinite_seed.json"
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+TIMING_LINE = re.compile(r'^(\s*"timing_ms": )[0-9.eE+-]+(,?)$', re.M)
 
 
 def run(capsys, *argv):
@@ -246,6 +250,48 @@ class TestNonFiniteJson:
         assert set(rep) == {"argv", "command", "error", "timing_ms"}
 
 
+class TestOverlongIntegers:
+    """Integers past Python's str-conversion limit are invalid JSON, not a crash."""
+
+    HUGE = "7" * 5000
+
+    def test_state_loader(self, tmp_path):
+        path = tmp_path / "v.json"
+        path.write_text(
+            '{"format_version": "1.0", "dims": [2, 2],'
+            ' "entries": [{"index": [0, 0], "re": %s, "im": 0}]}' % self.HUGE
+        )
+        with pytest.raises(StateFileError, match=r"v\.json: invalid JSON"):
+            load_state(path)
+
+    def test_projector_loader(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(
+            '{"format_version": "1.0", "subsystem": [0],'
+            ' "vectors": [{"re": [%s, 0.0], "im": [0.0, 0.0]}]}' % self.HUGE
+        )
+        with pytest.raises(StateFileError, match=r"p\.json: invalid JSON"):
+            load_projector(path)
+
+
+class TestGoldenReports:
+    """Reports that depend on the last bits of the arithmetic, pinned byte for byte."""
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("degree_ghz", ["degree", "--paper", "ghz"]),
+            ("degree_hardy3", ["degree", "--paper", "hardy3"]),
+            ("schmidt_hardy3_0_12", ["schmidt", "--paper", "hardy3", "--split", "0|1,2"]),
+        ],
+    )
+    def test_report_bytes(self, capsys, name, argv):
+        assert run_cli(argv) == 0
+        masked, nsub = TIMING_LINE.subn(r'\1"MASKED"\2', capsys.readouterr().out)
+        assert nsub == 1
+        assert masked.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
 class TestCanonicalReports:
     def test_idempotent_and_sorted(self):
         text = canonical_report_json({"b": 1, "a": [1, 2]})
@@ -463,8 +509,25 @@ class TestCliContract:
 
     def test_invalid_thread_cap_is_an_error(self, capsys, monkeypatch):
         monkeypatch.setenv("HYPERSTATE_THREADS", "zero")
-        code, rep = run(capsys, "certify", "--paper", "bohm")
-        assert code == 2
+        assert run_cli(["certify", "--paper", "bohm"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rep = json.loads(captured.out)
+        assert set(rep) == {"argv", "command", "error", "timing_ms"}
+        assert rep["argv"] == ["certify", "--paper", "bohm"]
+        assert rep["command"] is None  # the cap is read before argv is parsed
+        assert "HYPERSTATE_THREADS" in rep["error"]
+        # and through a real process, where the cap has its effect
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyperstate", "certify", "--paper", "bohm"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "HYPERSTATE_THREADS": "0"},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        rep = json.loads(proc.stdout)
+        assert set(rep) == {"argv", "command", "error", "timing_ms"}
         assert "HYPERSTATE_THREADS" in rep["error"]
 
     def test_cli_importable_without_numpy(self):

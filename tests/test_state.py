@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from helpers import dense_tensor, random_state
@@ -229,3 +229,92 @@ def test_repr_mentions_shape():
     v = make_state((2, 2), {(0, 1): 1.0})
     text = repr(v)
     assert "dims=(2, 2)" in text and "nnz=1" in text
+
+
+def bits(z: complex) -> tuple[str, str]:
+    """Both components as hex floats, so -0.0 and 0.0 differ."""
+    return z.real.hex(), z.imag.hex()
+
+
+class TestColumnarStorage:
+    """A state is two read-only arrays: lexsorted int64 indices, complex128 amplitudes."""
+
+    @given(small_dims().flatmap(lambda d: st.tuples(st.just(tuple(d)), sparse_entries(d))))
+    def test_arrays_and_items_match_a_dict_oracle(self, data):
+        dims, entries = data
+        v = make_state(dims, list(reversed(list(entries.items()))))
+        assert v.indices.dtype == np.int64 and v.indices.shape == (v.nnz, len(dims))
+        assert v.amplitudes.dtype == np.complex128 and v.amplitudes.shape == (v.nnz,)
+        rows = [tuple(r) for r in v.indices.tolist()]
+        assert all(a < b for a, b in zip(rows, rows[1:]))  # strictly lexsorted
+        want = {idx: complex(a) for idx, a in entries.items()}
+        assert v.items() == tuple(sorted(want.items()))
+        for idx, amp in want.items():
+            assert v.amplitude(idx) == amp
+
+    def test_arrays_are_read_only(self):
+        v = make_state((2, 3), {(1, 2): 1.0, (0, 1): 2j})
+        with pytest.raises(ValueError):
+            v.indices[0, 0] = 1
+        with pytest.raises(ValueError):
+            v.amplitudes[0] = 0j
+        with pytest.raises(AttributeError):
+            v.indices = np.zeros((2, 2), dtype=np.int64)
+
+    def test_amplitude_of_foreign_keys_is_zero(self):
+        v = make_state((2, 3), {(0, 0): 1.0, (1, 2): 2.0})
+        for key in [(0,), (), (0, 0, 0), (2, 0), (0, 3), (-1, 0), (2**64, 0), (0, 1)]:
+            assert v.amplitude(key) == 0j, key
+        assert v.amplitude(np.array([1, 2])) == 2.0
+
+    @given(
+        small_dims().flatmap(
+            lambda d: st.tuples(st.just(tuple(d)), sparse_entries(d), sparse_entries(d))
+        )
+    )
+    def test_inner_matches_dense_oracle(self, data):
+        dims, a, b = data
+        u, v = make_state(dims, a), make_state(dims, b)
+        want = complex(np.vdot(dense_tensor(u), dense_tensor(v)))
+        assert inner(u, v) == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert inner(v, u) == pytest.approx(want.conjugate(), rel=1e-12, abs=1e-12)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, -0.0]) | st.floats(-10.0, 10.0),
+                st.sampled_from([0.0, -0.0]) | st.floats(-10.0, 10.0),
+            ),
+            min_size=1,
+            max_size=9,
+        )
+    )
+    @example([(-0.0, 1.0), (3.0, -0.0), (-2.0, -0.0)])
+    @example([(-0.0, 1.0)])  # already unit: stored as given
+    def test_normalize_is_python_complex_division(self, parts):
+        entries = {(k // 3, k % 3): complex(re, im) for k, (re, im) in enumerate(parts)}
+        raw = make_state((3, 3), entries)
+        n = norm(raw)
+        assume(n > 0.0)
+        v = make_state((3, 3), entries, normalize=True)
+        for idx, amp in raw.items():
+            assert bits(v.amplitude(idx)) == bits(amp if n == 1.0 else amp / n), idx
+
+    def test_errors_cite_the_entry_in_input_order(self):
+        for entries, message in (
+            ([((0, 0), 1.0), ((0, 1), 1.0), ((0, 5), 1.0)], r"entries\[2\]: index \(0, 5\) out of range"),
+            ([((0, 0), 1.0), ((1,), 1.0)], r"entries\[1\]: index \(1,\) has wrong length"),
+            ([((1, 1), 1.0), ((0, 0), 1.0), ((1, 1), 2.0)], r"entries\[2\]: duplicate index \(1, 1\)"),
+            ([((0, 0), 1.0), ((1, 0), float("inf"))], r"entries\[1\]: amplitude at \(1, 0\) is not finite"),
+            ([((0, 0), 1.0), ((2**63, 0), 1.0)], r"entries\[1\]: index \(9223372036854775808, 0\) out of range"),
+            ([((0, 0), 1.0), ((-(2**70), 0), 1.0)], r"entries\[1\]: index .* out of range"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                make_state((2, 2), entries)
+
+    def test_dims_beyond_int64_positions_are_refused(self):
+        make_state((2**31, 2**31), {(0, 0): 1.0})
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            make_state((2**32, 2**31), {(0, 0): 1.0})
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            make_state((2, 2**70), {(0, 0): 1.0})
