@@ -11,10 +11,13 @@ from __future__ import annotations
 import json
 import math
 import re as _re
+from itertools import chain
 from pathlib import Path
 from typing import Any
 
-from .state import StateTensor, Subsystem, make_state
+import numpy as np
+
+from .state import StateTensor, Subsystem, _state_from_arrays
 from .witness import Projector
 
 __all__ = [
@@ -106,6 +109,8 @@ def _float_field(entry: dict, key: str, where: str) -> float:
         raise _fail(where, f"field {key!r} must be a decimal string or number")
     try:
         value = float(raw)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
     except ValueError:
         raise _fail(where, f"field {key!r} is not a number: {raw!r}") from None
     hex_key = key + "_hex"
@@ -115,6 +120,8 @@ def _float_field(entry: dict, key: str, where: str) -> float:
             raise _fail(where, f"field {hex_key!r} must be a hex-float string")
         try:
             exact = float.fromhex(raw_hex)
+        except OverflowError:
+            exact = math.inf
         except ValueError:
             raise _fail(where, f"field {hex_key!r} is not a hex float: {raw_hex!r}") from None
         if not (math.isfinite(exact) and math.isfinite(value)):
@@ -160,27 +167,6 @@ def _check_metadata(metadata: dict, where: str) -> None:
         need(_is_count(size), f"window_sizes[{k}]", "an integer >= 1", size)
 
 
-def _state_to_json(v: StateTensor) -> dict:
-    entries = []
-    for idx, amp in v.items():
-        entries.append(
-            {
-                "index": list(idx),
-                "re": format(amp.real, ".17g"),
-                "im": format(amp.imag, ".17g"),
-                "re_hex": amp.real.hex(),
-                "im_hex": amp.imag.hex(),
-            }
-        )
-    return {
-        "format_version": FORMAT_VERSION,
-        "dims": list(v.dims),
-        "truncated_from_infinite": v.truncated_from_infinite,
-        "entries": entries,
-        "metadata": v.metadata,
-    }
-
-
 def _state_from_json(obj: Any, where: str) -> StateTensor:
     if not isinstance(obj, dict):
         raise _fail(where, "top level must be a JSON object")
@@ -209,39 +195,113 @@ def _state_from_json(obj: Any, where: str) -> StateTensor:
         raise _fail(where, "field 'metadata' must be an object")
     _check_metadata(metadata, where)
 
-    # make_state checks index length, range and repeats, citing entries[k].
-    entries: list[tuple[list[int], complex]] = []
-    for k, entry in enumerate(raw_entries):
-        spot = f"{where}: entries[{k}]"
-        if not isinstance(entry, dict):
-            raise _fail(spot, "must be an object")
-        index = entry.get("index")
-        if not isinstance(index, list) or not all(
-            isinstance(i, int) and not isinstance(i, bool) for i in index
-        ):
-            raise _fail(spot, "field 'index' must be a list of integers")
-        re_val = _float_field(entry, "re", spot)
-        im_val = _float_field(entry, "im", spot)
-        entries.append((index, complex(re_val, im_val)))
+    rows = _index_column(raw_entries)
+    re_part = _float_column(raw_entries, "re")
+    im_part = _float_column(raw_entries, "im")
+    if rows is None or re_part is None or im_part is None:
+        # Some entry fails a column check: this loop names the first one.
+        rows, re_part, im_part = [], [], []
+        for k, entry in enumerate(raw_entries):
+            spot = f"{where}: entries[{k}]"
+            if not isinstance(entry, dict):
+                raise _fail(spot, "must be an object")
+            index = entry.get("index")
+            if not isinstance(index, list) or not all(
+                isinstance(i, int) and not isinstance(i, bool) for i in index
+            ):
+                raise _fail(spot, "field 'index' must be a list of integers")
+            rows.append(index)
+            re_part.append(_float_field(entry, "re", spot))
+            im_part.append(_float_field(entry, "im", spot))
+    amps = np.empty(len(rows), dtype=np.complex128)
+    amps.real, amps.imag = re_part, im_part
 
+    # _state_from_arrays checks index length, range and repeats, citing entries[k].
     try:
-        return make_state(
-            dims,
-            entries,
-            truncated_from_infinite=truncated,
-            metadata=metadata,
+        return _state_from_arrays(
+            dims, rows, amps, truncated_from_infinite=truncated, metadata=metadata
         )
     except ValueError as exc:
         raise _fail(where, str(exc)) from None
 
 
-def save_state(v: StateTensor, path: str | Path) -> None:
-    """Write ``v``; non-finite metadata numbers raise ValueError first."""
-    Path(path).write_text(
-        json.dumps(_state_to_json(v), indent=2, sort_keys=True, allow_nan=False)
-        + "\n",
-        encoding="utf-8",
+def _index_column(entries: list) -> list | None:
+    """The ``index`` lists of all entries, or None unless each is a list of ints."""
+    try:
+        rows = [entry["index"] for entry in entries]
+    except (KeyError, TypeError):  # a missing field, or an entry that is no object
+        return None
+    if set(map(type, rows)) <= {list} and set(map(type, chain.from_iterable(rows))) <= {int}:
+        return rows
+    return None
+
+
+def _float_column(entries: list, key: str) -> np.ndarray | None:
+    """Field ``key`` of all entries as :func:`_float_field` reads it, or None.
+
+    None means some entry fails one of :func:`_float_field`'s checks, or only
+    some entries carry the hex companion; the per-entry loop then decides.
+    """
+    hex_key = key + "_hex"
+    try:
+        raw = [entry[key] for entry in entries]
+        if not set(map(type, raw)) <= {str, int, float}:
+            return None
+        value = np.array(list(map(float, raw)), dtype=np.float64)
+        if not np.isfinite(value).all():
+            return None
+        if not any(hex_key in entry for entry in entries):
+            return value
+        raw_hex = [entry[hex_key] for entry in entries]
+        if not set(map(type, raw_hex)) <= {str}:
+            return None
+        exact = np.array(list(map(float.fromhex, raw_hex)), dtype=np.float64)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+    agree = np.abs(exact - value) <= 1e-9 * np.maximum(1.0, np.abs(exact))
+    return exact if np.isfinite(exact).all() and agree.all() else None
+
+
+def _entry_template(nfactors: int) -> str:
+    """One entry as ``json.dumps(indent=2, sort_keys=True)`` lays it out in a
+    state file, to be filled with ``(im, im_hex, *index, re, re_hex)``."""
+    index = ",\n".join(["        %d"] * nfactors)
+    return (
+        '    {\n      "im": "%.17g",\n      "im_hex": "%s",\n      "index": [\n'
+        + index
+        + '\n      ],\n      "re": "%.17g",\n      "re_hex": "%s"\n    }'
     )
+
+
+def save_state(v: StateTensor, path: str | Path) -> None:
+    """Write ``v``; non-finite metadata numbers raise ValueError first.
+
+    The file is what ``json.dumps(..., indent=2, sort_keys=True)`` gives for
+    the whole document, but the entries are rendered from the arrays through
+    one template instead of the stdlib's pure-Python indenting encoder.  The
+    text is complete before the file is opened, so a failed save leaves an
+    existing file as it was.
+    """
+    header = {
+        "format_version": FORMAT_VERSION,
+        "dims": list(v.dims),
+        "truncated_from_infinite": v.truncated_from_infinite,
+        "entries": [],
+        "metadata": v.metadata,
+    }
+    text = json.dumps(header, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    if v.nnz:
+        template = _entry_template(v.nfactors)
+        re_part, im_part = v.amplitudes.real.tolist(), v.amplitudes.imag.tolist()
+        block = ",\n".join(
+            template % (im, im.hex(), *index, re, re.hex())
+            for index, re, im in zip(v.indices.tolist(), re_part, im_part)
+        )
+        # "dims" sorts first, so the first match is the top-level field.
+        text = text.replace(
+            '\n  "entries": [],\n', f'\n  "entries": [\n{block}\n  ],\n', 1
+        )
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def load_state(path: str | Path) -> StateTensor:
@@ -263,9 +323,16 @@ def save_projector(p: Projector, path: str | Path) -> None:
     )
 
 
-def load_projector(path: str | Path) -> Projector:
-    import numpy as np
+def _is_finite_number(x: Any) -> bool:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
+
+def load_projector(path: str | Path) -> Projector:
     p = Path(path)
     obj = _parse_json(p)
     where = str(p)
@@ -291,11 +358,7 @@ def load_projector(path: str | Path) -> Projector:
         re_part = vec.get("re")
         im_part = vec.get("im")
         for name, part in (("re", re_part), ("im", im_part)):
-            if not isinstance(part, list) or not all(
-                isinstance(x, (int, float)) and not isinstance(x, bool)
-                and math.isfinite(float(x))
-                for x in part
-            ):
+            if not isinstance(part, list) or not all(map(_is_finite_number, part)):
                 raise _fail(spot, f"field {name!r} must be a list of finite numbers")
         if len(re_part) != len(im_part):
             raise _fail(spot, "'re' and 'im' must have the same length")

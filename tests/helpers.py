@@ -156,3 +156,27 @@ def svd_rank(m: np.ndarray) -> tuple[int, float]:
     """Rank under the default policy and the smallest singular value."""
     s = np.linalg.svd(m, compute_uv=False)
     return int(np.count_nonzero(s > rank_tolerance(max(m.shape), s[0]))), float(s[-1])
+
+
+def state_document(v: StateTensor) -> dict:
+    """The JSON document of a state file, built entry by entry from ``items()``.
+
+    ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\\n"`` is
+    the reference text that ``save_state`` must reproduce byte for byte.
+    """
+    return {
+        "format_version": "1.0",
+        "dims": list(v.dims),
+        "truncated_from_infinite": v.truncated_from_infinite,
+        "entries": [
+            {
+                "index": list(idx),
+                "re": format(amp.real, ".17g"),
+                "im": format(amp.imag, ".17g"),
+                "re_hex": amp.real.hex(),
+                "im_hex": amp.imag.hex(),
+            }
+            for idx, amp in v.items()
+        ],
+        "metadata": v.metadata,
+    }

@@ -1,10 +1,12 @@
-"""Fuzzing of the state-file loader and of the CLI that reads state files.
+"""Fuzzing of the state and projector loaders and of the CLI that reads them.
 
 A valid state document gets one hostile edit: a non-finite constant, a bool
-posing as an integer, an integer beyond int64 or past Python's 4300-digit
-conversion limit, a ragged, out-of-range or repeated index, or dims spanning
-more than 2**63 positions.  ``load_state`` must raise ``StateFileError`` and
-``certify --state`` must exit 2 with a JSON report and a quiet stderr.
+posing as an integer, an integer beyond int64, beyond the float range or past
+Python's 4300-digit conversion limit, a ragged, out-of-range or repeated
+index, or dims spanning more than 2**63 positions.  ``load_state`` must raise
+``StateFileError`` and ``certify --state`` must exit 2 with a JSON report and
+a quiet stderr.  Projector documents get the same treatment through
+``load_projector`` and ``witness --pprime-file``.
 """
 
 import contextlib
@@ -16,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hyperstate.cli import run_cli
-from hyperstate.io import StateFileError, load_state
+from hyperstate.io import StateFileError, load_projector, load_state
 
 RAW = "@@raw@@"  # placeholder swapped for a token that json.dumps cannot write
 HUGE_INTS = [2**63, 2**64, -(2**63) - 1, 10**30]
@@ -55,7 +57,7 @@ def hostile_documents(draw):
     raw = None
     kind = draw(
         st.sampled_from(
-            ["nonfinite", "bool", "huge", "digits", "ragged", "range", "repeat", "dims"]
+            ["nonfinite", "bool", "huge", "wide", "digits", "ragged", "range", "repeat", "dims"]
         )
     )
     entry = draw(st.sampled_from(doc["entries"]))
@@ -84,6 +86,8 @@ def hostile_documents(draw):
             )
         )
         container[key] = draw(st.sampled_from(HUGE_INTS))
+    elif kind == "wide":  # an integer that no float can hold
+        entry[draw(st.sampled_from(["re", "im"]))] = draw(st.sampled_from([-1, 1])) * 10**400
     elif kind == "ragged":
         if draw(st.booleans()) and len(entry["index"]) > 1:
             entry["index"].pop()
@@ -100,18 +104,93 @@ def hostile_documents(draw):
     return text if raw is None else text.replace(json.dumps(RAW), raw, 1)
 
 
+def assert_cli_refuses(argv, command):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    assert code == 2
+    assert err.getvalue() == ""
+    report = json.loads(out.getvalue())
+    assert set(report) == {"argv", "command", "error", "timing_ms"}
+    assert report["command"] == command
+
+
 @given(text=hostile_documents())
 def test_hostile_state_files_are_refused(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("fuzz") / "state.json"
     path.write_text(text)
     with pytest.raises(StateFileError):
         load_state(path)
+    assert_cli_refuses(["certify", "--state", str(path)], "certify")
 
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run_cli(["certify", "--state", str(path)])
-    assert code == 2
-    assert err.getvalue() == ""
-    report = json.loads(out.getvalue())
-    assert set(report) == {"argv", "command", "error", "timing_ms"}
-    assert report["command"] == "certify"
+
+@st.composite
+def projector_documents(draw):
+    """A valid P' for ``witness --paper bohm``: orthonormal rows on factor 1."""
+    rows = draw(st.sampled_from([[[1, 0]], [[0, 1]], [[1, 0], [0, 1]], [[0.6, 0.8], [-0.8, 0.6]]]))
+    imag = draw(st.booleans())  # put each row on the imaginary axis instead
+    return {
+        "format_version": "1.0",
+        "subsystem": [1],
+        "vectors": [
+            {"re": [0] * len(row), "im": list(row)} if imag else {"re": list(row), "im": [0, 0]}
+            for row in rows
+        ],
+    }
+
+
+@st.composite
+def hostile_projectors(draw):
+    """JSON text of a valid projector document with one edit that makes it invalid."""
+    doc = draw(projector_documents())
+    raw = None
+    kind = draw(
+        st.sampled_from(
+            ["nonfinite", "bool", "wide", "digits", "ragged", "width", "empty", "orthonormal"]
+        )
+    )
+    vec = draw(st.sampled_from(doc["vectors"]))
+    part = vec[draw(st.sampled_from(["re", "im"]))]
+    slot = draw(st.integers(0, len(part) - 1))
+    if kind in ("nonfinite", "digits"):
+        part[slot] = RAW
+        raw = (
+            draw(st.sampled_from(["NaN", "Infinity", "-Infinity"]))
+            if kind == "nonfinite"
+            else "-" * draw(st.booleans()) + "9" * 5000
+        )
+    elif kind == "bool":
+        if draw(st.booleans()):
+            part[slot] = draw(st.booleans())
+        else:
+            doc["subsystem"][0] = True
+    elif kind == "wide":
+        part[slot] = draw(st.sampled_from([-1, 1])) * 10**400
+    elif kind == "ragged":
+        if draw(st.booleans()):
+            part.pop()
+        else:
+            part.append(0)
+    elif kind == "width":  # a second vector one component longer
+        doc["vectors"].append({"re": [0, 0, 1], "im": [0, 0, 0]})
+    elif kind == "empty":
+        doc["vectors"] = []
+    else:  # scale one row, or repeat it
+        if draw(st.booleans()):
+            scale = draw(st.sampled_from([0, 0.5, 2, 1e200]))
+            vec["re"] = [x * scale for x in vec["re"]]
+            vec["im"] = [x * scale for x in vec["im"]]
+        else:
+            doc["vectors"].append(vec)
+    text = json.dumps(doc)
+    return text if raw is None else text.replace(json.dumps(RAW), raw, 1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # 1e200 rows must warn nothing
+@given(text=hostile_projectors())
+def test_hostile_projector_files_are_refused(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "pprime.json"
+    path.write_text(text)
+    with pytest.raises(StateFileError):
+        load_projector(path)
+    assert_cli_refuses(["witness", "--paper", "bohm", "--pprime-file", str(path)], "witness")
