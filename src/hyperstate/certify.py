@@ -24,7 +24,6 @@ tie.  Otherwise the window matrix is built densely, up to
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -32,7 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bilinear import RankReport, numerical_rank, rank_tolerance, reduced_density
-from .state import MultiIndex, StateTensor, Subsystem, _positions
+from .state import StateTensor, Subsystem
 
 __all__ = [
     "Feasibility",
@@ -176,37 +175,35 @@ def hyperentanglement_test(v: StateTensor, tol: float | None = None) -> CertVerd
 
 @dataclass(frozen=True)
 class Window:
-    """A finite set of slice keys along one axis.
+    """A cube of slice keys along one axis.
 
-    ``axis`` names the factor whose space the slice vectors live in, and
-    ``members`` lists multi-indices over the complementary factors.
+    ``axis`` names the factor whose space the slice vectors live in; the
+    window holds every multi-index over the complementary factors whose
+    coordinates are all below ``size``.
     """
 
     axis: int
-    members: tuple[MultiIndex, ...]
+    size: int
 
     def __post_init__(self) -> None:
-        if not self.members:
-            raise ValueError("window needs at least one member")
-        members = tuple(tuple(int(k) for k in j) for j in self.members)
-        if len(set(members)) != len(members):
-            raise ValueError("window members must be distinct")
-        object.__setattr__(self, "members", members)
         object.__setattr__(self, "axis", int(self.axis))
+        object.__setattr__(self, "size", int(self.size))
+        if self.size < 1:
+            raise ValueError("window size must be >= 1")
 
 
 @dataclass(frozen=True)
 class WindowCertificate:
     """Rank certificate for the slice vectors selected by a window.
 
-    ``route`` says how the rank was decided.  On ``"structural"`` the rows
-    were proved independent by singleton elimination: ``report.rank`` is
-    ``size``, ``report.min_kept`` is a certified lower bound on the smallest
-    singular value (not a computed one), ``max_dropped`` is 0.0 and
+    ``size`` counts the window's keys, ``window.size ** (n - 1)``.  ``route``
+    says how the rank was decided.  On ``"structural"`` the rows were proved
+    independent by singleton elimination: ``report.rank`` is ``size``,
+    ``report.min_kept`` is a certified lower bound on the smallest singular
+    value (not a computed one), ``max_dropped`` is 0.0 and
     ``report.threshold`` is the cutoff the bound cleared ``STRUCTURAL_MARGIN``
-    times over.  On
-    ``"dense_svd"`` the report is :func:`numerical_rank` of the window
-    matrix.
+    times over.  On ``"dense_svd"`` the report is :func:`numerical_rank` of
+    the window matrix.
     """
 
     window: Window
@@ -231,6 +228,8 @@ def _singleton_bound(
     ``sigma_min >= d * s / hypot(d + N, s)``.  Returns None when some row
     is never pivoted.
     """
+    if rows.size < nrows:  # some row is empty; also caps the arrays below at nnz
+        return None
     _, cols = np.unique(cols, return_inverse=True)
     entry = np.arange(rows.size)
     rounds: list[tuple[float, float]] = []
@@ -261,50 +260,38 @@ def _singleton_bound(
 def window_certificate(
     v: StateTensor, window: Window, tol: float | None = None
 ) -> WindowCertificate:
-    """Pass iff the selected slice vectors have numerical rank ``len(members)``.
+    """Pass iff the window's slice vectors have full numerical rank.
 
-    Only the entries whose complement key is a window member are gathered,
-    so this applies to truncated constructions far beyond the dense cap.
-    Singleton elimination (:func:`_singleton_bound`) settles the rank when
-    its bound clears ``STRUCTURAL_MARGIN`` times both the cutoff in force
-    and :func:`rank_tolerance` scaled by the Frobenius norm (which bounds
-    the largest singular value); the SVD could then neither drop a row nor
-    flag a tie.  Otherwise the window matrix is built densely, up to
+    Only the entries whose complement key lies in the cube are gathered, so
+    this applies to truncated constructions far beyond the dense cap; row r
+    is the r-th key in lexicographic order.  Singleton elimination
+    (:func:`_singleton_bound`) settles the rank when its bound clears
+    ``STRUCTURAL_MARGIN`` times both the cutoff in force and
+    :func:`rank_tolerance` scaled by the Frobenius norm (which bounds the
+    largest singular value); the SVD could then neither drop a row nor flag
+    a tie.  Otherwise the window matrix is built densely, up to
     ``WINDOW_DENSE_BUDGET`` bytes, and :func:`numerical_rank` decides with
     ``tol`` cutting singular values.
     """
-    axis = window.axis
-    comp = Subsystem((axis,)).complement(v.nfactors)
+    axis, side = window.axis, window.size
+    comp = list(Subsystem((axis,)).complement(v.nfactors))  # checks the axis
     comp_dims = tuple(v.dims[k] for k in comp)
-    size = len(window.members)
-    keys = np.array(window.members)  # ragged members raise here
-    if keys.shape != (size, len(comp_dims)) or ((keys < 0) | (keys >= comp_dims)).any():
-        raise ValueError(f"window members out of range for complement dims {comp_dims}")
-    # Row r of the window matrix is member r; entries find their row by
-    # binary search among the sorted member positions.
-    member_pos = _positions(keys, comp_dims, range(len(comp_dims)))
-    order = np.argsort(member_pos)
-    member_pos, entry_pos = member_pos[order], _positions(v.indices, v.dims, comp)
-    slot = np.minimum(np.searchsorted(member_pos, entry_pos), size - 1)
-    hit = member_pos[slot] == entry_pos
-    rows_a, cols_a, amps_a = order[slot[hit]], v.indices[hit, axis], v.amplitudes[hit]
+    if side > min(comp_dims):
+        raise ValueError(f"window size {side} exceeds complement dims {comp_dims}")
+    keys = v.indices[:, comp]
+    hit = (keys < side).all(axis=1)
+    rows_a = np.ravel_multi_index(keys[hit].T, (side,) * len(comp))
+    cols_a, amps_a = v.indices[hit, axis], v.amplitudes[hit]
+    size = side ** len(comp)
     shape = (size, v.dims[axis])
     mags = np.abs(amps_a)
 
     bound = _singleton_bound(rows_a, cols_a, mags, size)
     policy = rank_tolerance(max(shape), float(np.linalg.norm(mags)))
-    in_force = policy if tol is None else float(tol)
-    if (
-        bound is not None
-        and bound >= STRUCTURAL_MARGIN * in_force
-        and bound >= STRUCTURAL_MARGIN * policy
-    ):
+    threshold = policy if tol is None else max(float(tol), policy)
+    if bound is not None and bound >= STRUCTURAL_MARGIN * threshold:
         report = RankReport(
-            rank=size,
-            min_kept=bound,
-            max_dropped=0.0,
-            threshold=max(in_force, policy),
-            tied=False,
+            rank=size, min_kept=bound, max_dropped=0.0, threshold=threshold, tied=False
         )
         route = "structural"
     else:
@@ -333,10 +320,7 @@ def cube_window(dims: Sequence[int], axis: int, size: int) -> Window:
     dims_t = tuple(int(d) for d in dims)
     if axis < 0 or axis >= len(dims_t):
         raise ValueError(f"axis {axis} out of range for dims {dims_t}")
-    comp_dims = tuple(d for k, d in enumerate(dims_t) if k != axis)
-    if size < 1:
-        raise ValueError("window size must be >= 1")
+    comp_dims = dims_t[:axis] + dims_t[axis + 1 :]
     if any(size > d for d in comp_dims):
         raise ValueError(f"window size {size} exceeds complement dims {comp_dims}")
-    members = tuple(itertools.product(range(size), repeat=len(comp_dims)))
-    return Window(axis=axis, members=members)
+    return Window(axis=axis, size=size)  # rejects size < 1

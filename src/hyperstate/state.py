@@ -121,7 +121,17 @@ class StateTensor:
         self._dims = dims
         self._indices = indices
         self._amplitudes = amplitudes
-        self._norm = math.sqrt(math.fsum((amplitudes.real**2 + amplitudes.imag**2).tolist()))
+        # Squares of components beyond 2**+-500 would overflow or underflow, so
+        # those are summed scaled by an exact power of two (Blue 1978, dnrm2).
+        re, im = amplitudes.real, amplitudes.imag
+        peak = float(np.maximum(np.abs(re), np.abs(im)).max(initial=0.0))
+        e = 0 if 2.0**-500 <= peak <= 2.0**500 else math.frexp(peak)[1]
+        if e:
+            re, im = np.ldexp(re, -e), np.ldexp(im, -e)
+        try:
+            self._norm = math.ldexp(math.sqrt(math.fsum((re**2 + im**2).tolist())), e)
+        except OverflowError:  # the norm itself lies beyond the float range
+            self._norm = math.inf
         self._truncated = truncated_from_infinite
         self._metadata = metadata
 
@@ -209,7 +219,7 @@ def make_state(
         Errors cite the offending pair as ``entries[k]`` in input order.
         Amplitudes with magnitude <= ``DROP_THRESHOLD`` are discarded.
     normalize:
-        Rescale so the result has unit norm.  Raises on the zero state.
+        Rescale to unit norm.  Raises on the zero state or an infinite norm.
     truncated_from_infinite:
         Marks finite windows cut out of infinite-dimensional constructions;
         certification treats those dimensions differently.
@@ -269,6 +279,8 @@ def _state_from_arrays(
         return state
     if n == 0.0:
         raise ValueError("cannot normalize the zero state")
+    if n == math.inf:
+        raise ValueError("cannot normalize: the norm exceeds the float range")
     # Bit for bit what CPython 3.11's complex / float gives: it divides by n + 0j.
     re, im = state.amplitudes.real, state.amplitudes.imag
     scaled = np.empty_like(state.amplitudes)

@@ -153,15 +153,15 @@ class TestHyperentanglementTest:
 
 class TestWindows:
     def test_window_validation(self):
-        with pytest.raises(ValueError):
-            Window(axis=0, members=())
-        with pytest.raises(ValueError):
-            Window(axis=0, members=((0,), (0,)))
+        for size in (0, -1, -5):
+            with pytest.raises(ValueError):
+                Window(axis=0, size=size)
 
     def test_cube_window_bounds(self):
         w = cube_window((2, 3, 4), 0, 2)
-        assert w.axis == 0
-        assert len(w.members) == 4  # 2 x 2 over the complement factors
+        assert (w.axis, w.size) == (0, 2)
+        v = make_state((2, 3, 4), {(0, 0, 0): 1.0, (1, 1, 1): 1.0})
+        assert window_certificate(v, w).size == 4  # 2 x 2 over the complement factors
         with pytest.raises(ValueError):
             cube_window((2, 3), 2, 1)
         with pytest.raises(ValueError):
@@ -177,9 +177,11 @@ class TestWindows:
 
     def test_member_range_validated(self, corpus):
         with pytest.raises(ValueError):
-            window_certificate(corpus["bohm"], Window(axis=0, members=((2,),)))
+            window_certificate(corpus["bohm"], Window(axis=0, size=3))
         with pytest.raises(ValueError):
-            window_certificate(corpus["ghz"], Window(axis=0, members=((0,),)))
+            window_certificate(corpus["ghz"], Window(axis=0, size=3))
+        with pytest.raises(ValueError):
+            window_certificate(corpus["ghz"], Window(axis=3, size=1))
 
     def test_beyond_dense_cap(self):
         # window certificates must not materialize the full tensor
@@ -290,7 +292,7 @@ class TestWindowRoutes:
         if not entries:
             return
         v = make_state(dims, entries)
-        cert = window_certificate(v, Window(axis=1, members=[(r,) for r in range(n)]))
+        cert = window_certificate(v, cube_window(v.dims, 1, n))
         rank, sigma_min = svd_rank(padded)
         assert cert.rank == rank
         assert cert.passed == (rank == n)
@@ -299,6 +301,28 @@ class TestWindowRoutes:
             slack = max(padded.shape) * 2.0 ** -52 * np.linalg.norm(padded, 2)
             assert sigma_min + slack >= cert.report.min_kept
             assert cert.report.min_kept >= 4 * cert.report.threshold
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(3, 4), st.data())
+    def test_cube_windows_on_3_and_4_factors_match_svd(self, seed, n, data):
+        dims = tuple(data.draw(st.lists(st.integers(2, 6), min_size=n, max_size=n)))
+        axis = data.draw(st.integers(0, n - 1))
+        size = data.draw(st.integers(1, min(d for k, d in enumerate(dims) if k != axis)))
+        rng = np.random.default_rng(seed)
+        cells = np.argwhere(rng.uniform(size=dims) < data.draw(st.sampled_from([0.1, 0.3, 1.0])))
+        phases = np.exp(2j * np.pi * rng.uniform(size=len(cells)))
+        mags = 10.0 ** rng.uniform(-6, 0, size=len(cells))
+        entries = {tuple(map(int, c)): complex(a) for c, a in zip(cells, mags * phases)}
+        if not entries:
+            return
+        v = make_state(dims, entries)
+        cert = window_certificate(v, cube_window(dims, axis, size))
+        m = cube_window_matrix(v, axis, size)
+        rank, sigma_min = svd_rank(m)
+        assert cert.size == size ** (n - 1)
+        assert (cert.rank, cert.passed) == (rank, rank == cert.size)
+        if cert.route == "structural":
+            slack = max(m.shape) * 2.0 ** -52 * np.linalg.norm(m, 2)
+            assert cert.report.min_kept <= sigma_min + slack
 
     def test_ill_conditioned_chain(self):
         # [[e, 1], [0, e]] has sigma_min ~ e**2; below the margin the SVD decides
@@ -333,6 +357,13 @@ class TestWindowRoutes:
             for axis in range(3):
                 cert = window_certificate(v, cube_window(v.dims, axis, size))
                 assert cert.passed and cert.route == "structural"
+
+    def test_window_with_more_keys_than_entries_is_refused(self):
+        # 2**40 keys but three entries: no row array that size is allocated
+        dims = (2 ** 20,) * 3
+        v = make_state(dims, {(0, 0, 0): 1.0, (1, 1, 1): 0.5, (2, 2, 2): 0.25})
+        with pytest.raises(ValueError, match="budget"):
+            window_certificate(v, cube_window(dims, 0, 2 ** 20))
 
     def test_dense_fallback_over_budget_is_refused(self):
         # 4 x 2**25 complex matrix (2 GiB); key (1, 1) carries no slice, so

@@ -102,6 +102,17 @@ class TestMultipartite:
         with pytest.raises(ValueError):
             degree_multipartite(make_state((2, 2), {(0, 0): 2.0}))
 
+    def test_max_iters_must_allow_a_sweep(self, corpus):
+        # with no sweep the random start would be reported with overlap 0.0
+        for max_iters in (0, -3):
+            with pytest.raises(ValueError, match="max_iters"):
+                degree_multipartite(corpus["ghz"], max_iters=max_iters)
+        res = degree_multipartite(corpus["ghz"], restarts=2, max_iters=1)
+        assert res.sweeps == 1
+        w = np.einsum("a,b,c->abc", *res.best_product)
+        got = abs(np.vdot(w, dense_tensor(corpus["ghz"])))
+        assert got == pytest.approx(res.overlap, abs=1e-10)
+
     def test_result_bookkeeping(self, corpus):
         res = degree_multipartite(corpus["ghz"], restarts=3, seed=9)
         assert res.restarts_used == 3

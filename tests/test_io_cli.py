@@ -442,6 +442,15 @@ class TestCliAnalysis:
         assert rep["result"]["value"] == pytest.approx(1 - R2, abs=1e-6)
         assert rep["result"]["route"] == "multipartite"
 
+    def test_degree_needs_a_sweep(self, capsys):
+        for value in ("0", "-1"):
+            assert run_cli(["degree", "--paper", "ghz", "--max-iters", value]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            rep = json.loads(captured.out)
+            assert set(rep) == {"argv", "command", "error", "timing_ms"}
+            assert "max_iters" in rep["error"]
+
 
 class TestCliContract:
     def test_error_report_shape(self, capsys):

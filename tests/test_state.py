@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import dense_tensor, random_state
 from hyperstate import (
+    DROP_THRESHOLD,
     StateTensor,
     Subsystem,
     inner,
@@ -299,6 +301,33 @@ class TestColumnarStorage:
         v = make_state((3, 3), entries, normalize=True)
         for idx, amp in raw.items():
             assert bits(v.amplitude(idx)) == bits(amp if n == 1.0 else amp / n), idx
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    @example([(1e200, 0.0), (0.0, 1e200)])  # squares overflow
+    @example([(1e-299, 0.0), (-3e-300, 2e-300)])  # squares underflow
+    @example([(1.7e308, 1.7e308)])  # the norm itself overflows
+    def test_norm_over_the_full_float_range(self, parts):
+        entries = {(k // 2, k % 2): complex(re, im) for k, (re, im) in enumerate(parts)}
+        kept = [x for re, im in parts if math.hypot(re, im) > DROP_THRESHOLD for x in (re, im)]
+        assume(kept)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would reach stderr
+            n = norm(make_state((2, 2), entries))
+            assert n == pytest.approx(math.hypot(*kept), rel=1e-14)
+            if math.isinf(n):
+                with pytest.raises(ValueError, match="float range"):
+                    make_state((2, 2), entries, normalize=True)
+            else:
+                assert make_state((2, 2), entries, normalize=True).is_normalized
 
     def test_errors_cite_the_entry_in_input_order(self):
         for entries, message in (

@@ -92,7 +92,6 @@ def states(draw):
     )
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # norm of 1e308 entries
 @given(v=states())
 def test_writer_matches_stdlib_encoder(tmp_path_factory, v):
     path = tmp_path_factory.mktemp("prop") / "v.json"
