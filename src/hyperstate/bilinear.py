@@ -1,20 +1,19 @@
-"""Matrix views of a state across a bipartition.
+"""Matrix views of a state across a bipartition, and the one rank rule.
 
 Everything here is dense linear algebra on the coefficient matrix of a state
-for a split (S | S'): unfolding, Schmidt decomposition, reduced density
-operators and the shared numerical-rank policy.  The unfolding is one scatter
-of the state's entry arrays into a dense matrix, refused above ``DENSE_CAP``
-total dimensions; large truncated constructions are probed through slice
-windows instead (see :mod:`hyperstate.certify`).  Window certificates apply
-:func:`numerical_rank` only on their dense fallback route (window matrices
-up to 256 MiB); their structural route proves full rank by singleton
-elimination and reports a certified lower bound on the smallest singular
-value as ``RankReport.min_kept``, with a 4x margin over the cutoff.
+for a split (S | S'): unfolding, Schmidt decomposition and reduced density
+operators.  The unfolding is one scatter of the state's entry arrays into a
+dense matrix, refused above ``DENSE_CAP`` total dimensions; large truncated
+constructions are probed through slice windows (see :mod:`hyperstate.certify`).
+Every rank decision counts the values of a spectrum strictly above one cutoff,
+``tol`` (>= 0) or :func:`rank_tolerance`: ``_rank_report`` applies it to the
+spectrum its caller already has (singular values, density eigenvalues).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -53,14 +52,13 @@ def rank_tolerance(largest_side: int, spectrum_max: float) -> float:
 
 @dataclass(frozen=True)
 class RankReport:
-    """Numerical rank of a matrix plus the gap the threshold straddles.
+    """Numerical rank of a spectrum plus the gap the threshold straddles.
 
-    ``min_kept`` is the smallest singular value counted into the rank (0.0
-    when the rank is zero; a certified lower bound on it for structural
-    window certificates); ``max_dropped`` the largest one discarded (0.0
-    when nothing was discarded).  ``tied`` flags thresholds falling inside a
-    crowded stretch of the spectrum: some singular value lies within a factor
-    of two of the cutoff, so the reported rank is sensitive to the tolerance.
+    ``min_kept`` is the smallest value counted into the rank (0.0 when the
+    rank is zero; see :class:`~hyperstate.certify.WindowCertificate` for the
+    structural route), ``max_dropped`` the largest one discarded (0.0 when
+    nothing was).  ``tied`` flags a cutoff inside a crowded stretch of the
+    spectrum: some value lies within a factor of two of it.
     """
 
     rank: int
@@ -70,27 +68,37 @@ class RankReport:
     tied: bool
 
 
+def _cutoff(side: int, spectrum_max: float, tol: float | None) -> float:
+    """``tol`` once checked to be a number >= 0, else :func:`rank_tolerance`."""
+    if tol is None:
+        return rank_tolerance(side, spectrum_max)
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0:
+        raise ValueError(f"tol must be a number >= 0, got {tol!r}")
+    return float(tol)
+
+
+def _rank_report(spectrum: np.ndarray, side: int, tol: float | None = None) -> RankReport:
+    """The rank rule on a nonincreasing ``spectrum`` from a matrix of larger side ``side``."""
+    threshold = _cutoff(side, max(float(spectrum[0]), 0.0) if spectrum.size else 0.0, tol)
+    rank = int(np.count_nonzero(spectrum > threshold))
+    return RankReport(
+        rank=rank,
+        min_kept=float(spectrum[rank - 1]) if rank else 0.0,
+        max_dropped=float(spectrum[rank]) if rank < spectrum.size else 0.0,
+        threshold=threshold,
+        tied=bool(np.any((spectrum > threshold / 2.0) & (spectrum < threshold * 2.0))),
+    )
+
+
 def numerical_rank(
     matrix: "np.ndarray | UnfoldingMatrix", tol: float | None = None
 ) -> RankReport:
-    """Count singular values above ``tol`` (default :func:`rank_tolerance`)."""
+    """The rank rule on the singular values of ``matrix``."""
     m = matrix.matrix if isinstance(matrix, UnfoldingMatrix) else np.asarray(matrix)
     if m.ndim != 2:
         raise ValueError(f"need a matrix, got shape {m.shape}")
     sigma = np.linalg.svd(m, compute_uv=False) if m.size else np.zeros(0)
-    smax = float(sigma[0]) if sigma.size else 0.0
-    threshold = rank_tolerance(max(m.shape), smax) if tol is None else float(tol)
-    kept = sigma[sigma > threshold]
-    dropped = sigma[sigma <= threshold]
-    rank = int(kept.size)
-    tied = bool(np.any((sigma > threshold / 2.0) & (sigma < threshold * 2.0)))
-    return RankReport(
-        rank=rank,
-        min_kept=float(kept[-1]) if rank else 0.0,
-        max_dropped=float(dropped[0]) if dropped.size else 0.0,
-        threshold=threshold,
-        tied=tied,
-    )
+    return _rank_report(sigma, max(m.shape), tol)
 
 
 @dataclass(frozen=True)
@@ -159,7 +167,8 @@ def schmidt_decompose(
     subsystem: Subsystem | int | Iterable[int],
     tol: float | None = None,
 ) -> SchmidtDecomposition:
-    """Full Schmidt decomposition from the SVD of the unfolding."""
+    """Full Schmidt decomposition from one SVD of the unfolding; its
+    ``rank_report`` is the rank rule on ``coeffs``, cut by ``tol`` if given."""
     unf = unfold(v, subsystem)
     m = unf.matrix
     # Full matrices: zero Schmidt directions carry the orthonormal vectors
@@ -167,13 +176,12 @@ def schmidt_decompose(
     u, s, vh = np.linalg.svd(m, full_matrices=True)
     for arr in (u, s, vh):
         arr.flags.writeable = False
-    k = min(m.shape)
-    report = numerical_rank(m, tol)
+    report = _rank_report(s, max(m.shape), tol)
     return SchmidtDecomposition(
         subsystem=unf.subsystem,
-        coeffs=s[:k],
-        left_vectors=vh[:k, :],
-        right_vectors=u[:, :k].T,
+        coeffs=s,
+        left_vectors=vh[: s.size, :],
+        right_vectors=u[:, : s.size].T,
         rank=report.rank,
         rank_report=report,
         part_dims=unf.part_dims,
@@ -196,8 +204,7 @@ class DensityMatrix:
 def reduced_density(v: StateTensor, subsystem: Subsystem | int | Iterable[int]) -> DensityMatrix:
     """Partial trace onto ``subsystem``, computed as M M+ on the kept side."""
     part = Subsystem.coerce(subsystem)
-    part.validate_for(v.nfactors)
-    kept_rows = unfold(v, part.complement(v.nfactors)).matrix
+    kept_rows = unfold(v, part.complement(v.nfactors)).matrix  # checks the subsystem
     rho = kept_rows @ kept_rows.conj().T
     rho = (rho + rho.conj().T) / 2.0
     eig = np.linalg.eigvalsh(rho)[::-1]

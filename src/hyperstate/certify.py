@@ -3,7 +3,8 @@
 A state is hyperentangled when every subsystem is maximally correlated with
 its complement.  For pure states that reduces to a cyclicity check per single
 factor: the reduced density operator on the complement must have full
-numerical rank (equivalently, the slice family must be linearly independent).
+numerical rank (equivalently, the slice family must be linearly independent),
+decided by the rank rule of :mod:`hyperstate.bilinear` on its eigenvalues.
 Checking each atomic factor against its complement suffices; larger splits
 follow.
 
@@ -12,14 +13,8 @@ two factors only infinite-dimensional states can, so finite n > 2 states are
 gated out by dimensions alone unless they are flagged as truncations, in
 which case window certificates on slice families are the meaningful check.
 
-A window certificate reads only the entries whose complement key is a window
-member and takes one of two routes.  The structural route proves the rows
-independent by column-singleton elimination and certifies a lower bound on
-the smallest singular value; it is taken only when that bound clears both
-the cutoff in force and the Frobenius-scaled default cutoff by
-``STRUCTURAL_MARGIN`` (4x), so the dense SVD would give the same rank and no
-tie.  Otherwise the window matrix is built densely, up to
-``WINDOW_DENSE_BUDGET`` bytes (256 MiB), and its SVD decides.
+A window certificate decides the rank of a cube window's slice vectors by
+singleton elimination or, failing that, a dense SVD (:func:`window_certificate`).
 """
 
 from __future__ import annotations
@@ -30,7 +25,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bilinear import RankReport, numerical_rank, rank_tolerance, reduced_density
+from .bilinear import RankReport, _cutoff, _rank_report, numerical_rank, rank_tolerance
+from .bilinear import reduced_density
 from .state import StateTensor, Subsystem
 
 __all__ = [
@@ -89,18 +85,26 @@ class CyclicityResult:
     """Outcome of one cyclicity check of ``v`` for a subsystem S.
 
     ``passed`` means the reduced density operator on the complement S' has
-    full numerical rank ``full_dim``; on failure ``witness`` holds a unit
-    eigenvector of that operator with eigenvalue <= the threshold, i.e. a
-    direction on S' the state almost annihilates.
+    full numerical rank ``full_dim``; ``report`` is the rank rule applied to
+    its eigenvalues, with the margins and ``tied`` flag.  On failure
+    ``witness`` holds a unit eigenvector of that operator with eigenvalue <=
+    the threshold, i.e. a direction on S' the state almost annihilates.
     """
 
     subsystem: Subsystem
     passed: bool
     min_eigenvalue: float
-    rank: int
     full_dim: int
-    threshold: float
+    report: RankReport
     witness: np.ndarray | None
+
+    @property
+    def rank(self) -> int:
+        return self.report.rank
+
+    @property
+    def threshold(self) -> float:
+        return self.report.threshold
 
 
 def cyclicity_test(
@@ -110,19 +114,15 @@ def cyclicity_test(
 ) -> CyclicityResult:
     """Test whether ``v`` is cyclic for ``subsystem``.
 
-    ``tol`` is a cutoff on density eigenvalues (squared Schmidt weights);
-    ``None`` uses the default policy scaled to the largest eigenvalue.
+    ``tol`` (>= 0) cuts the density eigenvalues (squared Schmidt weights);
+    ``None`` uses the default policy, scaled to the largest eigenvalue.
     """
     part = Subsystem.coerce(subsystem)
-    part.validate_for(v.nfactors)
-    comp = part.complement(v.nfactors)
+    comp = part.complement(v.nfactors)  # checks the subsystem
     rho = reduced_density(v, comp)
     eig = rho.eigenvalues  # nonincreasing
-    full_dim = eig.size
-    lam_max = max(float(eig[0]), 0.0) if full_dim else 0.0
-    threshold = rank_tolerance(full_dim, lam_max) if tol is None else float(tol)
-    rank = int(np.count_nonzero(eig > threshold))
-    passed = rank == full_dim
+    report = _rank_report(eig, eig.size, tol)
+    passed = report.rank == eig.size
     witness = None
     if not passed:
         _, vecs = np.linalg.eigh(rho.matrix)
@@ -132,9 +132,8 @@ def cyclicity_test(
         subsystem=part,
         passed=passed,
         min_eigenvalue=float(eig[-1]),
-        rank=rank,
-        full_dim=full_dim,
-        threshold=threshold,
+        full_dim=eig.size,
+        report=report,
         witness=witness,
     )
 
@@ -271,7 +270,7 @@ def window_certificate(
     largest singular value); the SVD could then neither drop a row nor flag
     a tie.  Otherwise the window matrix is built densely, up to
     ``WINDOW_DENSE_BUDGET`` bytes, and :func:`numerical_rank` decides with
-    ``tol`` cutting singular values.
+    ``tol`` (>= 0, checked on either route) cutting singular values.
     """
     axis, side = window.axis, window.size
     comp = list(Subsystem((axis,)).complement(v.nfactors))  # checks the axis
@@ -287,8 +286,8 @@ def window_certificate(
     mags = np.abs(amps_a)
 
     bound = _singleton_bound(rows_a, cols_a, mags, size)
-    policy = rank_tolerance(max(shape), float(np.linalg.norm(mags)))
-    threshold = policy if tol is None else max(float(tol), policy)
+    frob = float(np.linalg.norm(mags))
+    threshold = max(_cutoff(max(shape), frob, tol), rank_tolerance(max(shape), frob))
     if bound is not None and bound >= STRUCTURAL_MARGIN * threshold:
         report = RankReport(
             rank=size, min_kept=bound, max_dropped=0.0, threshold=threshold, tied=False

@@ -334,6 +334,11 @@ def method2_build(
         raise ValueError(
             f"eps_schedule has {len(eps)} entries for {stages} stages"
         )
+    p, m = 2, 1
+    for _ in eps:  # refused before building: each stage makes p' = p**2 + p - m**2
+        p, m = p * p + p - m * m, p
+        if p**3 >= 2**63:
+            raise ValueError(f"{stages} stages give dims {(p,) * 3}: over 2**63 - 1 positions")
     v = default_seed() if seed is None else seed
     if v.nfactors != 3 or v.dims != (2, 2, 2):
         raise ValueError(f"seed must be 2 x 2 x 2, got dims {v.dims}")

@@ -4,7 +4,8 @@ The operational content of maximal correlation: for a state cyclic on S, any
 yes-no question P' on the complement can be answered with certainty by a
 rank-1 question P on S, conditioning on which drives the conditional
 probability of P' to 1.  The witness construction solves the slice linear
-system through the unfolding's (pseudo)inverse.
+system through the unfolding's (pseudo)inverse.  Its least-squares solves
+apply the package's one rank rule with the default cutoff (LAPACK ``rcond``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .bilinear import unfold
+from .bilinear import rank_tolerance, unfold
 from .state import StateTensor, Subsystem
 
 __all__ = [
@@ -122,9 +123,10 @@ def steering_operator(
     """A on S with (A (x) I) v = embed (x) target, for unit target on S'.
 
     Solves A v_j = target_j * embed against the slice family; requires the
-    family to be linearly independent (the cyclicity criterion), otherwise
-    raises.  ``embed`` defaults to the first basis vector of H_S.  The slices
-    come from :func:`unfold`, so states above ``DENSE_CAP`` are refused.
+    family to have full rank under the default rank rule (the cyclicity
+    criterion), otherwise raises.  ``embed`` defaults to the first basis
+    vector of H_S.  The slices come from :func:`unfold`, so states above
+    ``DENSE_CAP`` are refused.
     """
     unf = unfold(v, subsystem)
     part = unf.subsystem
@@ -152,7 +154,7 @@ def steering_operator(
             raise ValueError("embed vector must be a unit vector")
 
     # slices @ y = phi  <=>  A = outer(u, y) maps v_j to phi_j * u.
-    y, _, rank, _ = np.linalg.lstsq(slices, phi, rcond=None)
+    y, _, rank, _ = np.linalg.lstsq(slices, phi, rcond=rank_tolerance(max(n_keys, dim_s), 1.0))
     if rank < n_keys:
         raise ValueError(
             f"state is not cyclic for subsystem {part.indices}: "
@@ -188,10 +190,11 @@ class CorrelationQuery:
 class WitnessResult:
     """A rank-1 conditioning projector and the probability it achieves.
 
-    ``warning`` is set when the slice family was rank-deficient (so the
-    pseudoinverse route was only best-effort) or the achieved probability
-    missed the 1 - epsilon goal; ``achieved`` is always the honest value of
-    :func:`conditional_probability` for the returned projectors.
+    ``warning`` is set when the slice family was rank-deficient under the
+    default rank rule (so the pseudoinverse route was only best-effort) or
+    the achieved probability missed the 1 - epsilon goal; ``achieved`` is
+    always the honest value of :func:`conditional_probability` for the
+    returned projectors.
     """
 
     projector: Projector
@@ -210,8 +213,7 @@ def correlation_witness(query: CorrelationQuery) -> WitnessResult:
     """
     v = query.state
     part = query.subsystem
-    part.validate_for(v.nfactors)
-    comp = part.complement(v.nfactors)
+    comp = part.complement(v.nfactors)  # checks the subsystem
     pp = query.p_prime
     if pp.subsystem != comp:
         raise ValueError(
@@ -232,7 +234,7 @@ def correlation_witness(query: CorrelationQuery) -> WitnessResult:
     bu, _, _ = np.linalg.svd(compressed, full_matrices=False)
     w = pp.basis.T @ bu[:, 0]
 
-    x, _, rank, _ = np.linalg.lstsq(m, w, rcond=None)
+    x, _, rank, _ = np.linalg.lstsq(m, w, rcond=rank_tolerance(max(m.shape), 1.0))
     nx = float(np.linalg.norm(x))
     if nx <= 1e-300:
         raise ValueError(
@@ -243,8 +245,6 @@ def correlation_witness(query: CorrelationQuery) -> WitnessResult:
     p = Projector(subsystem=part, basis=direction[None, :])
 
     achieved = conditional_probability(v, p, pp)
-    deficient = int(rank) < m.shape[0]
-    warning = deficient or achieved < 1.0 - query.epsilon
-    w_out = w.copy()
-    w_out.flags.writeable = False
-    return WitnessResult(projector=p, achieved=achieved, warning=warning, target=w_out)
+    warning = int(rank) < m.shape[0] or achieved < 1.0 - query.epsilon
+    w.flags.writeable = False
+    return WitnessResult(projector=p, achieved=achieved, warning=warning, target=w)

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from helpers import dense_tensor, loop_reduced_density, random_state
 from hyperstate import (
     DENSE_CAP,
+    PAPER_STATE_NAMES,
     RankReport,
     Subsystem,
     make_state,
     norm,
     numerical_rank,
+    paper_state,
     rank_tolerance,
     reduced_density,
     schmidt_decompose,
@@ -66,6 +68,48 @@ class TestRankPolicy:
         sigma = np.sort(rng.uniform(0.5, 2.0, size=r))[::-1]
         m = (q[:, :r] * sigma) @ w[:, :r].conj().T
         assert numerical_rank(m).rank == r
+
+
+class TestOneRankRule:
+    """Schmidt reports are the rank rule applied to the returned coefficients."""
+
+    @pytest.mark.parametrize("name", PAPER_STATE_NAMES)
+    def test_report_reads_the_coefficients(self, name):
+        v = paper_state(name)
+        for nsel in range(1, v.nfactors):
+            for sel in itertools.combinations(range(v.nfactors), nsel):
+                sd = schmidt_decompose(v, sel)
+                c, rep = sd.coeffs, sd.rank_report
+                side = max(math.prod(sd.part_dims), math.prod(sd.complement_dims))
+                assert rep.threshold == rank_tolerance(side, c[0])
+                assert rep.rank == sd.rank == int(np.count_nonzero(c > rep.threshold))
+                assert rep.min_kept == (c[sd.rank - 1] if sd.rank else 0.0)
+                assert rep.max_dropped == (c[sd.rank] if sd.rank < c.size else 0.0)
+
+    def test_one_svd_per_decomposition(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        schmidt_decompose(paper_state("hardy3"), 0)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan"), True, "0.1", 1j])
+    def test_bad_tol_refused(self, tol):
+        v = paper_state("spin1_two_term")
+        with pytest.raises(ValueError, match="tol must be a number >= 0"):
+            schmidt_decompose(v, 0, tol)
+        with pytest.raises(ValueError, match="tol must be a number >= 0"):
+            numerical_rank(np.eye(2), tol)
+
+    def test_zero_tol_counts_every_positive_value(self):
+        rep = numerical_rank(np.diag([1.0, 1e-300, 0.0]), tol=0)
+        assert (rep.rank, rep.threshold, rep.min_kept, rep.max_dropped) == (2, 0.0, 1e-300, 0.0)
+        assert schmidt_decompose(paper_state("spin1_two_term"), 0, tol=0).rank == 2
 
 
 class TestUnfold:

@@ -10,7 +10,9 @@ from helpers import (
     cube_window_matrix,
     dense_tensor,
     haar_unitary,
+    loop_reduced_density,
     random_schmidt_state,
+    random_state,
     svd_rank,
 )
 from hyperstate import (
@@ -106,6 +108,57 @@ class TestCyclicity:
         assert res.full_dim == 2
         assert res.passed
 
+    def test_rank_and_threshold_read_the_report(self, corpus):
+        res = cyclicity_test(corpus["spin1_two_term"], 0)
+        assert (res.rank, res.threshold) == (res.report.rank, res.report.threshold)
+        assert res.report.max_dropped == res.min_eigenvalue
+        assert not res.report.tied
+
+    def test_near_threshold_spectrum_is_tied(self, corpus):
+        # bohm's density eigenvalues are both 1/2: a cutoff of 0.3 sits
+        # within a factor of two of them
+        res = cyclicity_test(corpus["bohm"], 0, tol=0.3)
+        assert res.passed and res.report.tied
+        assert not cyclicity_test(corpus["bohm"], 0, tol=0.2).report.tied
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), False, "0"])
+    def test_bad_tol_refused(self, corpus, tol):
+        with pytest.raises(ValueError, match="tol must be a number >= 0"):
+            cyclicity_test(corpus["spin1_two_term"], 0, tol)
+        with pytest.raises(ValueError, match="tol must be a number >= 0"):
+            hyperentanglement_test(corpus["spin1_two_term"], tol)
+
+    def test_zero_tol_is_valid(self, corpus):
+        # the two-term state's third eigenvalue is an exact zero
+        res = cyclicity_test(corpus["spin1_two_term"], 0, tol=0)
+        assert not res.passed and res.threshold == 0.0
+        assert cyclicity_test(corpus["bohm"], 0, tol=0.0).passed
+
+    @given(
+        st.integers(0, 2 ** 31 - 1),
+        st.sampled_from([(2, 2), (3, 3), (4, 4), (2, 3), (2, 2, 2), (2, 3, 2)]),
+    )
+    def test_report_is_the_rule_on_the_loop_density(self, seed, dims):
+        rng = np.random.default_rng(seed)
+        if len(dims) == 2 and dims[0] == dims[1]:
+            v = random_schmidt_state(rng, dims[0], int(rng.integers(1, dims[0] + 1)))
+        else:
+            v = random_state(rng, dims)
+        for k in range(v.nfactors):
+            comp = tuple(j for j in range(v.nfactors) if j != k)
+            eig = np.linalg.eigvalsh(loop_reduced_density(v, comp))[::-1]
+            threshold = rank_tolerance(eig.size, max(float(eig[0]), 0.0))
+            rank = int(np.count_nonzero(eig > threshold))
+            rep = cyclicity_test(v, k).report
+            assert rep.rank == rank
+            assert rep.threshold == pytest.approx(threshold, rel=1e-12)
+            assert rep.min_kept == pytest.approx(eig[rank - 1] if rank else 0.0, abs=1e-14)
+            assert rep.max_dropped == pytest.approx(
+                eig[rank] if rank < eig.size else 0.0, abs=1e-14
+            )
+            tied = bool(np.any((eig > threshold / 2) & (eig < threshold * 2)))
+            assert rep.tied == tied
+
 
 class TestHyperentanglementTest:
     def test_corpus_verdicts(self, corpus):
@@ -174,6 +227,15 @@ class TestWindows:
         assert cert.passed and (cert.rank, cert.size) == (2, 2)
         cert = window_certificate(corpus["spin1_two_term"], cube_window((3, 3), 0, 3))
         assert not cert.passed and (cert.rank, cert.size) == (2, 3)
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_bad_tol_refused_on_both_routes(self, corpus, tol):
+        structural = (corpus["bohm"], cube_window((2, 2), 0, 2))
+        dense = (corpus["spin1_two_term"], cube_window((3, 3), 0, 3))
+        for (v, w), route in ((structural, "structural"), (dense, "dense_svd")):
+            assert window_certificate(v, w, tol=0).route == route
+            with pytest.raises(ValueError, match="tol must be a number >= 0"):
+                window_certificate(v, w, tol)
 
     def test_member_range_validated(self, corpus):
         with pytest.raises(ValueError):

@@ -267,6 +267,24 @@ class TestMethod2:
         with pytest.raises(ValueError):
             method2_build(1, (0.01,), seed=make_state((2, 2, 2), {(1, 1, 1): 1.0}))
 
+    def test_impossible_stage_count_refused_before_building(self, monkeypatch):
+        # stage 5 reaches p = 210066388901: its p**3 cube has no int64 positions
+        from hyperstate import construct
+
+        class Built(Exception):
+            pass
+
+        def extend(v, params):
+            raise Built
+
+        monkeypatch.setattr(construct, "method2_extend", extend)
+        with pytest.raises(ValueError, match=r"\(210066388901, 210066388901, 210066388901\)"):
+            method2_build(5, (0.01,) * 5)
+        with pytest.raises(ValueError, match=r"2\*\*63"):
+            method2_build(40, (0.01,) * 40)
+        with pytest.raises(Built):  # stage 4 (458330**3) still starts building
+            method2_build(4, (0.01,) * 4)
+
     def test_custom_seed(self):
         seed = make_state(
             (2, 2, 2), {(0, 0, 0): R2, (1, 1, 1): R2}, truncated_from_infinite=True
@@ -360,6 +378,15 @@ class TestRepair:
             repair_bipartite(make_state((2, 2), {(0, 0): 1.0}), delta=0.0)
         with pytest.raises(ValueError):
             repair_bipartite(make_state((2, 2), {(0, 0): 1.0}), subsystem=(0, 1))
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_bad_tol_refused(self, corpus, tol):
+        with pytest.raises(ValueError, match="tol must be a number >= 0"):
+            repair_bipartite(corpus["spin1_two_term"], tol=tol)
+
+    def test_zero_tol_still_repairs_exact_zeros(self, corpus):
+        out = repair_bipartite(corpus["spin1_two_term"], tol=0.0)
+        assert out.metadata["repair"] == {"replaced": 1, "delta": 0.1}
 
 
 class TestCatalog:

@@ -431,6 +431,61 @@ class TestCliAnalysis:
         assert code == 1
         assert rep["result"]["warning"] is True
 
+    def test_witness_on_near_deficient_state(self, capsys, tmp_path):
+        # Schmidt coefficients proportional to (1, 1, 1e-14): certify and
+        # schmidt see rank 2, and so does the witness, which warns (exit 1)
+        v = make_state((3, 3), {(0, 0): 1.0, (1, 1): 1.0, (2, 2): 1e-14}, normalize=True)
+        spath, ppath = tmp_path / "near.json", tmp_path / "pp.json"
+        save_state(v, spath)
+        save_projector(Projector(subsystem=Subsystem((1,)), basis=np.array([[0.0, 0.6, 0.8]])), ppath)
+        code, rep = run(capsys, "certify", "--state", str(spath))
+        assert code == 1
+        code, rep = run(capsys, "schmidt", "--state", str(spath))
+        assert rep["result"]["rank"] == 2
+        code, rep = run(capsys, "witness", "--state", str(spath), "--pprime-file", str(ppath))
+        assert code == 1
+        assert rep["result"]["warning"] is True
+        assert rep["result"]["achieved"] == pytest.approx(0.36, abs=1e-12)
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "-0.5e-300"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--paper", "spin1_two_term"],
+            ["schmidt", "--paper", "spin1_two_term"],
+            ["construct", "repair", "--paper", "spin1_two_term", "--delta", "0.1"],
+        ],
+    )
+    def test_bad_tol_exits_two(self, capsys, tmp_path, argv, tol):
+        if argv[0] == "construct":
+            argv = argv + ["--out", str(tmp_path / "out.json")]
+        code, rep = run(capsys, *argv, f"--tol={tol}")
+        assert code == 2
+        assert set(rep) == {"argv", "command", "error", "timing_ms"}
+        assert "tol must be a number >= 0" in rep["error"]
+        assert not (tmp_path / "out.json").exists()
+
+    def test_zero_tol_is_valid(self, capsys):
+        code, rep = run(capsys, "certify", "--paper", "spin1_two_term", "--tol", "0")
+        assert code == 1
+        assert rep["result"]["overall"] == "not_hyperentangled"
+        code, rep = run(capsys, "certify", "--paper", "bohm", "--tol", "0")
+        assert code == 0
+
+    def test_impossible_stage_count_exits_two(self, capsys, tmp_path, monkeypatch):
+        from hyperstate import construct
+
+        def extend(v, params):
+            raise AssertionError("method2_extend must not run")
+
+        monkeypatch.setattr(construct, "method2_extend", extend)
+        code, rep = run(
+            capsys, "construct", "method2", "--stages", "5", "--eps", "0.01,0.01,0.01,0.01,0.01",
+            "--out", str(tmp_path / "s5.json"),
+        )
+        assert code == 2
+        assert "2**63" in rep["error"]
+
     def test_degree_routes(self, capsys):
         code, rep = run(capsys, "degree", "--paper", "bohm", "--split", "0")
         assert code == 0

@@ -27,6 +27,15 @@ from hyperstate import (
 R2 = 1.0 / math.sqrt(2.0)
 
 
+def near_deficient():
+    """3x3 state with Schmidt coefficients proportional to (1, 1, 1e-14).
+
+    The third coefficient lies below the rank cutoff (about 4e-14 here) but
+    above numpy's default least-squares cutoff (about 7e-16).
+    """
+    return make_state((3, 3), {(0, 0): 1.0, (1, 1): 1.0, (2, 2): 1e-14}, normalize=True)
+
+
 class TestProjector:
     def test_accepts_orthonormal_rows(self):
         p = Projector(subsystem=Subsystem((1,)), basis=np.eye(3)[:2])
@@ -132,6 +141,11 @@ class TestSteering:
         with pytest.raises(ValueError):
             steering_operator(bohm, 0, np.ones(2), embed=np.ones(3))
 
+    def test_near_deficient_state_is_refused(self):
+        # the same rank rule as cyclicity: no operator of norm ~1e14
+        with pytest.raises(ValueError, match="rank 2 < 3"):
+            steering_operator(near_deficient(), 0, np.array([0.0, 0.6, 0.8]))
+
     def test_refused_above_dense_cap(self):
         # refused before the 4096 x 2 slice matrix is built
         v = make_state((2,) * 13, {(0,) * 13: 1.0})
@@ -199,6 +213,12 @@ class TestCorrelationWitness:
         res = correlation_witness(CorrelationQuery(state=v, subsystem=(0,), p_prime=pp))
         assert res.warning  # pseudoinverse route flags the deficiency
         assert res.achieved == pytest.approx(1.0)
+
+    def test_near_deficient_state_warns(self):
+        pp = rank1(1, [0.0, 0.6, 0.8])
+        res = correlation_witness(CorrelationQuery(state=near_deficient(), subsystem=(0,), p_prime=pp))
+        assert res.warning
+        assert res.achieved == pytest.approx(0.36, abs=1e-12)
 
     def test_annihilating_projector_raises(self, corpus):
         v = corpus["spin1_two_term"]
