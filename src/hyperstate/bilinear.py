@@ -3,8 +3,8 @@
 Everything here is dense linear algebra on the coefficient matrix of a state
 for a split (S | S'): unfolding, Schmidt decomposition and reduced density
 operators.  The unfolding is one scatter of the state's entry arrays into a
-dense matrix, refused above ``DENSE_CAP`` total dimensions; large truncated
-constructions are probed through slice windows (see :mod:`hyperstate.certify`).
+dense matrix; it and the reduced density are refused beyond ``DENSE_BUDGET``
+bytes, and large truncated constructions are probed through slice windows.
 Every rank decision counts the values of a spectrum strictly above one cutoff,
 ``tol`` (>= 0) or :func:`rank_tolerance`: ``_rank_report`` applies it to the
 spectrum its caller already has (singular values, density eigenvalues).
@@ -19,10 +19,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .state import StateTensor, Subsystem, _positions
+from .state import StateTensor, Subsystem, _check_dense, _positions
 
 __all__ = [
-    "DENSE_CAP",
     "RANK_SAFETY",
     "RankReport",
     "UnfoldingMatrix",
@@ -35,8 +34,6 @@ __all__ = [
     "reduced_density",
 ]
 
-# Largest total dimension (product of all factor dims) converted to dense.
-DENSE_CAP = 4096
 # Multiplier on the machine-epsilon baseline in the default rank threshold.
 RANK_SAFETY = 64
 
@@ -124,19 +121,15 @@ def unfold(v: StateTensor, subsystem: Subsystem | int | Iterable[int]) -> Unfold
     """Dense coefficient matrix of ``v`` over the given split.
 
     The Frobenius norm of the result equals the state norm exactly: unfolding
-    is a rearrangement, not arithmetic.
+    is a rearrangement, not arithmetic.  Refused beyond ``DENSE_BUDGET`` bytes.
     """
-    total = math.prod(v.dims)
-    if total > DENSE_CAP:
-        raise ValueError(
-            f"total dimension {total} exceeds the dense cap {DENSE_CAP}; "
-            "use slice windows for large truncated states"
-        )
     part = Subsystem.coerce(subsystem)
     comp = part.complement(v.nfactors)
     part_dims = tuple(v.dims[k] for k in part)
     comp_dims = tuple(v.dims[k] for k in comp)
-    matrix = np.zeros((math.prod(comp_dims), math.prod(part_dims)), dtype=np.complex128)
+    shape = (math.prod(comp_dims), math.prod(part_dims))
+    _check_dense(*shape)
+    matrix = np.zeros(shape, dtype=np.complex128)
     rows, cols = (_positions(v.indices, v.dims, s) for s in (comp, part))
     matrix[rows, cols] = v.amplitudes
     return UnfoldingMatrix(matrix, part, part_dims, comp_dims)
@@ -167,21 +160,19 @@ def schmidt_decompose(
     subsystem: Subsystem | int | Iterable[int],
     tol: float | None = None,
 ) -> SchmidtDecomposition:
-    """Full Schmidt decomposition from one SVD of the unfolding; its
+    """Full Schmidt decomposition from one reduced SVD of the unfolding; its
     ``rank_report`` is the rank rule on ``coeffs``, cut by ``tol`` if given."""
     unf = unfold(v, subsystem)
     m = unf.matrix
-    # Full matrices: zero Schmidt directions carry the orthonormal vectors
-    # that repair and witnesses need.
-    u, s, vh = np.linalg.svd(m, full_matrices=True)
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
     for arr in (u, s, vh):
         arr.flags.writeable = False
     report = _rank_report(s, max(m.shape), tol)
     return SchmidtDecomposition(
         subsystem=unf.subsystem,
         coeffs=s,
-        left_vectors=vh[: s.size, :],
-        right_vectors=u[:, : s.size].T,
+        left_vectors=vh,
+        right_vectors=u.T,
         rank=report.rank,
         rank_report=report,
         part_dims=unf.part_dims,
@@ -205,6 +196,7 @@ def reduced_density(v: StateTensor, subsystem: Subsystem | int | Iterable[int]) 
     """Partial trace onto ``subsystem``, computed as M M+ on the kept side."""
     part = Subsystem.coerce(subsystem)
     kept_rows = unfold(v, part.complement(v.nfactors)).matrix  # checks the subsystem
+    _check_dense(kept_rows.shape[0], kept_rows.shape[0])
     rho = kept_rows @ kept_rows.conj().T
     rho = (rho + rho.conj().T) / 2.0
     eig = np.linalg.eigvalsh(rho)[::-1]

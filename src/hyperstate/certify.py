@@ -15,6 +15,7 @@ which case window certificates on slice families are the meaningful check.
 
 A window certificate decides the rank of a cube window's slice vectors by
 singleton elimination or, failing that, a dense SVD (:func:`window_certificate`).
+Either dense matrix, reduced density or window, is refused beyond ``DENSE_BUDGET``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .bilinear import RankReport, _cutoff, _rank_report, numerical_rank, rank_tolerance
 from .bilinear import reduced_density
-from .state import StateTensor, Subsystem
+from .state import StateTensor, Subsystem, _check_dense
 
 __all__ = [
     "Feasibility",
@@ -41,7 +42,6 @@ __all__ = [
     "window_certificate",
     "cube_window",
     "STRUCTURAL_MARGIN",
-    "WINDOW_DENSE_BUDGET",
 ]
 
 HYPERENTANGLED = "hyperentangled"
@@ -51,8 +51,6 @@ INFEASIBLE_DIMS = "infeasible_dims"
 # Factor by which a structural singular-value bound must clear the rank
 # cutoff; it absorbs the rounding of both the bound and the dense SVD.
 STRUCTURAL_MARGIN = 4.0
-# Largest dense window matrix the fallback route allocates, in bytes.
-WINDOW_DENSE_BUDGET = 256 * 2**20
 
 
 @dataclass(frozen=True)
@@ -159,6 +157,7 @@ class CertVerdict:
 
 def hyperentanglement_test(v: StateTensor, tol: float | None = None) -> CertVerdict:
     """Certify ``v``: dimension gate plus a cyclicity check per factor."""
+    _cutoff(0, 0.0, tol)  # checks tol before any dense work
     feas = dimension_gate(v.dims, v.truncated_from_infinite)
     checks = tuple(
         cyclicity_test(v, Subsystem((k,)), tol) for k in range(v.nfactors)
@@ -262,14 +261,14 @@ def window_certificate(
     """Pass iff the window's slice vectors have full numerical rank.
 
     Only the entries whose complement key lies in the cube are gathered, so
-    this applies to truncated constructions far beyond the dense cap; row r
+    this applies to truncated constructions far beyond the dense budget; row r
     is the r-th key in lexicographic order.  Singleton elimination
     (:func:`_singleton_bound`) settles the rank when its bound clears
     ``STRUCTURAL_MARGIN`` times both the cutoff in force and
     :func:`rank_tolerance` scaled by the Frobenius norm (which bounds the
     largest singular value); the SVD could then neither drop a row nor flag
     a tie.  Otherwise the window matrix is built densely, up to
-    ``WINDOW_DENSE_BUDGET`` bytes, and :func:`numerical_rank` decides with
+    ``DENSE_BUDGET`` bytes, and :func:`numerical_rank` decides with
     ``tol`` (>= 0, checked on either route) cutting singular values.
     """
     axis, side = window.axis, window.size
@@ -294,12 +293,7 @@ def window_certificate(
         )
         route = "structural"
     else:
-        nbytes = shape[0] * shape[1] * np.dtype(np.complex128).itemsize
-        if nbytes > WINDOW_DENSE_BUDGET:
-            raise ValueError(
-                f"dense window matrix {shape[0]}x{shape[1]} needs {nbytes} bytes, "
-                f"beyond the {WINDOW_DENSE_BUDGET}-byte fallback budget"
-            )
+        _check_dense(*shape)
         mat = np.zeros(shape, dtype=np.complex128)
         mat[rows_a, cols_a] = amps_a
         report = numerical_rank(mat, tol)

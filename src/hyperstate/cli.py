@@ -233,22 +233,21 @@ def _cmd_construct(args: argparse.Namespace) -> tuple[int, dict, dict]:
 
 
 def _cmd_certify(args: argparse.Namespace) -> tuple[int, dict, dict]:
-    from .bilinear import DENSE_CAP
     from .certify import (
         cube_window,
         dimension_gate,
         hyperentanglement_test,
         window_certificate,
     )
+    from .state import _DenseBudgetError
 
     v = _load_source(args)
-    total = math.prod(v.dims)
-    dense = total <= DENSE_CAP
-
-    subsystems = None
-    failing = None
-    if dense:
+    overall = subsystems = failing = None
+    try:
         verdict = hyperentanglement_test(v, args.tol)
+    except _DenseBudgetError:  # dense cyclicity not evaluated beyond the budget
+        feas = dimension_gate(v.dims, v.truncated_from_infinite)
+    else:
         feas = verdict.feasibility
         overall = verdict.overall
         subsystems = [
@@ -263,9 +262,6 @@ def _cmd_certify(args: argparse.Namespace) -> tuple[int, dict, dict]:
             for c in verdict.checks
         ]
         failing = list(verdict.failing)
-    else:
-        feas = dimension_gate(v.dims, v.truncated_from_infinite)
-        overall = None  # dense cyclicity not evaluated above the cap
 
     windows = None
     if args.windows == "full":
@@ -288,7 +284,7 @@ def _cmd_certify(args: argparse.Namespace) -> tuple[int, dict, dict]:
                     }
                 )
 
-    positive = (dense and overall == "hyperentangled") or (
+    positive = overall == "hyperentangled" or (
         v.truncated_from_infinite
         and windows is not None
         and all(w["passed"] for w in windows)
@@ -297,7 +293,7 @@ def _cmd_certify(args: argparse.Namespace) -> tuple[int, dict, dict]:
         "dims": list(v.dims),
         "nnz": v.nnz,
         "truncated_from_infinite": v.truncated_from_infinite,
-        "dense_evaluated": dense,
+        "dense_evaluated": subsystems is not None,
         "overall": overall,
         "feasible": feas.feasible,
         "reason": feas.reason,

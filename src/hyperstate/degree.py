@@ -46,11 +46,10 @@ def _require_unit(v: StateTensor) -> None:
 def degree_bipartite(
     v: StateTensor,
     subsystem: Subsystem | int | Iterable[int] = 0,
-    tol: float | None = None,
 ) -> DegreeResult:
     """Exact degree across the split (S | S'): 1 - top Schmidt coefficient."""
     _require_unit(v)
-    sd = schmidt_decompose(v, subsystem, tol)
+    sd = schmidt_decompose(v, subsystem)
     top = float(sd.coeffs[0])
     value = max(0.0, 1.0 - top)
     # A unit state cannot be farther from the products than the flattest

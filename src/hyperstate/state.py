@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 __all__ = [
+    "DENSE_BUDGET",
     "DROP_THRESHOLD",
     "UNIT_NORM_TOL",
     "MultiIndex",
@@ -38,6 +39,22 @@ MultiIndex = tuple[int, ...]
 DROP_THRESHOLD = 1e-300
 # |norm - 1| allowed for a state to count as normalized.
 UNIT_NORM_TOL = 1e-12
+# Largest dense complex matrix any layer makes from a state, in bytes.
+DENSE_BUDGET = 64 * 2**20
+
+
+class _DenseBudgetError(ValueError):
+    """A dense matrix would exceed ``DENSE_BUDGET``."""
+
+
+def _check_dense(rows: int, cols: int) -> None:
+    """Refuse a complex ``rows`` x ``cols`` matrix beyond ``DENSE_BUDGET``, before it exists."""
+    nbytes = rows * cols * np.dtype(np.complex128).itemsize
+    if nbytes > DENSE_BUDGET:
+        raise _DenseBudgetError(
+            f"dense {rows}x{cols} matrix needs {nbytes} bytes, "
+            f"beyond the {DENSE_BUDGET}-byte budget"
+        )
 
 
 @dataclass(frozen=True)
@@ -359,13 +376,15 @@ def slice_family(v: StateTensor, subsystem: Subsystem | int | Iterable[int]) -> 
     """Decompose ``v`` into slices over ``subsystem``.
 
     Reassembling ``sum_j v_j (x) b_j`` reproduces ``v`` entry for entry: slice
-    extraction only moves amplitudes, it never does arithmetic on them.
+    extraction only moves amplitudes, it never does arithmetic on them.  The
+    block of nonzero slices is refused beyond ``DENSE_BUDGET`` bytes.
     """
     part = Subsystem.coerce(subsystem)
     comp = part.complement(v.nfactors)
     part_dims = tuple(v.dims[k] for k in part)
     comp_dims = tuple(v.dims[k] for k in comp)
     keys, rows = np.unique(_positions(v.indices, v.dims, comp), return_inverse=True)
+    _check_dense(keys.size, math.prod(part_dims))
     block = np.zeros((keys.size, math.prod(part_dims)), dtype=np.complex128)
     block[rows, _positions(v.indices, v.dims, part)] = v.amplitudes
     block.flags.writeable = False

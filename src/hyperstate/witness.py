@@ -125,8 +125,8 @@ def steering_operator(
     Solves A v_j = target_j * embed against the slice family; requires the
     family to have full rank under the default rank rule (the cyclicity
     criterion), otherwise raises.  ``embed`` defaults to the first basis
-    vector of H_S.  The slices come from :func:`unfold`, so states above
-    ``DENSE_CAP`` are refused.
+    vector of H_S.  The slices come from :func:`unfold`, so a slice matrix
+    beyond ``DENSE_BUDGET`` bytes is refused.
     """
     unf = unfold(v, subsystem)
     part = unf.subsystem

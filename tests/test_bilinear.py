@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import dense_tensor, loop_reduced_density, random_state
 from hyperstate import (
-    DENSE_CAP,
+    DENSE_BUDGET,
     PAPER_STATE_NAMES,
     RankReport,
     Subsystem,
@@ -96,7 +96,7 @@ class TestOneRankRule:
 
         monkeypatch.setattr(np.linalg, "svd", counting)
         schmidt_decompose(paper_state("hardy3"), 0)
-        assert len(calls) == 1
+        assert calls == [{"full_matrices": False}]  # no larger than the unfolding
 
     @pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan"), True, "0.1", 1j])
     def test_bad_tol_refused(self, tol):
@@ -142,12 +142,23 @@ class TestUnfold:
             u = unfold(v, sel)
             assert u.frobenius == pytest.approx(norm(v), rel=0, abs=1e-14)
 
-    def test_dense_cap(self):
-        dims = (2,) * 13  # 8192 > DENSE_CAP
-        assert math.prod(dims) > DENSE_CAP
-        v = make_state(dims, {(0,) * 13: 1.0})
-        with pytest.raises(ValueError):
-            unfold(v, 0)
+    def test_dense_budget(self):
+        # a 2 x 2**21 complex unfolding is exactly the budget; one column more is not
+        assert 2 * 2**21 * 16 == DENSE_BUDGET
+        v = make_state((2, 2**21), {(0, 0): 1.0, (1, 2**21 - 1): 1.0})
+        assert unfold(v, 1).matrix.shape == (2, 2**21)
+        v = make_state((2, 2**21 + 1), {(0, 0): 1.0, (1, 2**21): 1.0})
+        with pytest.raises(ValueError, match="2x2097153.*budget"):
+            unfold(v, 1)
+        # above the old cap of 4096 total dims, far inside the budget
+        v = make_state((2,) * 13, {(0,) * 13: 1.0})
+        assert unfold(v, 0).matrix.shape == (4096, 2)
+
+    def test_reduced_density_checked_before_the_product(self):
+        # the 4096 x 2 unfolding fits, its 4096 x 4096 density (256 MiB) does not
+        v = make_state((4096, 2), {(0, 0): 1.0, (1, 1): 1.0}, normalize=True)
+        with pytest.raises(ValueError, match="4096x4096.*budget"):
+            reduced_density(v, 0)
 
 
 class TestSchmidt:

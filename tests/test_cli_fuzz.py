@@ -26,6 +26,7 @@ from hyperstate import (
     PAPER_STATE_NAMES,
     Projector,
     Subsystem,
+    make_state,
     method2_build,
     paper_state,
 )
@@ -53,7 +54,7 @@ def lists(elements, lo, hi):
 # either way, and no value token parses as a larger int than its cap.
 TOL = (pick("1e-12", "1e-6", "0.01", "0"), st.floats().map(repr) | pick("1_000", "1e-400"))
 OUT = (pick("out.json"), pick(".", "", "no/such/dir/out.json", "\x00", "bohm.json/x"))
-STATES = ("bohm.json", "ghz.json", "stage2.json")
+STATES = ("bohm.json", "ghz.json", "stage2.json", "wide.json")
 BAD_STATES = pick("junk.json", "missing.json", "pp.json", ".", "", "\x00")
 SPLITS = ("0", "1", "0|1", "0|1,2", "0,1|2", "1|0,2")
 BAD_SPLITS = pick("0|2", "|", "0|", "|1", "", "0,0", "-1", "5", "0|1|2", "a", "0,,1",
@@ -83,7 +84,7 @@ FLAGS = {
     },
     ("construct", "paper"): {"--name": NAMES, "--out": OUT},
     ("construct", "repair"): {
-        **sources("bohm.json"),
+        **sources("bohm.json", "wide.json"),
         "--delta": (pick("0.1", "0.01", "0.5"), st.floats().map(repr)),
         "--subsystem": (pick("0", "1"), ints(-1, 2)),
         "--tol": TOL,
@@ -171,6 +172,9 @@ def workdir(tmp_path_factory):
     save_state(paper_state("bohm"), root / "bohm.json")
     save_state(paper_state("ghz"), root / "ghz.json")  # a valid 2x2x2 --seed-file
     save_state(method2_build(2, (0.01, 0.005)), root / "stage2.json")  # has window sizes
+    # 100 x 100, beyond the old 4096-dim cap, with one zero Schmidt coefficient to repair
+    wide = {(k, 3 * k % 100): 1.0 / (k + 1) for k in range(99)}
+    save_state(make_state((100, 100), wide, normalize=True), root / "wide.json")
     w = np.array([0.6, 0.8j])
     save_projector(Projector(subsystem=Subsystem((1,)), basis=w[None, :]), root / "pp.json")
     (root / "junk.json").write_text("{not json")

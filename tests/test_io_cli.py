@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import rand_unit
+from helpers import dense_tensor, rand_unit, random_state
 from hyperstate import Projector, Subsystem, make_state
 from hyperstate.cli import run_cli
 from hyperstate.io import (
@@ -33,6 +33,14 @@ def run(capsys, *argv):
     code = run_cli(list(argv))
     out = capsys.readouterr().out
     return code, (json.loads(out) if out else None)
+
+
+@pytest.fixture(scope="module")
+def over_budget(tmp_path_factory):
+    """A (2049, 2049) state file: its 2049 x 2049 unfolding exceeds the dense budget."""
+    path = tmp_path_factory.mktemp("budget") / "wide.json"
+    save_state(make_state((2049, 2049), {(k, k): 1.0 for k in range(3)}, normalize=True), path)
+    return str(path)
 
 
 class TestStateFiles:
@@ -350,17 +358,25 @@ class TestCliConstructAndCertify:
         assert code == 0
         assert all(w["passed"] for w in rep["result"]["windows"])
 
-    def test_certify_above_dense_cap(self, capsys, tmp_path):
+    def test_certify_beyond_dense_budget(self, capsys, tmp_path, over_budget):
+        # 17^3 total dims, beyond the old 4096 cap: the 289 x 289 densities fit
         v = make_state((17, 17, 17), {(k, k, k): 0.5 for k in range(4)}, normalize=True)
-        path = tmp_path / "big.json"
+        path = tmp_path / "c17.json"
         save_state(v, path)
         code, rep = run(capsys, "certify", "--state", str(path))
         assert code == 1
-        assert rep["result"]["dense_evaluated"] is False
-        assert rep["result"]["overall"] is None
-        assert rep["result"]["subsystems"] is None
+        assert rep["result"]["dense_evaluated"] is True
+        assert rep["result"]["overall"] == "infeasible_dims"
+        assert [c["rank"] for c in rep["result"]["subsystems"]] == [4, 4, 4]
 
-        code, rep = run(capsys, "certify", "--state", str(path), "--windows", "full")
+        code, rep = run(capsys, "certify", "--state", over_budget)
+        assert code == 1
+        res = rep["result"]
+        assert res["dense_evaluated"] is False
+        assert res["overall"] is None and res["subsystems"] is None and res["failing"] is None
+        assert (res["feasible"], res["reason"]) == (True, "ok")
+
+        code, rep = run(capsys, "certify", "--state", over_budget, "--windows", "full")
         assert code == 2  # no window sizes on record
         assert "window sizes" in rep["error"]
 
@@ -393,6 +409,23 @@ class TestCliAnalysis:
         assert coeffs[0] == pytest.approx(math.sqrt((3 + math.sqrt(5)) / 6))
         assert rep["result"]["rank"] == 2
         assert rep["result"]["split"] == {"s": [0], "s_prime": [1]}
+
+    def test_100x100_state(self, capsys, tmp_path):
+        # 10^4 total dims, beyond the old 4096 cap: a 160 kB unfolding
+        v = random_state(np.random.default_rng(100), (100, 100))
+        path = tmp_path / "wide.json"
+        save_state(v, path)
+        code, rep = run(capsys, "certify", "--state", str(path))
+        assert code == 0
+        assert rep["result"]["overall"] == "hyperentangled"
+        code, rep = run(capsys, "schmidt", "--state", str(path))
+        assert code == 0
+        expect = np.linalg.svd(dense_tensor(v), compute_uv=False)
+        np.testing.assert_allclose(rep["result"]["coeffs"], expect, rtol=0, atol=1e-14)
+        assert rep["result"]["rank"] == 100
+        code, rep = run(capsys, "degree", "--state", str(path), "--split", "0")
+        assert code == 0
+        assert rep["result"]["value"] == pytest.approx(1 - expect[0], abs=1e-14)
 
     def test_split_grammar(self, capsys):
         code, rep = run(capsys, "schmidt", "--paper", "ghz", "--split", "0|1,2")
@@ -452,11 +485,13 @@ class TestCliAnalysis:
         "argv",
         [
             ["certify", "--paper", "spin1_two_term"],
+            ["certify", "--state", "OVER_BUDGET"],  # checked although nothing dense runs
             ["schmidt", "--paper", "spin1_two_term"],
             ["construct", "repair", "--paper", "spin1_two_term", "--delta", "0.1"],
         ],
     )
-    def test_bad_tol_exits_two(self, capsys, tmp_path, argv, tol):
+    def test_bad_tol_exits_two(self, capsys, tmp_path, over_budget, argv, tol):
+        argv = [over_budget if a == "OVER_BUDGET" else a for a in argv]
         if argv[0] == "construct":
             argv = argv + ["--out", str(tmp_path / "out.json")]
         code, rep = run(capsys, *argv, f"--tol={tol}")

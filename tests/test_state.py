@@ -190,6 +190,14 @@ def test_slice_family_missing_key_is_zero_and_validated():
         fam.vector((0, 0))
 
 
+def test_slice_family_refused_beyond_dense_budget():
+    # three nonzero slices of 2**23 amplitudes each: a 384 MiB block
+    v = make_state((2**23, 2, 2), {(0, 0, 0): 1.0, (1, 0, 1): 0.5, (2, 1, 0): 0.25})
+    with pytest.raises(ValueError, match="3x8388608.*budget"):
+        slice_family(v, 0)
+    assert len(slice_family(v, (1, 2)).nonzero) == 3  # 3 x 4 block
+
+
 @given(st.integers(0, 2 ** 31 - 1), small_dims())
 def test_slice_roundtrip_reconstructs_exactly(seed, dims_list):
     dims = tuple(dims_list)

@@ -146,11 +146,11 @@ class TestSteering:
         with pytest.raises(ValueError, match="rank 2 < 3"):
             steering_operator(near_deficient(), 0, np.array([0.0, 0.6, 0.8]))
 
-    def test_refused_above_dense_cap(self):
-        # refused before the 4096 x 2 slice matrix is built
-        v = make_state((2,) * 13, {(0,) * 13: 1.0})
-        with pytest.raises(ValueError, match="dense cap"):
-            steering_operator(v, 0, np.ones(2 ** 12))
+    def test_refused_beyond_dense_budget(self):
+        # refused before the 2**22 x 2 slice matrix (128 MiB) is built
+        v = make_state((2, 2**22), {(0, 0): 1.0, (1, 1): 1.0})
+        with pytest.raises(ValueError, match="4194304x2.*budget"):
+            steering_operator(v, 0, np.ones(2**22))
 
 
 class TestCorrelationWitness:
