@@ -421,7 +421,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         report = {
             "argv": argv,
             "command": args.command,
-            "error": str(exc),
+            "error": str(exc) or type(exc).__name__,  # MemoryError() has no text
             "timing_ms": (time.perf_counter() - start) * 1000.0,
         }
         print(json.dumps(report, indent=2, sort_keys=True, default=str))

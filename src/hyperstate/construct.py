@@ -111,13 +111,16 @@ def pairing_eval(p: PairingFn, a: int, b: int) -> int:
     return value
 
 
-def _eval_clause(p: PairingFn, a: int, b: int) -> int | None:
-    # Overflowing values exceed every admissible index, so a clause
-    # comparing against them is simply false.
+def _fold(p: PairingFn, rest: Sequence[int]) -> int | None:
+    # j folded from the right over rest: j(b, c), or j(b, j(c, d)).  Values
+    # past 64 bits exceed every admissible index, so such a clause is false.
+    value = rest[-1]
     try:
-        return pairing_eval(p, a, b)
+        for x in reversed(rest[:-1]):
+            value = pairing_eval(p, x, value)
     except OverflowError:
         return None
+    return value
 
 
 def support_test(p: PairingFn, idx: Sequence[int]) -> bool:
@@ -131,27 +134,9 @@ def support_test(p: PairingFn, idx: Sequence[int]) -> bool:
     idx = tuple(int(k) for k in idx)
     if any(k < 0 for k in idx):
         raise ValueError(f"indices must be nonnegative, got {idx}")
-    if len(idx) == 3:
-        a, b, c = idx
-        return (
-            a == _eval_clause(p, b, c)
-            or b == _eval_clause(p, a, c)
-            or c == _eval_clause(p, a, b)
-        )
-    if len(idx) == 4:
-        a, b, c, d = idx
-
-        def nested(x: int, y: int, z: int) -> int | None:
-            inner_v = _eval_clause(p, y, z)
-            return None if inner_v is None else _eval_clause(p, x, inner_v)
-
-        return (
-            a == nested(b, c, d)
-            or b == nested(a, c, d)
-            or c == nested(a, b, d)
-            or d == nested(a, b, c)
-        )
-    raise ValueError(f"support is defined for 3 or 4 factors, got {len(idx)}")
+    if len(idx) not in (3, 4):
+        raise ValueError(f"support is defined for 3 or 4 factors, got {len(idx)}")
+    return any(idx[t] == _fold(p, idx[:t] + idx[t + 1 :]) for t in range(len(idx)))
 
 
 def geometric_weights(idx: Sequence[int]) -> complex:
@@ -167,9 +152,12 @@ def method1_build(
 ) -> StateTensor:
     """Truncated pairing-support state on ``n`` factors.
 
-    Enumerates all indices below ``bounds``, keeps those passing
-    :func:`support_test`, weights them (default geometric decay) and
-    normalizes.  The result is flagged as a truncation of an
+    Lists the :func:`support_test` support clause by clause: coordinate t is
+    j folded over the others, where that is below ``bounds[t]``.  As
+    j(a, b) >= max(a, b), the others run only below min(their bound,
+    ``bounds[t]``): O(n b**(n-1)) pairing evaluations.  The indices are
+    weighted in lexicographic order (default geometric decay) and
+    normalized.  The result is flagged as a truncation of an
     infinite-dimensional state; its certification target is window
     certificates, not the finite hyperentanglement test.
     """
@@ -182,10 +170,15 @@ def method1_build(
         raise ValueError(f"every bound must be >= 2, got {bounds_t}")
     rule = geometric_weights if weights is None else weights
 
+    support: set[MultiIndex] = set()
+    for t, bound in enumerate(bounds_t):
+        others = (range(min(b, bound)) for k, b in enumerate(bounds_t) if k != t)
+        for rest in itertools.product(*others):
+            value = _fold(pairing, rest)
+            if value is not None and value < bound:
+                support.add(rest[:t] + (value,) + rest[t:])
     entries: dict[MultiIndex, complex] = {}
-    for idx in itertools.product(*(range(b) for b in bounds_t)):
-        if not support_test(pairing, idx):
-            continue
+    for idx in sorted(support):
         amp = complex(rule(idx))
         if abs(amp) <= DROP_THRESHOLD:
             raise ValueError(f"weight rule vanishes on support index {idx}")
@@ -334,9 +327,11 @@ def method2_build(
         raise ValueError(
             f"eps_schedule has {len(eps)} entries for {stages} stages"
         )
+    plan: list[ExtensionParams] = []  # every stage is checked before any is built
     p, m = 2, 1
-    for _ in eps:  # refused before building: each stage makes p' = p**2 + p - m**2
-        p, m = p * p + p - m * m, p
+    for e in eps:
+        plan.append(ExtensionParams(p=p, m=m, epsilon=e))
+        p, m = plan[-1].p_prime, p
         if p**3 >= 2**63:
             raise ValueError(f"{stages} stages give dims {(p,) * 3}: over 2**63 - 1 positions")
     v = default_seed() if seed is None else seed
@@ -344,11 +339,8 @@ def method2_build(
         raise ValueError(f"seed must be 2 x 2 x 2, got dims {v.dims}")
     if v.amplitude((0, 0, 0)) == 0j:
         raise ValueError("seed must have a nonzero amplitude at (0, 0, 0)")
-
-    p, m = 2, 1
-    for e in eps:
-        v = method2_extend(v, ExtensionParams(p=p, m=m, epsilon=e))
-        p, m = v.dims[0], p
+    for params in plan:
+        v = method2_extend(v, params)
 
     metadata = dict(v.metadata)
     metadata["window_sizes"] = [rec["p"] for rec in metadata.get("stage_history", [])]

@@ -363,11 +363,12 @@ class SliceFamily:
         for key in self.keys():
             yield key, self.vector(key)
 
-    def matrix(self, members: Iterable[MultiIndex] | None = None) -> np.ndarray:
-        """Stack slices as rows; ``members=None`` takes the whole family."""
-        keys = list(self.keys()) if members is None else [tuple(j) for j in members]
-        out = np.zeros((len(keys), self.part_dim), dtype=np.complex128)
-        for r, key in enumerate(keys):
+    def matrix(self) -> np.ndarray:
+        """Stack every slice as a row, keys in lexicographic order."""
+        rows = math.prod(self.complement_dims)
+        _check_dense(rows, self.part_dim)
+        out = np.zeros((rows, self.part_dim), dtype=np.complex128)
+        for r, key in enumerate(self.keys()):
             out[r, :] = self.vector(key)
         return out
 

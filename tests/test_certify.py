@@ -25,6 +25,7 @@ from hyperstate import (
     make_state,
     method1_build,
     method2_build,
+    pairing_eval,
     pairing_fn,
     rank_tolerance,
     window_certificate,
@@ -324,13 +325,17 @@ class TestWindowRoutes:
         ],
     )
     def test_method1_windows(self, kind, bounds, structural):
-        v = method1_build(3, pairing_fn(kind), bounds)
+        p = pairing_fn(kind)
+        v = method1_build(3, p, bounds)
         for axis in range(3):
             comp = [d for k, d in enumerate(bounds) if k != axis]
             for size in range(1, min(comp) + 1):
                 cert = window_certificate(v, cube_window(v.dims, axis, size))
                 rank, sigma_min = svd_rank(cube_window_matrix(v, axis, size))
                 assert (cert.rank, cert.passed) == (rank, rank == size * size)
+                # it passes exactly when every key (x, y) pairs below the bound
+                pairs = (pairing_eval(p, x, y) for x in range(size) for y in range(size))
+                assert cert.passed == all(j < bounds[axis] for j in pairs), (axis, size)
                 want = "structural" if (axis, size) in structural else "dense_svd"
                 assert cert.route == want, (axis, size)
                 if want == "structural":

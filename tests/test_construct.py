@@ -1,5 +1,6 @@
 import itertools
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import dense_tensor, random_schmidt_state
 from hyperstate import (
+    PAIRING_NAMES,
     PAPER_STATE_NAMES,
     ExtensionParams,
     PairingFn,
@@ -29,7 +31,9 @@ from hyperstate import (
     support_test,
     window_certificate,
 )
+from hyperstate.io import load_state
 
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 R2 = 1.0 / math.sqrt(2.0)
 R3 = 1.0 / math.sqrt(3.0)
 R7 = 1.0 / math.sqrt(7.0)
@@ -45,6 +49,23 @@ def oracle_support_3(bounds):
         if a == j(b, c) or b == j(a, c) or c == j(a, b):
             hits.add((a, b, c))
     return hits
+
+
+def oracle_support_4(bounds):
+    # the nested clauses a = j(b, j(c, d)) and so on, with a local pairing;
+    # j(x, y) >= y, so an inner value beyond every bound cannot pair
+    def j(a, b):
+        return 2 ** a * 3 ** b
+
+    def nested(x, y, z):
+        inner = j(y, z)
+        return j(x, inner) if inner < max(bounds) else None
+
+    return {
+        (a, b, c, d)
+        for a, b, c, d in itertools.product(*(range(n) for n in bounds))
+        if a == nested(b, c, d) or b == nested(a, c, d) or c == nested(a, b, d) or d == nested(a, b, c)
+    }
 
 
 class TestPairing:
@@ -118,6 +139,17 @@ class TestSupport:
         }
         assert got == expected
 
+    @pytest.mark.parametrize("bounds", [(30, 3, 3, 3), (3, 30, 3, 3), (3, 3, 30, 3), (3, 3, 3, 30)])
+    def test_four_factor_against_oracle(self, bounds):
+        p23 = pairing_fn("injection_2a3b")
+        got = {
+            idx
+            for idx in itertools.product(*(range(n) for n in bounds))
+            if support_test(p23, idx)
+        }
+        assert got == oracle_support_4(bounds)
+        assert got  # each axis holds at least one pairing value
+
     def test_four_factor_single_hit(self):
         p23 = pairing_fn("injection_2a3b")
         hits = [d for d in range(40) if support_test(p23, (0, 0, 0, d))]
@@ -180,6 +212,32 @@ class TestMethod1:
         assert [idx for idx, _ in v.items()] == [(0, 0, 0, 3)]
         assert v.amplitude((0, 0, 0, 3)) == 1.0
 
+    @given(
+        st.sampled_from(PAIRING_NAMES),
+        st.one_of(
+            st.lists(st.integers(2, 24), min_size=3, max_size=3),
+            st.lists(st.integers(2, 8), min_size=4, max_size=4),
+        ),
+    )
+    def test_enumeration_equals_support_filter(self, kind, bounds):
+        p = pairing_fn(kind)
+        box = itertools.product(*(range(b) for b in bounds))
+        want = [idx for idx in box if support_test(p, idx)]
+        if not want:
+            with pytest.raises(ValueError, match="no support"):
+                method1_build(len(bounds), p, bounds)
+            return
+        v = method1_build(len(bounds), p, bounds)
+        assert [idx for idx, _ in v.items()] == want
+
+    def test_huge_bound_lists_the_same_support(self):
+        # j(a, b) >= max(a, b): no coordinate beyond the small bounds can pair
+        golden = load_state(GOLDEN / "state_method1_3_3_37.json")
+        v = method1_build(3, pairing_fn("injection_2a3b"), (3, 3, 2**40))
+        assert v.dims == (3, 3, 2**40)
+        assert np.array_equal(v.indices, golden.indices)
+        assert np.array_equal(v.amplitudes.view(np.uint64), golden.amplitudes.view(np.uint64))
+
     def test_custom_weights(self):
         p23 = pairing_fn("injection_2a3b")
         v = method1_build(3, p23, (3, 3, 37), weights=lambda idx: 1.0)
@@ -197,6 +255,10 @@ class TestMethod1:
             method1_build(3, p23, (3, 3, 1))
         with pytest.raises(ValueError):
             method1_build(3, p23, (3, 3, 37), weights=lambda idx: 0.0)
+        # the first vanishing index in lexicographic order is named: the
+        # supported ones with b >= 10 are (0, 27, 3), (1, 18, 2), (2, 12, 1), ...
+        with pytest.raises(ValueError, match=r"support index \(0, 27, 3\)$"):
+            method1_build(3, p23, (32, 32, 32), weights=lambda idx: 0.0 if idx[1] >= 10 else 1.0)
         with pytest.raises(ValueError):  # no support below these bounds
             method1_build(4, p23, (2, 2, 2, 2))
 
@@ -282,6 +344,8 @@ class TestMethod2:
             method2_build(5, (0.01,) * 5)
         with pytest.raises(ValueError, match=r"2\*\*63"):
             method2_build(40, (0.01,) * 40)
+        with pytest.raises(ValueError, match="epsilon"):  # a bad last stage, too
+            method2_build(3, (0.01, 0.01, float("nan")))
         with pytest.raises(Built):  # stage 4 (458330**3) still starts building
             method2_build(4, (0.01,) * 4)
 

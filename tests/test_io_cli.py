@@ -549,6 +549,19 @@ class TestCliContract:
         assert set(rep) == {"argv", "command", "error", "timing_ms"}
         assert rep["command"] == "certify"
 
+    def test_error_without_text_names_its_type(self, capsys, monkeypatch):
+        from hyperstate import cli
+
+        def out_of_memory(args):
+            raise MemoryError()
+
+        monkeypatch.setitem(cli._HANDLERS, "certify", out_of_memory)
+        code, rep = run(capsys, "certify", "--paper", "bohm")
+        assert code == 2
+        assert set(rep) == {"argv", "command", "error", "timing_ms"}
+        assert rep["command"] == "certify"
+        assert rep["error"] == "MemoryError"
+
     def test_argparse_failures_exit_two(self, capsys):
         for argv, command, needle in (
             (["frobnicate"], None, "frobnicate"),

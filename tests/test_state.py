@@ -198,6 +198,14 @@ def test_slice_family_refused_beyond_dense_budget():
     assert len(slice_family(v, (1, 2)).nonzero) == 3  # 3 x 4 block
 
 
+def test_slice_family_matrix_refused_beyond_dense_budget():
+    # the nonzero block is 2x2, but the stacked matrix has a row per complement key
+    v = make_state((2, 2**21 + 1), {(0, 0): 1.0, (1, 5): 0.5})
+    fam = slice_family(v, 0)
+    with pytest.raises(ValueError, match="2097153x2.*budget"):
+        fam.matrix()
+
+
 @given(st.integers(0, 2 ** 31 - 1), small_dims())
 def test_slice_roundtrip_reconstructs_exactly(seed, dims_list):
     dims = tuple(dims_list)

@@ -155,12 +155,14 @@ class TestLoaderMessages:
             load_state(path)
         assert str(info.value) == f"{path}: entries[3000]: {problem}"
 
-    @pytest.mark.parametrize("flavour", ["hex", "decimal_only", "numbers"])
+    @pytest.mark.parametrize("flavour", ["hex", "mixed_hex", "decimal_only", "numbers"])
     def test_valid_files_load_by_column(self, tmp_path, monkeypatch, flavour):
         doc = self.big_document()
         want = load_state_text(tmp_path, json.dumps(doc))
-        for entry in doc["entries"]:
-            if flavour != "hex":
+        for k, entry in enumerate(doc["entries"]):
+            if flavour == "mixed_hex":
+                del entry[("re_hex", "im_hex")[k % 2]]
+            elif flavour != "hex":
                 del entry["re_hex"], entry["im_hex"]
             if flavour == "numbers":
                 entry["re"], entry["im"] = float(entry["re"]), 0
