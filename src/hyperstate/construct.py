@@ -46,8 +46,9 @@ class PairingFn:
     """An injection j(a, b) on pairs of nonnegative integers.
 
     The support constructions only need injectivity plus the growth property
-    j(a, b) >= max(a, b); :func:`pairing_eval` enforces the latter on every
-    call, so custom evaluators are usable too.
+    j(a, b) >= max(a, b).  :func:`pairing_eval` checks the latter on each
+    pair it evaluates; :func:`method1_build` assumes it to skip pairs, so a
+    custom evaluator that breaks it only on skipped pairs builds unchecked.
     """
 
     kind: str
@@ -153,9 +154,10 @@ def method1_build(
     """Truncated pairing-support state on ``n`` factors.
 
     Lists the :func:`support_test` support clause by clause: coordinate t is
-    j folded over the others, where that is below ``bounds[t]``.  As
+    j folded over the others, where that is below ``bounds[t]``.  Assuming
     j(a, b) >= max(a, b), the others run only below min(their bound,
-    ``bounds[t]``): O(n b**(n-1)) pairing evaluations.  The indices are
+    ``bounds[t]``): O(n b**(n-1)) pairing evaluations, and only those pairs
+    are checked against the growth rule.  The indices are
     weighted in lexicographic order (default geometric decay) and
     normalized.  The result is flagged as a truncation of an
     infinite-dimensional state; its certification target is window

@@ -239,9 +239,9 @@ def _index_column(entries: list) -> list | None:
 def _float_column(entries: list, key: str) -> np.ndarray | None:
     """Field ``key`` of all entries as :func:`_float_field` reads it, or None.
 
-    Wherever an entry carries the hex companion, its exact value is taken.
-    None means some entry fails one of :func:`_float_field`'s checks; the
-    per-entry loop then names the first such entry.
+    None means some entry fails one of :func:`_float_field`'s checks, or only
+    some entries carry the hex companion; the per-entry loop then decodes the
+    file, or names its first bad entry.
     """
     hex_key = key + "_hex"
     try:
@@ -251,20 +251,16 @@ def _float_column(entries: list, key: str) -> np.ndarray | None:
         value = np.array(list(map(float, raw)), dtype=np.float64)
         if not np.isfinite(value).all():
             return None
-        with_hex = [k for k, entry in enumerate(entries) if hex_key in entry]
-        if not with_hex:
+        if not any(hex_key in entry for entry in entries):
             return value
-        raw_hex = [entries[k][hex_key] for k in with_hex]
+        raw_hex = [entry[hex_key] for entry in entries]
         if not set(map(type, raw_hex)) <= {str}:
             return None
         exact = np.array(list(map(float.fromhex, raw_hex)), dtype=np.float64)
     except (KeyError, TypeError, ValueError, OverflowError):
         return None
-    agree = np.abs(exact - value[with_hex]) <= 1e-9 * np.maximum(1.0, np.abs(exact))
-    if not (np.isfinite(exact).all() and agree.all()):
-        return None
-    value[with_hex] = exact
-    return value
+    agree = np.abs(exact - value) <= 1e-9 * np.maximum(1.0, np.abs(exact))
+    return exact if np.isfinite(exact).all() and agree.all() else None
 
 
 def _entry_template(nfactors: int) -> str:

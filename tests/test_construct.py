@@ -238,6 +238,18 @@ class TestMethod1:
         assert np.array_equal(v.indices, golden.indices)
         assert np.array_equal(v.amplitudes.view(np.uint64), golden.amplitudes.view(np.uint64))
 
+    def test_custom_pairing_checked_only_where_evaluated(self):
+        # the growth rule is assumed: j(3, .) is never evaluated below these
+        # bounds, so breaking it there goes unnoticed by the build
+        bad = PairingFn(kind="bad", func=lambda a, b: 0 if a >= 3 else 2**a * 3**b)
+        v = method1_build(3, bad, (3, 10, 10))
+        good = method1_build(3, pairing_fn("injection_2a3b"), (3, 10, 10))
+        assert np.array_equal(v.indices, good.indices)
+        with pytest.raises(ValueError, match="violates"):
+            support_test(bad, (0, 3, 0))
+        with pytest.raises(ValueError, match=r"violates .* at \(0, 1\)"):
+            method1_build(3, PairingFn(kind="flat", func=lambda a, b: 0), (3, 3, 3))
+
     def test_custom_weights(self):
         p23 = pairing_fn("injection_2a3b")
         v = method1_build(3, p23, (3, 3, 37), weights=lambda idx: 1.0)

@@ -155,14 +155,12 @@ class TestLoaderMessages:
             load_state(path)
         assert str(info.value) == f"{path}: entries[3000]: {problem}"
 
-    @pytest.mark.parametrize("flavour", ["hex", "mixed_hex", "decimal_only", "numbers"])
+    @pytest.mark.parametrize("flavour", ["hex", "decimal_only", "numbers"])
     def test_valid_files_load_by_column(self, tmp_path, monkeypatch, flavour):
         doc = self.big_document()
         want = load_state_text(tmp_path, json.dumps(doc))
-        for k, entry in enumerate(doc["entries"]):
-            if flavour == "mixed_hex":
-                del entry[("re_hex", "im_hex")[k % 2]]
-            elif flavour != "hex":
+        for entry in doc["entries"]:
+            if flavour != "hex":
                 del entry["re_hex"], entry["im_hex"]
             if flavour == "numbers":
                 entry["re"], entry["im"] = float(entry["re"]), 0
@@ -170,6 +168,14 @@ class TestLoaderMessages:
         got = load_state_text(tmp_path, json.dumps(doc))
         assert np.array_equal(got.amplitudes.view(np.uint64), want.amplitudes.view(np.uint64))
         assert got == want
+
+    def test_mixed_hex_file_loads_by_entry(self, tmp_path):
+        doc = self.big_document()
+        want = load_state_text(tmp_path, json.dumps(doc))
+        for k, entry in enumerate(doc["entries"]):
+            del entry[("re_hex", "im_hex")[k % 2]]
+        got = load_state_text(tmp_path, json.dumps(doc))
+        assert np.array_equal(got.amplitudes.view(np.uint64), want.amplitudes.view(np.uint64))
 
 
 def load_state_text(tmp_path: pathlib.Path, text: str):
