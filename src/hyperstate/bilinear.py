@@ -6,8 +6,8 @@ operators.  The unfolding is one scatter of the state's entry arrays into a
 dense matrix; it and the reduced density are refused beyond ``DENSE_BUDGET``
 bytes, and large truncated constructions are probed through slice windows.
 Every rank decision counts the values of a spectrum strictly above one cutoff,
-``tol`` (>= 0) or :func:`rank_tolerance`: ``_rank_report`` applies it to the
-spectrum its caller already has (singular values, density eigenvalues).
+``tol`` (finite, >= 0) or :func:`rank_tolerance`: ``_rank_report`` applies it
+to the spectrum its caller already has (singular values, density eigenvalues).
 """
 
 from __future__ import annotations
@@ -65,13 +65,18 @@ class RankReport:
     tied: bool
 
 
-def _cutoff(side: int, spectrum_max: float, tol: float | None) -> float:
-    """``tol`` once checked to be a number >= 0, else :func:`rank_tolerance`."""
-    if tol is None:
-        return rank_tolerance(side, spectrum_max)
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not tol >= 0:
+def _check_tol(tol: float) -> float:
+    """``tol`` as a float, once checked to be a finite number >= 0."""
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < math.inf:
         raise ValueError(f"tol must be a number >= 0, got {tol!r}")
     return float(tol)
+
+
+def _cutoff(side: int, spectrum_max: float, tol: float | None) -> float:
+    """``tol`` once checked by :func:`_check_tol`, else :func:`rank_tolerance`."""
+    if tol is None:
+        return rank_tolerance(side, spectrum_max)
+    return _check_tol(tol)
 
 
 def _rank_report(spectrum: np.ndarray, side: int, tol: float | None = None) -> RankReport:

@@ -7,11 +7,15 @@ the standard library is imported at module load: the numerical modules, and
 the catalog and pairing names the parser offers as choices, are pulled in by
 ``run_cli`` after the HYPERSTATE_THREADS cap has been applied to the
 environment, so the linear algebra backend sees it when it initializes.
+The parser is built once per process, by the first ``run_cli`` call that
+gets past the thread cap, and reused by every later call, so in-process
+callers (tests, notebooks, benchmarks) pay for building it once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -66,6 +70,9 @@ def _add_source(parser: argparse.ArgumentParser) -> None:
     )
 
 
+# One parser per process: parse_args leaves it as it was, and a build that
+# raises caches nothing.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     from .construct import PAIRING_NAMES, PAPER_STATE_NAMES
 
@@ -399,7 +406,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     # usage error inside a subcommand still reports which one it was.
     args = argparse.Namespace(command=None)
     try:
-        _apply_thread_cap()  # before _build_parser imports the numerical modules
+        _apply_thread_cap()  # before the first _build_parser imports the numerical modules
         _build_parser().parse_args(argv, namespace=args)
         code, result, tolerances = _HANDLERS[args.command](args)
         from .io import canonical_report_json

@@ -15,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .bilinear import schmidt_decompose
+from .bilinear import _check_tol, schmidt_decompose
 from .state import StateTensor, Subsystem, norm
 
 __all__ = ["DegreeResult", "degree_bipartite", "degree_multipartite"]
@@ -103,16 +103,17 @@ def degree_multipartite(
     """Degree over n-fold product states via alternating power iterations.
 
     Runs ``restarts`` (>= 1) seeded random starts, each swept until the
-    overlap gain drops below ``tol`` or ``max_iters`` (>= 1) sweeps pass, and
-    keeps the best.  The overlap is monotonically nondecreasing within a run,
-    so the result is a certified lower bound on the true maximum overlap
-    (hence an upper bound on the degree).
+    overlap gain drops below ``tol`` (finite, >= 0) or ``max_iters`` (>= 1)
+    sweeps pass, and keeps the best.  The overlap is monotonically
+    nondecreasing within a run, so the result is a certified lower bound on
+    the true maximum overlap (hence an upper bound on the degree).
     """
     _require_unit(v)
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
     if max_iters < 1:
         raise ValueError(f"need at least one sweep, got max_iters={max_iters}")
+    _check_tol(tol)
     rng = np.random.default_rng(seed)
 
     best_overlap = -1.0

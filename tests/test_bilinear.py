@@ -98,7 +98,7 @@ class TestOneRankRule:
         schmidt_decompose(paper_state("hardy3"), 0)
         assert calls == [{"full_matrices": False}]  # no larger than the unfolding
 
-    @pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan"), True, "0.1", 1j])
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan"), True, "0.1", 1j, float("inf")])
     def test_bad_tol_refused(self, tol):
         v = paper_state("spin1_two_term")
         with pytest.raises(ValueError, match="tol must be a number >= 0"):

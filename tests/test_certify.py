@@ -122,7 +122,7 @@ class TestCyclicity:
         assert res.passed and res.report.tied
         assert not cyclicity_test(corpus["bohm"], 0, tol=0.2).report.tied
 
-    @pytest.mark.parametrize("tol", [-1.0, float("nan"), False, "0"])
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), False, "0", float("inf")])
     def test_bad_tol_refused(self, corpus, tol):
         with pytest.raises(ValueError, match="tol must be a number >= 0"):
             cyclicity_test(corpus["spin1_two_term"], 0, tol)
@@ -229,7 +229,7 @@ class TestWindows:
         cert = window_certificate(corpus["spin1_two_term"], cube_window((3, 3), 0, 3))
         assert not cert.passed and (cert.rank, cert.size) == (2, 3)
 
-    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
     def test_bad_tol_refused_on_both_routes(self, corpus, tol):
         structural = (corpus["bohm"], cube_window((2, 2), 0, 2))
         dense = (corpus["spin1_two_term"], cube_window((3, 3), 0, 3))

@@ -455,7 +455,7 @@ class TestRepair:
         with pytest.raises(ValueError):
             repair_bipartite(make_state((2, 2), {(0, 0): 1.0}), subsystem=(0, 1))
 
-    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
     def test_bad_tol_refused(self, corpus, tol):
         with pytest.raises(ValueError, match="tol must be a number >= 0"):
             repair_bipartite(corpus["spin1_two_term"], tol=tol)

@@ -113,6 +113,18 @@ class TestMultipartite:
         got = abs(np.vdot(w, dense_tensor(corpus["ghz"])))
         assert got == pytest.approx(res.overlap, abs=1e-10)
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), math.inf, None])
+    def test_tol_checked_before_any_sweep(self, corpus, monkeypatch, tol):
+        from hyperstate import degree
+
+        monkeypatch.setattr(degree, "_als_sweep", lambda *a: pytest.fail("swept"))
+        with pytest.raises(ValueError, match="tol must be a number >= 0"):
+            degree_multipartite(corpus["ghz"], tol=tol)
+
+    def test_zero_tol_is_valid(self, corpus):
+        res = degree_multipartite(corpus["ghz"], restarts=2, tol=0, max_iters=3)
+        assert res.sweeps <= 3 and 0.0 <= res.value <= 1.0
+
     def test_result_bookkeeping(self, corpus):
         res = degree_multipartite(corpus["ghz"], restarts=3, seed=9)
         assert res.restarts_used == 3

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -5,6 +6,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -33,6 +35,13 @@ def run(capsys, *argv):
     code = run_cli(list(argv))
     out = capsys.readouterr().out
     return code, (json.loads(out) if out else None)
+
+
+def masked_run(capsys, argv):
+    """Exit code, stdout with the timing masked, and stderr of one in-process call."""
+    code = run_cli(list(argv))
+    captured = capsys.readouterr()
+    return code, TIMING_LINE.sub(r'\1"MASKED"\2', captured.out), captured.err
 
 
 @pytest.fixture(scope="module")
@@ -480,7 +489,7 @@ class TestCliAnalysis:
         assert rep["result"]["warning"] is True
         assert rep["result"]["achieved"] == pytest.approx(0.36, abs=1e-12)
 
-    @pytest.mark.parametrize("tol", ["-1", "nan", "-0.5e-300"])
+    @pytest.mark.parametrize("tol", ["-1", "nan", "-0.5e-300", "inf"])
     @pytest.mark.parametrize(
         "argv",
         [
@@ -540,6 +549,16 @@ class TestCliAnalysis:
             rep = json.loads(captured.out)
             assert set(rep) == {"argv", "command", "error", "timing_ms"}
             assert "max_iters" in rep["error"]
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_degree_tol_checked_before_any_sweep(self, capsys, monkeypatch, tol):
+        from hyperstate import degree
+
+        monkeypatch.setattr(degree, "_als_sweep", lambda *a: pytest.fail("swept"))
+        code, rep = run(capsys, "degree", "--paper", "hardy3", f"--tol={tol}")
+        assert code == 2
+        assert set(rep) == {"argv", "command", "error", "timing_ms"}
+        assert rep["error"] == f"tol must be a number >= 0, got {float(tol)!r}"
 
 
 class TestCliContract:
@@ -657,3 +676,80 @@ class TestCliContract:
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["result"]["overall"] == "hyperentangled"
+
+
+class TestParserReuse:
+    """The parser is built by the first ``run_cli`` call and reused after it."""
+
+    def test_built_once(self, capsys, monkeypatch):
+        argvs = (
+            ["schmidt", "--paper", "hardy3", "--split", "0|1,2"],
+            ["construct", "method1", "--n", "5", "--bounds", "2,2,2", "--out", "x.json"],
+            ["certify", "--state", "x.json", "--paper", "bohm"],
+            ["--help"],
+            ["degree", "--help"],
+        )
+        monkeypatch.setenv("COLUMNS", "100")
+        before = [masked_run(capsys, argv) for argv in argvs]
+        assert [code for code, _, _ in before] == [0, 2, 2, 0, 0]
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("the parser was built again")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", refuse)
+        assert [masked_run(capsys, argv) for argv in argvs] == before
+
+    def test_order_does_not_matter(self, capsys, monkeypatch):
+        argvs = (
+            ["certify", "--paper", "bohm"],
+            ["certify", "--paper", "nope"],
+            [],
+            ["schmidt", "--paper", "ghz", "--frob"],
+            ["--help"],
+        )
+        monkeypatch.setenv("COLUMNS", "100")
+        forwards = [masked_run(capsys, argv) for argv in argvs]
+        backwards = [masked_run(capsys, argv) for argv in reversed(argvs)]
+        assert forwards == backwards[::-1]
+        assert [code for code, _, _ in forwards] == [0, 2, 2, 2, 0]
+        for argv, (code, out, err) in zip(argvs, forwards):
+            proc = subprocess.run(
+                [sys.executable, "-m", "hyperstate", *argv],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "COLUMNS": "100"},
+            )
+            fresh = (proc.returncode, TIMING_LINE.sub(r'\1"MASKED"\2', proc.stdout), proc.stderr)
+            assert fresh == (code, out, err)
+
+    def test_failed_first_call_caches_nothing(self):
+        script = textwrap.dedent(
+            """
+            import contextlib, io, json, os, sys
+            from hyperstate.cli import run_cli
+
+            def call():
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf):
+                    code = run_cli(["certify", "--paper", "bohm"])
+                return code, json.loads(buf.getvalue())
+
+            os.environ["HYPERSTATE_THREADS"] = "0"
+            first = call()
+            numpy_loaded = "numpy" in sys.modules
+            os.environ["HYPERSTATE_THREADS"] = "1"
+            print(json.dumps([first, numpy_loaded, call()]))
+            """
+        )
+        env = {k: v for k, v in os.environ.items() if k != "HYPERSTATE_THREADS"}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        (code1, rep1), numpy_loaded, (code2, rep2) = json.loads(proc.stdout)
+        assert code1 == 2
+        assert set(rep1) == {"argv", "command", "error", "timing_ms"}
+        assert "HYPERSTATE_THREADS" in rep1["error"]
+        assert not numpy_loaded  # nothing past the thread cap ran
+        assert code2 == 0
+        assert rep2["result"]["overall"] == "hyperentangled"
