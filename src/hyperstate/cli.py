@@ -359,8 +359,12 @@ def _cmd_witness(args: argparse.Namespace) -> tuple[int, dict, dict]:
 
 
 def _cmd_degree(args: argparse.Namespace) -> tuple[int, dict, dict]:
-    from .degree import degree_bipartite, degree_multipartite
+    from .bilinear import _check_tol
+    from .degree import _check_seed, degree_bipartite, degree_multipartite
 
+    # Both routes echo --tol and --seed, so both refuse bad ones.
+    _check_tol(args.tol)
+    _check_seed(args.seed)
     v = _load_source(args)
     if args.split is not None:
         part = _parse_split(args.split, v.nfactors)

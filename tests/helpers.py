@@ -7,7 +7,9 @@ import itertools
 
 import numpy as np
 
-from hyperstate import StateTensor, make_state, rank_tolerance
+from hyperstate import DegreeResult, StateTensor, make_state, rank_tolerance
+from hyperstate.bilinear import _check_tol
+from hyperstate.degree import _require_unit
 
 
 def dense_tensor(v: StateTensor) -> np.ndarray:
@@ -180,3 +182,81 @@ def state_document(v: StateTensor) -> dict:
         ],
         "metadata": v.metadata,
     }
+
+
+# The sequential restart loop that degree_multipartite ran before restarts
+# were swept in blocks, kept verbatim apart from the names: the batched
+# kernel must reproduce it bit for bit.
+def loop_als_sweep(
+    v: StateTensor, factors: list[np.ndarray]
+) -> tuple[list[np.ndarray], float]:
+    """One round of factor updates; returns the new overlap |<w, v>|."""
+    overlap = 0.0
+    for k in range(v.nfactors):
+        re, im = v.amplitudes.real, v.amplitudes.imag
+        for l in range(v.nfactors):
+            if l != k:  # times conj(factor), by components to round as scalar products do
+                f = factors[l][v.indices[:, l]]
+                re, im = re * f.real + im * f.imag, im * f.real - re * f.imag
+        g = np.zeros(v.dims[k], dtype=np.complex128)
+        np.add.at(g.real, v.indices[:, k], re)
+        np.add.at(g.imag, v.indices[:, k], im)
+        ng = float(np.linalg.norm(g))
+        if ng == 0.0:
+            continue  # keep the previous factor; the next sweep moves on
+        factors[k] = g / ng
+        overlap = ng
+    return factors, overlap
+
+
+def loop_degree_multipartite(
+    v: StateTensor,
+    restarts: int = 16,
+    tol: float = 1e-10,
+    max_iters: int = 500,
+    seed: int = 0,
+) -> DegreeResult:
+    _require_unit(v)
+    if restarts < 1:
+        raise ValueError(f"need at least one restart, got {restarts}")
+    if max_iters < 1:
+        raise ValueError(f"need at least one sweep, got max_iters={max_iters}")
+    _check_tol(tol)
+    rng = np.random.default_rng(seed)
+
+    best_overlap = -1.0
+    best_factors: list[np.ndarray] | None = None
+    best_converged = False
+    best_sweeps = 0
+    for _ in range(restarts):
+        factors = []
+        for d in v.dims:
+            x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            factors.append(x / np.linalg.norm(x))
+        overlap = 0.0
+        converged = False
+        sweeps = 0
+        for sweeps in range(1, max_iters + 1):
+            factors, new_overlap = loop_als_sweep(v, factors)
+            if abs(new_overlap - overlap) <= tol * max(1.0, new_overlap):
+                overlap = new_overlap
+                converged = True
+                break
+            overlap = new_overlap
+        if overlap > best_overlap:
+            best_overlap = overlap
+            best_factors = [f.copy() for f in factors]
+            best_converged = converged
+            best_sweeps = sweeps
+
+    assert best_factors is not None
+    for f in best_factors:
+        f.flags.writeable = False
+    return DegreeResult(
+        value=max(0.0, 1.0 - best_overlap),
+        overlap=best_overlap,
+        best_product=tuple(best_factors),
+        converged=best_converged,
+        restarts_used=restarts,
+        sweeps=best_sweeps,
+    )

@@ -5,7 +5,8 @@ values mixed in: NaN and infinities, 5000-digit integers, empty strings, a
 NUL byte, flags with their value left out or given twice, and malformed
 ``--split`` strings.  Whatever the argv, ``run_cli`` must print one JSON
 report on stdout, exit 0, 1 or 2 and leave stderr empty, with no warning
-raised on the way.  Every numeric value that sets an amount of work is
+raised on the way; a ``degree`` report that exits 0 echoes a finite
+``tol`` >= 0 and a ``seed`` >= 0.  Every numeric value that sets an amount of work is
 capped (at most 3 restarts, 5 sweeps, method1 bounds of 6 and 2 stages), so
 no draw runs long.  ``--help`` and ``HYPERSTATE_THREADS`` are never drawn.
 """
@@ -13,12 +14,13 @@ no draw runs long.  ``--help`` and ``HYPERSTATE_THREADS`` are never drawn.
 import contextlib
 import io
 import json
+import math
 import os
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperstate import (
@@ -186,6 +188,9 @@ def workdir(tmp_path_factory):
 
 @settings(max_examples=300)
 @given(argv=argvs())
+# Rare in the 300 draws: the bipartite route with a value it does not use.
+@example(argv=["degree", "--paper", "bohm", "--split", "0", "--tol", "-1"])
+@example(argv=["degree", "--state", "ghz.json", "--split", "0", "--seed", "-1"])
 def test_every_argv_gives_one_json_report(workdir, argv):
     assert "--help" not in argv and "-h" not in argv
     out, err = io.StringIO(), io.StringIO()
@@ -199,3 +204,6 @@ def test_every_argv_gives_one_json_report(workdir, argv):
     report = json.loads(out.getvalue())
     assert report["argv"] == argv
     assert ("error" in report) == (code == 2)
+    if code == 0 and report["command"] == "degree":  # both routes echo what they were given
+        tol, seed = report["tolerances"]["tol"], report["tolerances"]["seed"]
+        assert math.isfinite(tol) and tol >= 0 and seed >= 0

@@ -560,6 +560,23 @@ class TestCliAnalysis:
         assert set(rep) == {"argv", "command", "error", "timing_ms"}
         assert rep["error"] == f"tol must be a number >= 0, got {float(tol)!r}"
 
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_degree_split_checks_tol_before_any_decomposition(self, capsys, monkeypatch, tol):
+        # the bipartite route never reads --tol, but its report echoes it
+        from hyperstate import degree
+
+        monkeypatch.setattr(degree, "schmidt_decompose", lambda *a: pytest.fail("decomposed"))
+        code, rep = run(capsys, "degree", "--paper", "bohm", "--split", "0", f"--tol={tol}")
+        assert code == 2
+        assert rep["error"] == f"tol must be a number >= 0, got {float(tol)!r}"
+
+    @pytest.mark.parametrize("route", [[], ["--split", "0"]])
+    def test_degree_negative_seed_names_the_seed(self, capsys, route):
+        code, rep = run(capsys, "degree", "--paper", "bohm", "--seed", "-1", *route)
+        assert code == 2
+        assert set(rep) == {"argv", "command", "error", "timing_ms"}
+        assert "seed" in rep["error"]
+
 
 class TestCliContract:
     def test_error_report_shape(self, capsys):
