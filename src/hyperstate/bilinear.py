@@ -2,8 +2,9 @@
 
 Everything here is dense linear algebra on the coefficient matrix of a state
 for a split (S | S'): unfolding, Schmidt decomposition and reduced density
-operators.  The unfolding is one scatter of the state's entry arrays into a
-dense matrix; it and the reduced density are refused beyond ``DENSE_BUDGET``
+operators.  :func:`unfold` scatters the state's entry arrays into that matrix
+and returns it as a plain complex128 array, which each caller builds once and
+passes along; it and the reduced density are refused beyond ``DENSE_BUDGET``
 bytes, and large truncated constructions are probed through slice windows.
 Every rank decision counts the values of a spectrum strictly above one cutoff,
 ``tol`` (finite, >= 0) or :func:`rank_tolerance`: ``_rank_report`` applies it
@@ -24,7 +25,6 @@ from .state import StateTensor, Subsystem, _check_dense, _positions
 __all__ = [
     "RANK_SAFETY",
     "RankReport",
-    "UnfoldingMatrix",
     "SchmidtDecomposition",
     "DensityMatrix",
     "rank_tolerance",
@@ -92,52 +92,32 @@ def _rank_report(spectrum: np.ndarray, side: int, tol: float | None = None) -> R
     )
 
 
-def numerical_rank(
-    matrix: "np.ndarray | UnfoldingMatrix", tol: float | None = None
-) -> RankReport:
+def numerical_rank(matrix: np.ndarray, tol: float | None = None) -> RankReport:
     """The rank rule on the singular values of ``matrix``."""
-    m = matrix.matrix if isinstance(matrix, UnfoldingMatrix) else np.asarray(matrix)
+    m = np.asarray(matrix)
     if m.ndim != 2:
         raise ValueError(f"need a matrix, got shape {m.shape}")
     sigma = np.linalg.svd(m, compute_uv=False) if m.size else np.zeros(0)
     return _rank_report(sigma, max(m.shape), tol)
 
 
-@dataclass(frozen=True)
-class UnfoldingMatrix:
-    """Coefficient matrix of ``v`` for the split (S | S').
+def unfold(v: StateTensor, subsystem: Subsystem | int | Iterable[int]) -> np.ndarray:
+    """Dense complex128 coefficient matrix of ``v`` for the split (S | S').
 
-    ``matrix[j, i]`` is the amplitude of (S-basis ``i``) tensor (S'-basis
-    ``j``); rows run over the complement's product basis, columns over the
+    ``m[j, i]`` is the amplitude of (S-basis ``i``) tensor (S'-basis ``j``):
+    rows run over the complement's product basis, columns over the
     subsystem's, both raveled in C order over increasing factor position.
-    """
-
-    matrix: np.ndarray
-    subsystem: Subsystem
-    part_dims: tuple[int, ...]
-    complement_dims: tuple[int, ...]
-
-    @property
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self.matrix))
-
-
-def unfold(v: StateTensor, subsystem: Subsystem | int | Iterable[int]) -> UnfoldingMatrix:
-    """Dense coefficient matrix of ``v`` over the given split.
-
     The Frobenius norm of the result equals the state norm exactly: unfolding
     is a rearrangement, not arithmetic.  Refused beyond ``DENSE_BUDGET`` bytes.
     """
     part = Subsystem.coerce(subsystem)
     comp = part.complement(v.nfactors)
-    part_dims = tuple(v.dims[k] for k in part)
-    comp_dims = tuple(v.dims[k] for k in comp)
-    shape = (math.prod(comp_dims), math.prod(part_dims))
+    shape = (math.prod(v.dims[k] for k in comp), math.prod(v.dims[k] for k in part))
     _check_dense(*shape)
-    matrix = np.zeros(shape, dtype=np.complex128)
+    m = np.zeros(shape, dtype=np.complex128)
     rows, cols = (_positions(v.indices, v.dims, s) for s in (comp, part))
-    matrix[rows, cols] = v.amplitudes
-    return UnfoldingMatrix(matrix, part, part_dims, comp_dims)
+    m[rows, cols] = v.amplitudes
+    return m
 
 
 @dataclass(frozen=True)
@@ -156,8 +136,6 @@ class SchmidtDecomposition:
     right_vectors: np.ndarray
     rank: int
     rank_report: RankReport
-    part_dims: tuple[int, ...]
-    complement_dims: tuple[int, ...]
 
 
 def schmidt_decompose(
@@ -167,21 +145,19 @@ def schmidt_decompose(
 ) -> SchmidtDecomposition:
     """Full Schmidt decomposition from one reduced SVD of the unfolding; its
     ``rank_report`` is the rank rule on ``coeffs``, cut by ``tol`` if given."""
-    unf = unfold(v, subsystem)
-    m = unf.matrix
+    part = Subsystem.coerce(subsystem)
+    m = unfold(v, part)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     for arr in (u, s, vh):
         arr.flags.writeable = False
     report = _rank_report(s, max(m.shape), tol)
     return SchmidtDecomposition(
-        subsystem=unf.subsystem,
+        subsystem=part,
         coeffs=s,
         left_vectors=vh,
         right_vectors=u.T,
         rank=report.rank,
         rank_report=report,
-        part_dims=unf.part_dims,
-        complement_dims=unf.complement_dims,
     )
 
 
@@ -200,7 +176,7 @@ class DensityMatrix:
 def reduced_density(v: StateTensor, subsystem: Subsystem | int | Iterable[int]) -> DensityMatrix:
     """Partial trace onto ``subsystem``, computed as M M+ on the kept side."""
     part = Subsystem.coerce(subsystem)
-    kept_rows = unfold(v, part.complement(v.nfactors)).matrix  # checks the subsystem
+    kept_rows = unfold(v, part.complement(v.nfactors))  # checks the subsystem
     _check_dense(kept_rows.shape[0], kept_rows.shape[0])
     rho = kept_rows @ kept_rows.conj().T
     rho = (rho + rho.conj().T) / 2.0

@@ -150,8 +150,6 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         values = [int(tok) for tok in text.split(",")]
     except ValueError:
         raise ValueError(f"{flag} must be a comma-separated integer list, got {text!r}")
-    if not values:
-        raise ValueError(f"{flag} must not be empty")
     return values
 
 
@@ -160,7 +158,7 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
         values = [float(tok) for tok in text.split(",")]
     except ValueError:
         raise ValueError(f"{flag} must be a comma-separated number list, got {text!r}")
-    if not values or not all(math.isfinite(x) for x in values):
+    if not all(math.isfinite(x) for x in values):
         raise ValueError(f"{flag} must be a list of finite numbers, got {text!r}")
     return values
 
@@ -241,6 +239,7 @@ def _cmd_construct(args: argparse.Namespace) -> tuple[int, dict, dict]:
 
 def _cmd_certify(args: argparse.Namespace) -> tuple[int, dict, dict]:
     from .certify import (
+        HYPERENTANGLED,
         cube_window,
         dimension_gate,
         hyperentanglement_test,
@@ -291,7 +290,7 @@ def _cmd_certify(args: argparse.Namespace) -> tuple[int, dict, dict]:
                     }
                 )
 
-    positive = overall == "hyperentangled" or (
+    positive = overall == HYPERENTANGLED or (
         v.truncated_from_infinite
         and windows is not None
         and all(w["passed"] for w in windows)

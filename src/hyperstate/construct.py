@@ -224,6 +224,12 @@ class ExtensionParams:
             raise ValueError(f"need p >= m**2, got p={self.p}, m={self.m}")
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        appended = 3 * (self.p * self.p - self.m * self.m)  # p > m, so never zero
+        if math.sqrt(self.epsilon / appended) <= DROP_THRESHOLD:
+            raise ValueError(
+                f"epsilon {self.epsilon} is too small: its {appended} appended amplitudes "
+                f"sqrt(epsilon / {appended}) would be at most {DROP_THRESHOLD} and dropped"
+            )
 
     @property
     def p_prime(self) -> int:
@@ -414,7 +420,7 @@ def repair_bipartite(
     )
 
     # Distance guarantee, checked on the dense coefficient matrices.
-    dist = float(np.linalg.norm(unfold(out, 0).matrix - unfold(v, 0).matrix))
+    dist = float(np.linalg.norm(unfold(out, 0) - unfold(v, 0)))
     if dist > delta:
         raise RuntimeError(f"repair moved {dist}, beyond delta={delta}")
     return out

@@ -95,7 +95,11 @@ def conditional_probability(v: StateTensor, p: Projector, p_prime: Projector) ->
     (below ``ZERO_EVENT_TOL`` relative to the squared norm).
     """
     _check_split(v, p, p_prime)
-    m = unfold(v, p.subsystem).matrix  # rows: complement, cols: subsystem
+    return _conditional(unfold(v, p.subsystem), p, p_prime)
+
+
+def _conditional(m: np.ndarray, p: Projector, p_prime: Projector) -> float:
+    """:func:`conditional_probability` on the unfolding ``m`` of a checked split."""
     side = m @ p.basis.conj().T  # restrict the S side to range(P)
     marginal = float(np.linalg.norm(side) ** 2)
     total = float(np.linalg.norm(m) ** 2)
@@ -128,9 +132,8 @@ def steering_operator(
     vector of H_S.  The slices come from :func:`unfold`, so a slice matrix
     beyond ``DENSE_BUDGET`` bytes is refused.
     """
-    unf = unfold(v, subsystem)
-    part = unf.subsystem
-    slices = unf.matrix  # (n_keys, dim_S)
+    part = Subsystem.coerce(subsystem)
+    slices = unfold(v, part)  # (n_keys, dim_S)
     n_keys, dim_s = slices.shape
 
     phi = np.asarray(target, dtype=np.complex128).reshape(-1)
@@ -220,7 +223,7 @@ def correlation_witness(query: CorrelationQuery) -> WitnessResult:
             f"P' acts on {pp.subsystem.indices}, expected complement {comp.indices}"
         )
 
-    m = unfold(v, part).matrix  # rows: complement, cols: subsystem
+    m = unfold(v, part)  # rows: complement, cols: subsystem
     if pp.dim != m.shape[0]:
         raise ValueError(
             f"P' dimension {pp.dim} does not match complement dimension {m.shape[0]}"
@@ -244,7 +247,7 @@ def correlation_witness(query: CorrelationQuery) -> WitnessResult:
     direction = np.conj(x) / nx
     p = Projector(subsystem=part, basis=direction[None, :])
 
-    achieved = conditional_probability(v, p, pp)
+    achieved = _conditional(m, p, pp)  # the split is checked above
     warning = int(rank) < m.shape[0] or achieved < 1.0 - query.epsilon
     w.flags.writeable = False
     return WitnessResult(projector=p, achieved=achieved, warning=warning, target=w)

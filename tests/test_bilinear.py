@@ -80,7 +80,7 @@ class TestOneRankRule:
             for sel in itertools.combinations(range(v.nfactors), nsel):
                 sd = schmidt_decompose(v, sel)
                 c, rep = sd.coeffs, sd.rank_report
-                side = max(math.prod(sd.part_dims), math.prod(sd.complement_dims))
+                side = max(sd.left_vectors.shape[1], sd.right_vectors.shape[1])
                 assert rep.threshold == rank_tolerance(side, c[0])
                 assert rep.rank == sd.rank == int(np.count_nonzero(c > rep.threshold))
                 assert rep.min_kept == (c[sd.rank - 1] if sd.rank else 0.0)
@@ -115,16 +115,16 @@ class TestOneRankRule:
 class TestUnfold:
     def test_frozen_matrices(self):
         bohm = make_state((2, 2), {(0, 1): R2, (1, 0): R2})
-        np.testing.assert_allclose(unfold(bohm, 0).matrix, [[0, R2], [R2, 0]])
+        np.testing.assert_allclose(unfold(bohm, 0), [[0, R2], [R2, 0]])
         hardy2 = make_state((2, 2), {(0, 1): R3, (1, 0): R3, (1, 1): R3})
-        np.testing.assert_allclose(unfold(hardy2, 0).matrix, [[0, R3], [R3, R3]])
+        np.testing.assert_allclose(unfold(hardy2, 0), [[0, R3], [R3, R3]])
         ghz = make_state((2, 2, 2), {(0, 0, 0): R2, (1, 1, 1): R2})
         u = unfold(ghz, (0,))
-        assert u.matrix.shape == (4, 2)  # rows over factors (1, 2)
-        np.testing.assert_allclose(u.matrix, [[R2, 0], [0, 0], [0, 0], [0, R2]])
+        assert u.shape == (4, 2)  # rows over factors (1, 2)
+        np.testing.assert_allclose(u, [[R2, 0], [0, 0], [0, 0], [0, R2]])
         u = unfold(ghz, (0, 1))
-        assert u.matrix.shape == (2, 4)
-        np.testing.assert_allclose(u.matrix, [[R2, 0, 0, 0], [0, 0, 0, R2]])
+        assert u.shape == (2, 4)
+        np.testing.assert_allclose(u, [[R2, 0, 0, 0], [0, 0, 0, R2]])
 
     def test_matrix_layout_matches_dense_reshape(self):
         rng = np.random.default_rng(5)
@@ -132,27 +132,28 @@ class TestUnfold:
         t = dense_tensor(v)
         # split S=(1,): columns over factor 1, rows over factors (0, 2)
         u = unfold(v, (1,))
+        assert type(u) is np.ndarray and u.dtype == np.complex128 and u.flags.c_contiguous
         expect = np.transpose(t, (0, 2, 1)).reshape(4, 3)
-        np.testing.assert_allclose(u.matrix, expect)
+        np.testing.assert_array_equal(u, expect)
 
     @given(st.integers(0, 2 ** 31 - 1))
     def test_frobenius_equals_norm_exactly(self, seed):
         v = random_state(np.random.default_rng(seed), (2, 3, 2))
         for sel in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2)):
             u = unfold(v, sel)
-            assert u.frobenius == pytest.approx(norm(v), rel=0, abs=1e-14)
+            assert float(np.linalg.norm(u)) == pytest.approx(norm(v), rel=0, abs=1e-14)
 
     def test_dense_budget(self):
         # a 2 x 2**21 complex unfolding is exactly the budget; one column more is not
         assert 2 * 2**21 * 16 == DENSE_BUDGET
         v = make_state((2, 2**21), {(0, 0): 1.0, (1, 2**21 - 1): 1.0})
-        assert unfold(v, 1).matrix.shape == (2, 2**21)
+        assert unfold(v, 1).shape == (2, 2**21)
         v = make_state((2, 2**21 + 1), {(0, 0): 1.0, (1, 2**21): 1.0})
         with pytest.raises(ValueError, match="2x2097153.*budget"):
             unfold(v, 1)
         # above the old cap of 4096 total dims, far inside the budget
         v = make_state((2,) * 13, {(0,) * 13: 1.0})
-        assert unfold(v, 0).matrix.shape == (4096, 2)
+        assert unfold(v, 0).shape == (4096, 2)
 
     def test_reduced_density_checked_before_the_product(self):
         # the 4096 x 2 unfolding fits, its 4096 x 4096 density (256 MiB) does not
@@ -193,8 +194,8 @@ class TestSchmidt:
         rng = np.random.default_rng(11)
         v = random_state(rng, (2, 2, 3))
         sd = schmidt_decompose(v, (0, 1))
-        assert sd.part_dims == (2, 2)
-        assert sd.complement_dims == (3,)
+        assert sd.left_vectors.shape[1] == 2 * 2  # H_S over factors (0, 1)
+        assert sd.right_vectors.shape[1] == 3
         assert sd.coeffs.size == 3
         assert math.fsum(float(c) ** 2 for c in sd.coeffs) == pytest.approx(1.0)
 

@@ -292,6 +292,13 @@ class TestMethod2:
             ExtensionParams(2, 1, 0.0)
         with pytest.raises(ValueError):
             ExtensionParams(2, 1, float("inf"))
+        # epsilon / 9 underflows to 0, so every appended amplitude would be dropped
+        for eps in (5e-324, 1e-323):
+            with pytest.raises(ValueError, match=r"^epsilon .* too small"):
+                ExtensionParams(2, 1, eps)
+            with pytest.raises(ValueError, match=r"^epsilon .* too small"):
+                method2_build(2, (0.01, eps))  # refused before stage 1 is built
+        assert method2_build(1, (1e-320,)).nnz == 10
 
     def test_single_stage_layout(self):
         eps = 0.01
@@ -316,6 +323,8 @@ class TestMethod2:
             method2_extend(bad_seed, ExtensionParams(2, 1, 0.01))
         with pytest.raises(ValueError, match="dims"):
             method2_extend(default_seed(), ExtensionParams(5, 2, 0.01))
+        with pytest.raises(ValueError, match="^extension is defined for 3 factors, got 2$"):
+            method2_extend(make_state((2, 2), {(0, 0): 1.0}), ExtensionParams(2, 1, 0.01))
 
     def test_build_two_stages(self):
         v = method2_build(2, (0.01, 0.005))

@@ -221,6 +221,20 @@ class TestProjectorFiles:
         with pytest.raises(StateFileError, match="length"):
             load_projector(path)
 
+    @pytest.mark.parametrize("doc, problem", [
+        ([1], "top level must be a JSON object"),
+        (
+            {"format_version": "1.0", "subsystem": [1], "vectors": [5]},
+            "vectors[0]: must be an object with 're' and 'im' lists",
+        ),
+    ])
+    def test_shape_messages(self, tmp_path, doc, problem):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(StateFileError) as info:
+            load_projector(path)
+        assert str(info.value) == f"{path}: {problem}"
+
 
 class TestNonFiniteJson:
     """NaN/Infinity are not JSON: loaders cite the field, savers refuse them."""
@@ -529,6 +543,18 @@ class TestCliAnalysis:
         )
         assert code == 2
         assert "2**63" in rep["error"]
+
+    @pytest.mark.parametrize("eps, message", [
+        ("0.01,x", "--eps must be a comma-separated number list, got '0.01,x'"),
+        ("0.01,nan", "--eps must be a list of finite numbers, got '0.01,nan'"),
+        ("0.01,1e-323", "epsilon 1e-323 is too small"),  # stage 2: epsilon / 63 underflows to 0
+    ])
+    def test_bad_eps_exits_two(self, capsys, tmp_path, eps, message):
+        out = tmp_path / "m2.json"
+        code, rep = run(capsys, "construct", "method2", "--stages", "2", "--eps", eps, "--out", str(out))
+        assert code == 2
+        assert rep["error"].startswith(message)
+        assert not out.exists()
 
     def test_degree_routes(self, capsys):
         code, rep = run(capsys, "degree", "--paper", "bohm", "--split", "0")

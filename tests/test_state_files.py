@@ -144,6 +144,13 @@ class TestLoaderMessages:
             (lambda e: e["index"].__setitem__(1, 64), "index (46, 64) out of range for dims (64, 64)"),
             (lambda e: e.__setitem__("im", 10**400), "field 'im' must be finite"),
             (lambda e: e.__setitem__("re", "nan"), "field 're' must be finite"),  # hex still valid
+            (lambda e: e.__setitem__("re_hex", 5), "field 're_hex' must be a hex-float string"),
+            (lambda e: e.__setitem__("re_hex", "zz"), "field 're_hex' is not a hex float: 'zz'"),
+            pytest.param(
+                lambda e: e.__setitem__("re_hex", "0x1p5000"),
+                "field 're' must be finite",
+                id="re_hex-overflow",
+            ),
         ],
     )
     def test_one_bad_entry_among_many(self, tmp_path, edit, problem):
@@ -154,6 +161,22 @@ class TestLoaderMessages:
         with pytest.raises(StateFileError) as info:
             load_state(path)
         assert str(info.value) == f"{path}: entries[3000]: {problem}"
+
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [
+            ("truncated_from_infinite", "yes", "field 'truncated_from_infinite' must be a boolean"),
+            ("metadata", [], "field 'metadata' must be an object"),
+        ],
+    )
+    def test_bad_document_field(self, tmp_path, field, value, problem):
+        doc = self.big_document()
+        doc[field] = value
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(StateFileError) as info:
+            load_state(path)
+        assert str(info.value) == f"{path}: {problem}"
 
     @pytest.mark.parametrize("flavour", ["hex", "decimal_only", "numbers"])
     def test_valid_files_load_by_column(self, tmp_path, monkeypatch, flavour):

@@ -232,3 +232,31 @@ class TestCorrelationWitness:
         pp = rank1((1, 2), rand_unit(np.random.default_rng(2), 3))
         with pytest.raises(ValueError, match="dimension"):
             correlation_witness(CorrelationQuery(state=ghz, subsystem=(0,), p_prime=pp))
+        pp = rank1(1, rand_unit(np.random.default_rng(2), 3))
+        with pytest.raises(ValueError, match="^P' dimension 3 does not match complement dimension 2$"):
+            correlation_witness(CorrelationQuery(state=corpus["bohm"], subsystem=(0,), p_prime=pp))
+
+    def test_achieved_is_conditional_probability_exactly(self, corpus):
+        rng = np.random.default_rng(17)
+        bipartite = [v for v in corpus.values() if v.nfactors == 2]
+        assert len(bipartite) == 4
+        for v in bipartite:
+            for k in range(2):
+                pp = rank1(1 - k, rand_unit(rng, v.dims[1 - k]))
+                res = correlation_witness(CorrelationQuery(state=v, subsystem=(k,), p_prime=pp))
+                assert res.achieved == conditional_probability(v, res.projector, pp)
+
+    def test_one_unfolding_per_witness(self, corpus, monkeypatch):
+        import hyperstate.witness as witness
+
+        calls = []
+        unfold = witness.unfold
+
+        def counting(*args):
+            calls.append(args)
+            return unfold(*args)
+
+        monkeypatch.setattr(witness, "unfold", counting)
+        pp = rank1(1, rand_unit(np.random.default_rng(5), 2))
+        correlation_witness(CorrelationQuery(state=corpus["hardy2"], subsystem=(0,), p_prime=pp))
+        assert len(calls) == 1
