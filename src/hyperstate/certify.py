@@ -21,7 +21,8 @@ Either dense matrix, reduced density or window, is refused beyond ``DENSE_BUDGET
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -85,8 +86,9 @@ class CyclicityResult:
     ``passed`` means the reduced density operator on the complement S' has
     full numerical rank ``full_dim``; ``report`` is the rank rule applied to
     its eigenvalues, with the margins and ``tied`` flag.  On failure
-    ``witness`` holds a unit eigenvector of that operator with eigenvalue <=
-    the threshold, i.e. a direction on S' the state almost annihilates.
+    ``witness`` is a unit eigenvector of that operator with eigenvalue <=
+    the threshold, i.e. a direction on S' the state almost annihilates; it is
+    computed on first access from the density a failing result keeps.
     """
 
     subsystem: Subsystem
@@ -94,7 +96,16 @@ class CyclicityResult:
     min_eigenvalue: float
     full_dim: int
     report: RankReport
-    witness: np.ndarray | None
+    _density: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def witness(self) -> np.ndarray | None:
+        if self._density is None:
+            return None
+        _, vecs = np.linalg.eigh(self._density)
+        witness = vecs[:, 0].copy()  # eigenvector of the smallest eigenvalue
+        witness.flags.writeable = False
+        return witness
 
     @property
     def rank(self) -> int:
@@ -121,18 +132,13 @@ def cyclicity_test(
     eig = rho.eigenvalues  # nonincreasing
     report = _rank_report(eig, eig.size, tol)
     passed = report.rank == eig.size
-    witness = None
-    if not passed:
-        _, vecs = np.linalg.eigh(rho.matrix)
-        witness = vecs[:, 0].copy()  # eigenvector of the smallest eigenvalue
-        witness.flags.writeable = False
     return CyclicityResult(
         subsystem=part,
         passed=passed,
         min_eigenvalue=float(eig[-1]),
         full_dim=eig.size,
         report=report,
-        witness=witness,
+        _density=None if passed else rho.matrix,
     )
 
 

@@ -321,7 +321,7 @@ def _cmd_schmidt(args: argparse.Namespace) -> tuple[int, dict, dict]:
         "dims": list(v.dims),
         "split": {
             "s": list(sd.subsystem.indices),
-            "s_prime": [k for k in range(v.nfactors) if k not in sd.subsystem.indices],
+            "s_prime": list(sd.subsystem.complement(v.nfactors).indices),
         },
         "coeffs": [float(c) for c in sd.coeffs],
         "sum_sq": float(sum(float(c) * float(c) for c in sd.coeffs)),

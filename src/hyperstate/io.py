@@ -80,7 +80,7 @@ def _parse_json(path: Path) -> Any:
     """Read and parse ``path``; non-finite constants are rejected by field."""
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _fail(str(path), f"cannot read file ({exc})") from None
     tokens: list[str] = []
 

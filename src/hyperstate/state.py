@@ -12,7 +12,6 @@ threads.
 from __future__ import annotations
 
 import copy
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -26,7 +25,6 @@ __all__ = [
     "MultiIndex",
     "Subsystem",
     "StateTensor",
-    "SliceFamily",
     "make_state",
     "norm",
     "inner",
@@ -101,7 +99,7 @@ class Subsystem:
 
     def complement(self, nfactors: int) -> "Subsystem":
         self.validate_for(nfactors)
-        rest = tuple(k for k in range(nfactors) if k not in set(self.indices))
+        rest = tuple(k for k in range(nfactors) if k not in self.indices)
         return Subsystem(rest)
 
     def __len__(self) -> int:
@@ -322,72 +320,26 @@ def inner(u: StateTensor, v: StateTensor) -> complex:
     return complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
 
 
-@dataclass(frozen=True)
-class SliceFamily:
-    """The vectors ``{v_j}`` of ``v = sum_j v_j (x) b_j``.
+def slice_family(
+    v: StateTensor, subsystem: Subsystem | int | Iterable[int]
+) -> dict[MultiIndex, np.ndarray]:
+    """The nonzero slices ``{j: v_j}`` of ``v = sum_j v_j (x) b_j`` over ``subsystem``.
 
-    Each slice lives in the kept factors' space (C-order raveled) and is keyed
-    by a multi-index over the complementary factors.  Only nonzero slices are
-    stored; :meth:`vector` synthesizes zeros for the rest.
-    """
-
-    subsystem: Subsystem
-    part_dims: tuple[int, ...]
-    complement: Subsystem
-    complement_dims: tuple[int, ...]
-    nonzero: Mapping[MultiIndex, np.ndarray]
-
-    @property
-    def part_dim(self) -> int:
-        return math.prod(self.part_dims)
-
-    def vector(self, j: Iterable[int]) -> np.ndarray:
-        key = tuple(int(k) for k in j)
-        if len(key) != len(self.complement_dims) or any(
-            k < 0 or k >= d for k, d in zip(key, self.complement_dims)
-        ):
-            raise ValueError(
-                f"slice key {key} out of range for complement dims {self.complement_dims}"
-            )
-        vec = self.nonzero.get(key)
-        if vec is None:
-            vec = np.zeros(self.part_dim, dtype=np.complex128)
-            vec.flags.writeable = False
-        return vec
-
-    def keys(self) -> Iterator[MultiIndex]:
-        """All complement multi-indices, in lexicographic order."""
-        return itertools.product(*(range(d) for d in self.complement_dims))
-
-    def items(self) -> Iterator[tuple[MultiIndex, np.ndarray]]:
-        for key in self.keys():
-            yield key, self.vector(key)
-
-    def matrix(self) -> np.ndarray:
-        """Stack every slice as a row, keys in lexicographic order."""
-        rows = math.prod(self.complement_dims)
-        _check_dense(rows, self.part_dim)
-        out = np.zeros((rows, self.part_dim), dtype=np.complex128)
-        for r, key in enumerate(self.keys()):
-            out[r, :] = self.vector(key)
-        return out
-
-
-def slice_family(v: StateTensor, subsystem: Subsystem | int | Iterable[int]) -> SliceFamily:
-    """Decompose ``v`` into slices over ``subsystem``.
-
-    Reassembling ``sum_j v_j (x) b_j`` reproduces ``v`` entry for entry: slice
-    extraction only moves amplitudes, it never does arithmetic on them.  The
-    block of nonzero slices is refused beyond ``DENSE_BUDGET`` bytes.
+    Each key is a multi-index over the complementary factors whose slice is
+    nonzero; its value is that slice's read-only vector over ``subsystem``,
+    raveled in C order.  Zero slices are absent (:func:`~hyperstate.bilinear.unfold`
+    is the dense view with a row for every key).  Reassembling the sum
+    reproduces ``v`` entry for entry: slice extraction only moves amplitudes,
+    it never does arithmetic on them.  The block of nonzero slices is refused
+    beyond ``DENSE_BUDGET`` bytes.
     """
     part = Subsystem.coerce(subsystem)
     comp = part.complement(v.nfactors)
-    part_dims = tuple(v.dims[k] for k in part)
-    comp_dims = tuple(v.dims[k] for k in comp)
+    part_dim = math.prod(v.dims[k] for k in part)
     keys, rows = np.unique(_positions(v.indices, v.dims, comp), return_inverse=True)
-    _check_dense(keys.size, math.prod(part_dims))
-    block = np.zeros((keys.size, math.prod(part_dims)), dtype=np.complex128)
+    _check_dense(keys.size, part_dim)
+    block = np.zeros((keys.size, part_dim), dtype=np.complex128)
     block[rows, _positions(v.indices, v.dims, part)] = v.amplitudes
     block.flags.writeable = False
-    labels = zip(*(c.tolist() for c in np.unravel_index(keys, comp_dims)))
-    return SliceFamily(part, part_dims, comp, comp_dims, dict(zip(labels, block)))
+    labels = zip(*(c.tolist() for c in np.unravel_index(keys, [v.dims[k] for k in comp])))
+    return dict(zip(labels, block))

@@ -99,6 +99,24 @@ class TestCyclicity:
     def test_witness_absent_on_pass(self, corpus):
         assert cyclicity_test(corpus["bohm"], 0).witness is None
 
+    def test_witness_is_the_eigh_vector(self, corpus):
+        # computed on first access, bit for bit the eigh vector of the density
+        from hyperstate import reduced_density
+
+        failing = []
+        for name, v in dict(corpus, stage2=method2_build(2, STAGE_EPS[:2])).items():
+            for k in range(v.nfactors):
+                res = cyclicity_test(v, k)
+                if res.passed:
+                    continue
+                failing.append(name)
+                rho = reduced_density(v, Subsystem((k,)).complement(v.nfactors)).matrix
+                expect = np.ascontiguousarray(np.linalg.eigh(rho)[1][:, 0])
+                assert np.array_equal(res.witness.view(np.uint64), expect.view(np.uint64))
+                assert res.witness is res.witness and not res.witness.flags.writeable
+                assert "_density" not in repr(res)
+        assert len(failing) == 11 and failing.count("stage2") == 3
+
     def test_explicit_tolerance_semantics(self, corpus):
         assert cyclicity_test(corpus["bohm"], 0, tol=0.4).passed
         assert not cyclicity_test(corpus["bohm"], 0, tol=0.6).passed
@@ -183,6 +201,17 @@ class TestHyperentanglementTest:
         verdict = hyperentanglement_test(corpus["spin1_two_term"])
         assert verdict.feasibility.feasible
         assert verdict.failing == (0, 1)
+
+    def test_no_witness_computed(self, corpus, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        verdicts = {name: hyperentanglement_test(v) for name, v in corpus.items()}
+        verdict = verdicts["spin1_two_term"]
+        assert verdict.failing == (0, 1)
+        with pytest.raises(AssertionError, match="eigh called"):
+            verdict.checks[0].witness
 
     def test_truncated_flag_lifts_gate(self, corpus):
         v = make_state(

@@ -305,6 +305,27 @@ class TestOverlongIntegers:
             load_projector(path)
 
 
+class TestNonUtf8Files:
+    """A file that is not UTF-8 is a file error that names the file."""
+
+    @pytest.fixture
+    def bad(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"dims"\xff: [2, 2]}')
+        return path
+
+    def test_loaders(self, bad):
+        for loader in (load_state, load_projector):
+            with pytest.raises(StateFileError, match=rf"^{re.escape(str(bad))}: .*0xff"):
+                loader(bad)
+
+    def test_cli_exits_two(self, capsys, bad):
+        for argv in (["certify", "--state"], ["witness", "--paper", "bohm", "--pprime-file"]):
+            code, rep = run(capsys, *argv, str(bad))
+            assert code == 2
+            assert rep["error"].startswith(f"{bad}: ")
+
+
 class TestGoldenReports:
     """Reports that depend on the last bits of the arithmetic, pinned byte for byte."""
 

@@ -3,10 +3,10 @@
 A valid state document gets one hostile edit: a non-finite constant, a bool
 posing as an integer, an integer beyond int64, beyond the float range or past
 Python's 4300-digit conversion limit, a ragged, out-of-range or repeated
-index, or dims spanning more than 2**63 positions.  ``load_state`` must raise
-``StateFileError`` and ``certify --state`` must exit 2 with a JSON report and
-a quiet stderr.  Projector documents get the same treatment through
-``load_projector`` and ``witness --pprime-file``.
+index, dims spanning more than 2**63 positions, or a byte that is not UTF-8.
+``load_state`` must raise ``StateFileError`` and ``certify --state`` must
+exit 2 with a JSON report and a quiet stderr.  Projector documents get the
+same treatment through ``load_projector`` and ``witness --pprime-file``.
 """
 
 import contextlib
@@ -50,14 +50,27 @@ def scalar_slots(doc):
     return slots
 
 
+def encode(draw, doc, raw, bad_byte):
+    """UTF-8 JSON of ``doc`` with ``raw`` in the RAW slot; ``bad_byte`` splices in a 0xff."""
+    text = json.dumps(doc)
+    data = (text if raw is None else text.replace(json.dumps(RAW), raw, 1)).encode()
+    if bad_byte:  # no longer UTF-8 at all
+        k = draw(st.integers(0, len(data)))
+        data = data[:k] + b"\xff" + data[k:]
+    return data
+
+
 @st.composite
 def hostile_documents(draw):
-    """JSON text of a valid document with one edit that makes it invalid."""
+    """The bytes of a valid document with one edit that makes it invalid."""
     doc = draw(valid_documents())
     raw = None
     kind = draw(
         st.sampled_from(
-            ["nonfinite", "bool", "huge", "wide", "digits", "ragged", "range", "repeat", "dims"]
+            [
+                "nonfinite", "bool", "huge", "wide", "digits",
+                "ragged", "range", "repeat", "dims", "byte",
+            ]
         )
     )
     entry = draw(st.sampled_from(doc["entries"]))
@@ -98,10 +111,9 @@ def hostile_documents(draw):
         entry["index"][k] = draw(st.sampled_from([-1, doc["dims"][k]]))
     elif kind == "repeat":
         doc["entries"].append(dict(entry, re=0.5))
-    else:  # every dim fits int64, the number of positions does not
+    elif kind == "dims":  # every dim fits int64, the number of positions does not
         doc["dims"] = [2**32] * len(doc["dims"])
-    text = json.dumps(doc)
-    return text if raw is None else text.replace(json.dumps(RAW), raw, 1)
+    return encode(draw, doc, raw, kind == "byte")
 
 
 def assert_cli_refuses(argv, command):
@@ -115,10 +127,10 @@ def assert_cli_refuses(argv, command):
     assert report["command"] == command
 
 
-@given(text=hostile_documents())
-def test_hostile_state_files_are_refused(tmp_path_factory, text):
+@given(data=hostile_documents())
+def test_hostile_state_files_are_refused(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("fuzz") / "state.json"
-    path.write_text(text)
+    path.write_bytes(data)
     with pytest.raises(StateFileError):
         load_state(path)
     assert_cli_refuses(["certify", "--state", str(path)], "certify")
@@ -141,12 +153,15 @@ def projector_documents(draw):
 
 @st.composite
 def hostile_projectors(draw):
-    """JSON text of a valid projector document with one edit that makes it invalid."""
+    """The bytes of a valid projector document with one edit that makes it invalid."""
     doc = draw(projector_documents())
     raw = None
     kind = draw(
         st.sampled_from(
-            ["nonfinite", "bool", "wide", "digits", "ragged", "width", "empty", "orthonormal"]
+            [
+                "nonfinite", "bool", "wide", "digits",
+                "ragged", "width", "empty", "orthonormal", "byte",
+            ]
         )
     )
     vec = draw(st.sampled_from(doc["vectors"]))
@@ -175,22 +190,21 @@ def hostile_projectors(draw):
         doc["vectors"].append({"re": [0, 0, 1], "im": [0, 0, 0]})
     elif kind == "empty":
         doc["vectors"] = []
-    else:  # scale one row, or repeat it
+    elif kind == "orthonormal":  # scale one row, or repeat it
         if draw(st.booleans()):
             scale = draw(st.sampled_from([0, 0.5, 2, 1e200]))
             vec["re"] = [x * scale for x in vec["re"]]
             vec["im"] = [x * scale for x in vec["im"]]
         else:
             doc["vectors"].append(vec)
-    text = json.dumps(doc)
-    return text if raw is None else text.replace(json.dumps(RAW), raw, 1)
+    return encode(draw, doc, raw, kind == "byte")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # 1e200 rows must warn nothing
-@given(text=hostile_projectors())
-def test_hostile_projector_files_are_refused(tmp_path_factory, text):
+@given(data=hostile_projectors())
+def test_hostile_projector_files_are_refused(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("fuzz") / "pprime.json"
-    path.write_text(text)
+    path.write_bytes(data)
     with pytest.raises(StateFileError):
         load_projector(path)
     assert_cli_refuses(["witness", "--paper", "bohm", "--pprime-file", str(path)], "witness")

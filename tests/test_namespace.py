@@ -1,7 +1,9 @@
 """Guards against drift between the name lists and the tables behind them."""
 
 import argparse
+import ast
 import importlib
+import pathlib
 import pkgutil
 import subprocess
 import sys
@@ -10,6 +12,7 @@ import hyperstate
 from hyperstate.cli import _build_parser
 from hyperstate.construct import PAIRING_NAMES, PAPER_STATE_NAMES
 
+SPANS = pathlib.Path(__file__).parents[1] / "perfbench" / "spans.py"
 SUBMODULES = {
     info.name: importlib.import_module(f"hyperstate.{info.name}")
     for info in pkgutil.iter_modules(hyperstate.__path__)
@@ -61,3 +64,16 @@ def test_cli_choices_come_from_construct():
     assert found["--paper"] == {PAPER_STATE_NAMES}
     assert found["--name"] == {PAPER_STATE_NAMES}
     assert found["--pairing"] == {PAIRING_NAMES}
+
+
+def test_every_traced_name_is_bound():
+    # the traced benchmark run wraps these by name; read its table, do not run it
+    tree = ast.parse(SPANS.read_text())
+    (traced,) = (
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "TRACED"
+    )
+    for modname, names in traced.items():
+        for name in names:
+            assert callable(getattr(SUBMODULES[modname], name, None)), f"{modname}.{name}"

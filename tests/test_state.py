@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from hyperstate import (
     norm,
     paper_state,
     slice_family,
+    unfold,
 )
 
 R2 = 1.0 / math.sqrt(2.0)
@@ -160,50 +162,47 @@ def test_inner_products():
 
 def test_slice_family_frozen_example():
     # (|01> + |10>) / sqrt(2): slicing on factor 0 keys the vectors by the
-    # factor-1 index, so key (0,) carries e_1 and key (1,) carries e_0.
+    # factor-1 index, so key (0,) carries e_1 and key (1,) carries e_0; the
+    # unfolding stacks the same vectors as its rows.
     v = make_state((2, 2), {(0, 1): R2, (1, 0): R2})
     fam = slice_family(v, 0)
-    assert fam.part_dims == (2,)
-    assert fam.complement_dims == (2,)
-    np.testing.assert_allclose(fam.vector((0,)), [0.0, R2])
-    np.testing.assert_allclose(fam.vector((1,)), [R2, 0.0])
-    np.testing.assert_allclose(fam.matrix(), [[0.0, R2], [R2, 0.0]])
+    assert type(fam) is dict and list(fam) == [(0,), (1,)]
+    np.testing.assert_allclose(fam[(0,)], [0.0, R2])
+    np.testing.assert_allclose(fam[(1,)], [R2, 0.0])
+    np.testing.assert_allclose(unfold(v, 0), [[0.0, R2], [R2, 0.0]])
 
 
 def test_slice_family_three_factors():
     v = make_state((2, 2, 2), {(0, 0, 0): R2, (1, 1, 1): R2})
     fam = slice_family(v, (0, 2))
-    assert fam.part_dims == (2, 2)
-    assert fam.complement_dims == (2,)
     # key is the factor-1 index; kept coords (i0, i2) ravel C-order
-    np.testing.assert_allclose(fam.vector((0,)), [R2, 0.0, 0.0, 0.0])
-    np.testing.assert_allclose(fam.vector((1,)), [0.0, 0.0, 0.0, R2])
+    expect = [[R2, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, R2]]
+    np.testing.assert_allclose(unfold(v, (0, 2)), expect)
+    assert list(fam) == [(0,), (1,)]
+    np.testing.assert_allclose([fam[(0,)], fam[(1,)]], expect)
 
 
-def test_slice_family_missing_key_is_zero_and_validated():
-    v = make_state((2, 3), {(0, 0): 1.0})
+def test_slice_family_keeps_only_nonzero_slices():
+    # key (1,) holds only an amplitude below DROP_THRESHOLD, key (2,) nothing
+    v = make_state((2, 3), {(0, 0): 1.0, (1, 1): DROP_THRESHOLD, (1, 2): 0.0})
     fam = slice_family(v, 0)
-    np.testing.assert_array_equal(fam.vector((2,)), np.zeros(2))
-    with pytest.raises(ValueError):
-        fam.vector((3,))
-    with pytest.raises(ValueError):
-        fam.vector((0, 0))
+    assert list(fam) == [(0,)]
+    np.testing.assert_array_equal(fam[(0,)], [1.0, 0.0])
+    np.testing.assert_array_equal(unfold(v, 0), [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
 
 
 def test_slice_family_refused_beyond_dense_budget():
     # three nonzero slices of 2**23 amplitudes each: a 384 MiB block
     v = make_state((2**23, 2, 2), {(0, 0, 0): 1.0, (1, 0, 1): 0.5, (2, 1, 0): 0.25})
-    with pytest.raises(ValueError, match="3x8388608.*budget"):
-        slice_family(v, 0)
-    assert len(slice_family(v, (1, 2)).nonzero) == 3  # 3 x 4 block
-
-
-def test_slice_family_matrix_refused_beyond_dense_budget():
-    # the nonzero block is 2x2, but the stacked matrix has a row per complement key
-    v = make_state((2, 2**21 + 1), {(0, 0): 1.0, (1, 5): 0.5})
-    fam = slice_family(v, 0)
-    with pytest.raises(ValueError, match="2097153x2.*budget"):
-        fam.matrix()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="3x8388608.*budget"):
+            slice_family(v, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # refused before the block exists
+    assert len(slice_family(v, (1, 2))) == 3  # 3 x 4 block
 
 
 @given(st.integers(0, 2 ** 31 - 1), small_dims())
@@ -212,12 +211,12 @@ def test_slice_roundtrip_reconstructs_exactly(seed, dims_list):
     v = random_state(np.random.default_rng(seed), dims)
     for nsel in range(1, len(dims)):
         for sel in itertools.combinations(range(len(dims)), nsel):
-            fam = slice_family(v, sel)
             comp = [k for k in range(len(dims)) if k not in sel]
+            part_dims = [dims[k] for k in sel]
             rebuilt = np.zeros(dims, dtype=np.complex128)
-            for key, vec in fam.items():
-                block = vec.reshape(fam.part_dims)
-                for coords in itertools.product(*(range(d) for d in fam.part_dims)):
+            for key, vec in slice_family(v, sel).items():
+                block = vec.reshape(part_dims)
+                for coords in itertools.product(*(range(d) for d in part_dims)):
                     idx = [0] * len(dims)
                     for slot, k in enumerate(sel):
                         idx[k] = coords[slot]
@@ -231,16 +230,15 @@ def test_slice_roundtrip_reconstructs_exactly(seed, dims_list):
 @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 4), st.integers(2, 4))
 def test_bipartite_slice_transpose_relation(seed, d0, d1):
     v = random_state(np.random.default_rng(seed), (d0, d1))
-    m0 = slice_family(v, 0).matrix()
-    m1 = slice_family(v, 1).matrix()
-    assert np.array_equal(m0, m1.T)
+    assert np.array_equal(unfold(v, 0), unfold(v, 1).T)
 
 
 def test_slices_are_readonly():
-    v = make_state((2, 2), {(0, 1): 1.0})
+    v = make_state((2, 3), {(0, 1): 1.0, (1, 2): 0.5})
     fam = slice_family(v, 0)
+    assert not any(vec.flags.writeable for vec in fam.values())
     with pytest.raises(ValueError):
-        fam.vector((0,))[1] = 0.0
+        fam[(1,)][0] = 0.0
 
 
 def test_repr_mentions_shape():
