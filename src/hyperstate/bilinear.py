@@ -20,13 +20,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .state import StateTensor, Subsystem, _check_dense, _positions
+from .state import StateTensor, Subsystem, _check_dense, _ldexp, _positions, _scale_exponent
 
 __all__ = [
     "RANK_SAFETY",
     "RankReport",
     "SchmidtDecomposition",
-    "DensityMatrix",
     "rank_tolerance",
     "numerical_rank",
     "unfold",
@@ -161,26 +160,19 @@ def schmidt_decompose(
     )
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Reduced density operator on a subsystem, eigenvalues nonincreasing.
+def reduced_density(v: StateTensor, subsystem: Subsystem | int | Iterable[int]) -> np.ndarray:
+    """Partial trace onto ``subsystem``, computed as M M+ on the kept side.
 
-    Both arrays are read-only.
+    A read-only Hermitian array over the subsystem's product basis.  A state
+    whose largest ``|re|`` or ``|im|`` lies beyond ``2**+-200`` is first
+    scaled into [1/2, 1) by an exact power of two, so the result is the
+    density of that scaled state: the same rank, free of overflow and underflow.
     """
-
-    subsystem: Subsystem
-    matrix: np.ndarray
-    eigenvalues: np.ndarray
-
-
-def reduced_density(v: StateTensor, subsystem: Subsystem | int | Iterable[int]) -> DensityMatrix:
-    """Partial trace onto ``subsystem``, computed as M M+ on the kept side."""
     part = Subsystem.coerce(subsystem)
     kept_rows = unfold(v, part.complement(v.nfactors))  # checks the subsystem
     _check_dense(kept_rows.shape[0], kept_rows.shape[0])
+    kept_rows = _ldexp(kept_rows, -_scale_exponent(v))
     rho = kept_rows @ kept_rows.conj().T
     rho = (rho + rho.conj().T) / 2.0
-    eig = np.linalg.eigvalsh(rho)[::-1]
     rho.flags.writeable = False
-    eig.flags.writeable = False
-    return DensityMatrix(subsystem=part, matrix=rho, eigenvalues=eig)
+    return rho

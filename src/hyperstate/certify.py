@@ -29,7 +29,7 @@ import numpy as np
 
 from .bilinear import RankReport, _cutoff, _rank_report, numerical_rank, rank_tolerance
 from .bilinear import reduced_density
-from .state import StateTensor, Subsystem, _check_dense
+from .state import StateTensor, Subsystem, _check_dense, _ldexp, _scale_exponent
 
 __all__ = [
     "Feasibility",
@@ -123,13 +123,14 @@ def cyclicity_test(
 ) -> CyclicityResult:
     """Test whether ``v`` is cyclic for ``subsystem``.
 
-    ``tol`` (>= 0) cuts the density eigenvalues (squared Schmidt weights);
-    ``None`` uses the default policy, scaled to the largest eigenvalue.
+    ``tol`` (>= 0) cuts the eigenvalues of :func:`reduced_density` on the
+    complement (squared Schmidt weights; of the scaled state when its peak is
+    beyond ``2**+-200``); ``None`` uses the default policy, scaled to the largest one.
     """
     part = Subsystem.coerce(subsystem)
     comp = part.complement(v.nfactors)  # checks the subsystem
     rho = reduced_density(v, comp)
-    eig = rho.eigenvalues  # nonincreasing
+    eig = np.linalg.eigvalsh(rho)[::-1]  # nonincreasing
     report = _rank_report(eig, eig.size, tol)
     passed = report.rank == eig.size
     return CyclicityResult(
@@ -138,7 +139,7 @@ def cyclicity_test(
         min_eigenvalue=float(eig[-1]),
         full_dim=eig.size,
         report=report,
-        _density=None if passed else rho.matrix,
+        _density=None if passed else rho,
     )
 
 
@@ -273,7 +274,9 @@ def window_certificate(
     ``STRUCTURAL_MARGIN`` times both the cutoff in force and
     :func:`rank_tolerance` scaled by the Frobenius norm (which bounds the
     largest singular value); the SVD could then neither drop a row nor flag
-    a tie.  Otherwise the window matrix is built densely, up to
+    a tie.  The bound and the norm come from the magnitudes scaled as
+    :func:`reduced_density` scales the state, and are compared in true
+    units.  Otherwise the window matrix is built densely, up to
     ``DENSE_BUDGET`` bytes, and :func:`numerical_rank` decides with
     ``tol`` (>= 0, checked on either route) cutting singular values.
     """
@@ -288,14 +291,15 @@ def window_certificate(
     cols_a, amps_a = v.indices[hit, axis], v.amplitudes[hit]
     size = side ** len(comp)
     shape = (size, v.dims[axis])
-    mags = np.abs(amps_a)
-
+    e = _scale_exponent(v)
+    mags = np.abs(_ldexp(amps_a, -e))
     bound = _singleton_bound(rows_a, cols_a, mags, size)
-    frob = float(np.linalg.norm(mags))
+    frob = math.ldexp(float(np.linalg.norm(mags)), e)
     threshold = max(_cutoff(max(shape), frob, tol), rank_tolerance(max(shape), frob))
-    if bound is not None and bound >= STRUCTURAL_MARGIN * threshold:
+    if bound is not None and math.ldexp(bound, e) >= STRUCTURAL_MARGIN * threshold:
         report = RankReport(
-            rank=size, min_kept=bound, max_dropped=0.0, threshold=threshold, tied=False
+            rank=size, min_kept=math.ldexp(bound, e), max_dropped=0.0, threshold=threshold,
+            tied=False,
         )
         route = "structural"
     else:

@@ -109,6 +109,21 @@ class Subsystem:
         return iter(self.indices)
 
 
+def _scale_exponent(v: "StateTensor", window: int = 200) -> int:
+    """The ``e`` scaling ``v``'s peak ``|re|`` or ``|im|`` into [1/2, 1); 0 within 2**+-window."""
+    return 0 if 2.0**-window <= v._peak <= 2.0**window else math.frexp(v._peak)[1]
+
+
+def _ldexp(a: np.ndarray, e: int) -> np.ndarray:
+    """The complex array ``a * 2**e``, exact part by part; ``a`` itself when ``e`` is 0."""
+    if not e:
+        return a
+    out = np.empty_like(a)
+    np.ldexp(a.real, e, out=out.real)
+    np.ldexp(a.imag, e, out=out.imag)
+    return out
+
+
 def _positions(indices: np.ndarray, dims: Sequence[int], axes: Iterable[int]) -> np.ndarray:
     """C-order position of each row's coordinates on ``axes``, within those factors."""
     return np.ravel_multi_index([indices[:, k] for k in axes], [dims[k] for k in axes])
@@ -122,7 +137,7 @@ class StateTensor:
     entries are the read-only arrays :attr:`indices` and :attr:`amplitudes`.
     """
 
-    __slots__ = ("_dims", "_indices", "_amplitudes", "_norm", "_truncated", "_metadata")
+    __slots__ = ("_dims", "_indices", "_amplitudes", "_peak", "_norm", "_truncated", "_metadata")
 
     def __init__(
         self,
@@ -136,15 +151,14 @@ class StateTensor:
         self._dims = dims
         self._indices = indices
         self._amplitudes = amplitudes
+        parts = np.abs(amplitudes.real), np.abs(amplitudes.imag)
+        self._peak = float(np.maximum(*parts).max(initial=0.0))  # read by _scale_exponent
         # Squares of components beyond 2**+-500 would overflow or underflow, so
         # those are summed scaled by an exact power of two (Blue 1978, dnrm2).
-        re, im = amplitudes.real, amplitudes.imag
-        peak = float(np.maximum(np.abs(re), np.abs(im)).max(initial=0.0))
-        e = 0 if 2.0**-500 <= peak <= 2.0**500 else math.frexp(peak)[1]
-        if e:
-            re, im = np.ldexp(re, -e), np.ldexp(im, -e)
+        e = _scale_exponent(self, 500)
+        a = _ldexp(amplitudes, -e)
         try:
-            self._norm = math.ldexp(math.sqrt(math.fsum((re**2 + im**2).tolist())), e)
+            self._norm = math.ldexp(math.sqrt(math.fsum((a.real**2 + a.imag**2).tolist())), e)
         except OverflowError:  # the norm itself lies beyond the float range
             self._norm = math.inf
         self._truncated = truncated_from_infinite

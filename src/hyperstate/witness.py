@@ -25,7 +25,6 @@ __all__ = [
     "Projector",
     "CorrelationQuery",
     "WitnessResult",
-    "LocalOperator",
     "conditional_probability",
     "steering_operator",
     "correlation_witness",
@@ -109,28 +108,19 @@ def _conditional(m: np.ndarray, p: Projector, p_prime: Projector) -> float:
     return min(1.0, max(0.0, joint / marginal))
 
 
-@dataclass(frozen=True)
-class LocalOperator:
-    """An operator on one side of a split, with its norm on record."""
-
-    subsystem: Subsystem
-    matrix: np.ndarray
-    operator_norm: float
-
-
 def steering_operator(
     v: StateTensor,
     subsystem: Subsystem | int | Iterable[int],
     target: np.ndarray,
     embed: np.ndarray | None = None,
-) -> LocalOperator:
-    """A on S with (A (x) I) v = embed (x) target, for unit target on S'.
+) -> np.ndarray:
+    """The read-only ``dim_S x dim_S`` array A on S with (A (x) I) v = embed (x) target.
 
-    Solves A v_j = target_j * embed against the slice family; requires the
-    family to have full rank under the default rank rule (the cyclicity
-    criterion), otherwise raises.  ``embed`` defaults to the first basis
-    vector of H_S.  The slices come from :func:`unfold`, so a slice matrix
-    beyond ``DENSE_BUDGET`` bytes is refused.
+    ``target`` on S' is normalised first.  Solves A v_j = target_j * embed
+    against the slice family; requires the family to have full rank under
+    the default rank rule (the cyclicity criterion), otherwise raises.
+    ``embed`` defaults to the first basis vector of H_S.  The slices come from
+    :func:`unfold`, so a slice matrix beyond ``DENSE_BUDGET`` bytes is refused.
     """
     part = Subsystem.coerce(subsystem)
     slices = unfold(v, part)  # (n_keys, dim_S)
@@ -169,9 +159,7 @@ def steering_operator(
 
     a = np.outer(u, y)
     a.flags.writeable = False
-    return LocalOperator(
-        subsystem=part, matrix=a, operator_norm=float(np.linalg.norm(a, 2))
-    )
+    return a
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,16 @@ def loop_reduced_density(v: StateTensor, keep: tuple[int, ...]) -> np.ndarray:
     return rho
 
 
+def scaled_state(v: StateTensor, k: int) -> StateTensor:
+    """``v`` times 2**k, exactly while every amplitude stays a normal float."""
+    return make_state(
+        v.dims,
+        {idx: complex(np.ldexp(a.real, k), np.ldexp(a.imag, k)) for idx, a in v.items()},
+        truncated_from_infinite=v.truncated_from_infinite,
+        metadata=v.metadata,
+    )
+
+
 def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)

@@ -13,6 +13,7 @@ from helpers import (
     loop_reduced_density,
     random_schmidt_state,
     random_state,
+    scaled_state,
     svd_rank,
 )
 from hyperstate import (
@@ -93,7 +94,7 @@ class TestCyclicity:
         w = res.witness
         assert w is not None
         assert np.linalg.norm(w) == pytest.approx(1.0)
-        rho = reduced_density(corpus["spin1_two_term"], Subsystem((0,)).complement(2)).matrix
+        rho = reduced_density(corpus["spin1_two_term"], Subsystem((0,)).complement(2))
         assert abs(w.conj() @ rho @ w) <= res.threshold
 
     def test_witness_absent_on_pass(self, corpus):
@@ -110,7 +111,7 @@ class TestCyclicity:
                 if res.passed:
                     continue
                 failing.append(name)
-                rho = reduced_density(v, Subsystem((k,)).complement(v.nfactors)).matrix
+                rho = reduced_density(v, Subsystem((k,)).complement(v.nfactors))
                 expect = np.ascontiguousarray(np.linalg.eigh(rho)[1][:, 0])
                 assert np.array_equal(res.witness.view(np.uint64), expect.view(np.uint64))
                 assert res.witness is res.witness and not res.witness.flags.writeable
@@ -468,3 +469,62 @@ class TestWindowRoutes:
         v = make_state(dims, {(0, 0, 0): 1.0, (1, 0, 1): 0.5, (2, 1, 0): 0.25})
         with pytest.raises(ValueError, match="4x33554432.*budget"):
             window_certificate(v, cube_window(dims, 0, 2))
+
+
+SCALES = (-560, -530, -500, 0, 500, 530, 600)
+
+
+class TestScaleInvariance:
+    """Verdicts and window certificates of 2**k v match those of v.
+
+    Outside 2**+-200 the dense and structural paths scale the state back
+    into [1/2, 1) by an exact power of two, so for these states (peak in
+    [1/2, 1)) the density is bit for bit the unscaled one, and each window
+    bound and threshold is exactly 2**k times the unscaled value.
+    """
+
+    @pytest.fixture(scope="class")
+    def states(self):
+        bohm_like = make_state((2, 2), {(0, 1): 0.6, (1, 0): 0.8})
+        return {"bohm_like": bohm_like, "stage2": method2_build(2, STAGE_EPS[:2])}
+
+    @pytest.mark.parametrize("k", SCALES)
+    @pytest.mark.parametrize("name", ["bohm_like", "stage2"])
+    def test_verdict(self, states, name, k):
+        base = hyperentanglement_test(states[name])
+        got = hyperentanglement_test(scaled_state(states[name], k))
+        assert got.overall == base.overall
+        assert [c.rank for c in got.checks] == [c.rank for c in base.checks]
+        assert [c.min_eigenvalue for c in got.checks] == [c.min_eigenvalue for c in base.checks]
+        assert [c.threshold for c in got.checks] == [c.threshold for c in base.checks]
+
+    @pytest.mark.parametrize("k", SCALES)
+    def test_stage2_windows(self, states, k):
+        v = states["stage2"]
+        scaled = scaled_state(v, k)
+        for axis in range(3):
+            base = window_certificate(v, cube_window(v.dims, axis, 5))
+            got = window_certificate(scaled, cube_window(v.dims, axis, 5))
+            assert (got.route, got.rank) == (base.route, base.rank) == ("structural", 25)
+            assert got.report.min_kept > 0.0
+            assert got.report.min_kept == math.ldexp(base.report.min_kept, k)
+            assert got.report.threshold == math.ldexp(base.report.threshold, k)
+
+    def test_in_range_scales_are_untouched(self, states):
+        # peaks inside 2**+-200 are used as they are: the density is 2**398 rho
+        v = scaled_state(states["stage2"], 199)
+        cert = window_certificate(v, cube_window(v.dims, 0, 5))
+        base = window_certificate(states["stage2"], cube_window(v.dims, 0, 5))
+        assert cert.report.min_kept == math.ldexp(base.report.min_kept, 199)
+        got, want = cyclicity_test(v, 0), cyclicity_test(states["stage2"], 0)
+        assert got.threshold == pytest.approx(math.ldexp(want.threshold, 398), rel=1e-12)
+
+    def test_explicit_tol_is_in_true_units(self, states):
+        # tol cuts the true singular values, not the rescaled ones
+        v = states["stage2"]
+        scaled = scaled_state(v, 530)
+        for tol in (2.0**-10, 1.0):
+            base = window_certificate(v, cube_window(v.dims, 0, 5), tol=tol)
+            got = window_certificate(scaled, cube_window(v.dims, 0, 5), tol=math.ldexp(tol, 530))
+            assert (got.route, got.rank) == (base.route, base.rank)
+        assert base.route == "dense_svd" and not base.passed

@@ -402,6 +402,16 @@ class TestCliConstructAndCertify:
         assert code == 0
         assert all(w["passed"] for w in rep["result"]["windows"])
 
+    def test_certify_huge_unnormalised_state(self, capsys, tmp_path):
+        # amplitudes near 1e159: M M+ would overflow without the exact rescaling
+        path = tmp_path / "huge.json"
+        save_state(make_state((2, 2), {(0, 1): 0.6 * 2.0**530, (1, 0): 0.8 * 2.0**530}), path)
+        code, out, err = masked_run(capsys, ["certify", "--state", str(path)])
+        assert (code, err) == (0, "")
+        res = json.loads(out)["result"]
+        assert res["overall"] == "hyperentangled"
+        assert [c["rank"] for c in res["subsystems"]] == [2, 2]
+
     def test_certify_beyond_dense_budget(self, capsys, tmp_path, over_budget):
         # 17^3 total dims, beyond the old 4096 cap: the 289 x 289 densities fit
         v = make_state((17, 17, 17), {(k, k, k): 0.5 for k in range(4)}, normalize=True)

@@ -77,3 +77,18 @@ def test_every_traced_name_is_bound():
     for modname, names in traced.items():
         for name in names:
             assert callable(getattr(SUBMODULES[modname], name, None)), f"{modname}.{name}"
+
+
+def test_runtime_imports_are_stdlib_or_numpy():
+    # numpy is the one declared runtime dependency; scipy being installed must not matter
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    for path in sorted(pathlib.Path(hyperstate.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
