@@ -317,6 +317,9 @@ def _cmd_schmidt(args: argparse.Namespace) -> tuple[int, dict, dict]:
     part = _parse_split(args.split, v.nfactors)
     sd = schmidt_decompose(v, part, args.tol)
     report = sd.rank_report
+    sum_sq = float(sum(float(c) * float(c) for c in sd.coeffs))
+    if not math.isfinite(sum_sq):  # JSON cannot carry it: refuse before serialising
+        raise ValueError("sum_sq of the Schmidt coefficients lies beyond the float range")
     result = {
         "dims": list(v.dims),
         "split": {
@@ -324,7 +327,7 @@ def _cmd_schmidt(args: argparse.Namespace) -> tuple[int, dict, dict]:
             "s_prime": list(sd.subsystem.complement(v.nfactors).indices),
         },
         "coeffs": [float(c) for c in sd.coeffs],
-        "sum_sq": float(sum(float(c) * float(c) for c in sd.coeffs)),
+        "sum_sq": sum_sq,
         "rank": sd.rank,
         "threshold": float(report.threshold),
         "min_kept": float(report.min_kept),

@@ -155,12 +155,8 @@ def _check_metadata(metadata: dict, where: str) -> None:
         for key in ("p", "m", "p_prime"):
             need(_is_count(rec[key]), f"stage_history[{k}].{key}", "an integer >= 1", rec[key])
         eps = rec["epsilon"]
-        need(
-            isinstance(eps, (int, float)) and not isinstance(eps, bool) and 0 < eps < math.inf,
-            f"stage_history[{k}].epsilon",
-            "a finite positive number",
-            eps,
-        )
+        ok = _is_finite_number(eps) and eps > 0
+        need(ok, f"stage_history[{k}].epsilon", "a finite positive number", eps)
     sizes = metadata.get("window_sizes", [])
     need(isinstance(sizes, list), "window_sizes", "a list of integers >= 1", sizes)
     for k, size in enumerate(sizes):

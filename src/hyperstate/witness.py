@@ -10,14 +10,13 @@ apply the package's one rank rule with the default cutoff (LAPACK ``rcond``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .bilinear import rank_tolerance, unfold
-from .state import StateTensor, Subsystem
+from .state import StateTensor, Subsystem, _ldexp, _scale_exponent
 
 __all__ = [
     "ORTHONORMALITY_TOL",
@@ -70,20 +69,20 @@ class Projector:
         return int(self.basis.shape[1])
 
 
-def _check_split(v: StateTensor, p: Projector, p_prime: Projector) -> None:
-    comp = p.subsystem.complement(v.nfactors)
-    if p_prime.subsystem != comp:
-        raise ValueError(
-            f"projectors must act on complementary subsystems, got "
-            f"{p.subsystem.indices} and {p_prime.subsystem.indices}"
-        )
-    dim_s = math.prod(v.dims[k] for k in p.subsystem)
-    dim_c = math.prod(v.dims[k] for k in comp)
-    if p.dim != dim_s or p_prime.dim != dim_c:
-        raise ValueError(
-            f"projector dimensions ({p.dim}, {p_prime.dim}) do not match the "
-            f"split dimensions ({dim_s}, {dim_c})"
-        )
+def _split(v: StateTensor, part: Subsystem, pp: Projector) -> np.ndarray:
+    """The unfolding of ``v`` for (part | pp), checked, then scaled as
+    :func:`~hyperstate.bilinear.reduced_density` scales it.
+
+    Only ratios, directions and relative cutoffs are read off it, and the
+    exact power-of-two scaling changes none of them.
+    """
+    comp = part.complement(v.nfactors)  # checks the subsystem
+    if pp.subsystem != comp:
+        raise ValueError(f"P' acts on {pp.subsystem.indices}, expected complement {comp.indices}")
+    m = unfold(v, part)
+    if pp.dim != m.shape[0]:
+        raise ValueError(f"P' dimension {pp.dim} does not match complement dimension {m.shape[0]}")
+    return _ldexp(m, -_scale_exponent(v))
 
 
 def conditional_probability(v: StateTensor, p: Projector, p_prime: Projector) -> float:
@@ -93,8 +92,10 @@ def conditional_probability(v: StateTensor, p: Projector, p_prime: Projector) ->
     the unfolding; raises when the conditioning event has probability ~0
     (below ``ZERO_EVENT_TOL`` relative to the squared norm).
     """
-    _check_split(v, p, p_prime)
-    return _conditional(unfold(v, p.subsystem), p, p_prime)
+    m = _split(v, p.subsystem, p_prime)
+    if p.dim != m.shape[1]:
+        raise ValueError(f"P dimension {p.dim} does not match subsystem dimension {m.shape[1]}")
+    return _conditional(m, p, p_prime)
 
 
 def _conditional(m: np.ndarray, p: Projector, p_prime: Projector) -> float:
@@ -204,18 +205,8 @@ def correlation_witness(query: CorrelationQuery) -> WitnessResult:
     """
     v = query.state
     part = query.subsystem
-    comp = part.complement(v.nfactors)  # checks the subsystem
     pp = query.p_prime
-    if pp.subsystem != comp:
-        raise ValueError(
-            f"P' acts on {pp.subsystem.indices}, expected complement {comp.indices}"
-        )
-
-    m = unfold(v, part)  # rows: complement, cols: subsystem
-    if pp.dim != m.shape[0]:
-        raise ValueError(
-            f"P' dimension {pp.dim} does not match complement dimension {m.shape[0]}"
-        )
+    m = _split(v, part, pp)  # rows: complement, cols: subsystem
     compressed = pp.basis.conj() @ m  # (rank', dim_S)
     total = float(np.linalg.norm(m) ** 2)
     if float(np.linalg.norm(compressed) ** 2) <= ZERO_EVENT_TOL * total:
@@ -235,7 +226,7 @@ def correlation_witness(query: CorrelationQuery) -> WitnessResult:
     direction = np.conj(x) / nx
     p = Projector(subsystem=part, basis=direction[None, :])
 
-    achieved = _conditional(m, p, pp)  # the split is checked above
+    achieved = _conditional(m, p, pp)  # p is on part, with m's column count
     warning = int(rank) < m.shape[0] or achieved < 1.0 - query.epsilon
     w.flags.writeable = False
     return WitnessResult(projector=p, achieved=achieved, warning=warning, target=w)

@@ -168,6 +168,8 @@ class TestMetadataFields:
         ({"window_sizes": [True]}, r"window_sizes\[0\]: .*True"),
         ({"window_sizes": [0]}, r"window_sizes\[0\]: "),
         ({"window_sizes": 2}, r"metadata\.window_sizes: must be a list"),
+        # an exact JSON integer beyond the float range, refused like a projector entry
+        ({"stage_history": [{**RECORD, "epsilon": 10**400}]}, r"stage_history\[0\]\.epsilon: "),
     ])
     def test_bad_fields_cite_their_path(self, tmp_path, metadata, field):
         with pytest.raises(StateFileError, match=field):
@@ -402,15 +404,43 @@ class TestCliConstructAndCertify:
         assert code == 0
         assert all(w["passed"] for w in rep["result"]["windows"])
 
+    @staticmethod
+    def bohm_like(tmp_path, k):
+        """A state file holding (0.6|01> + 0.8|10>) times 2**k."""
+        path = tmp_path / f"bohm_like_{k}.json"
+        save_state(make_state((2, 2), {(0, 1): math.ldexp(0.6, k), (1, 0): math.ldexp(0.8, k)}), path)
+        return str(path)
+
     def test_certify_huge_unnormalised_state(self, capsys, tmp_path):
         # amplitudes near 1e159: M M+ would overflow without the exact rescaling
-        path = tmp_path / "huge.json"
-        save_state(make_state((2, 2), {(0, 1): 0.6 * 2.0**530, (1, 0): 0.8 * 2.0**530}), path)
-        code, out, err = masked_run(capsys, ["certify", "--state", str(path)])
+        path = self.bohm_like(tmp_path, 530)
+        code, out, err = masked_run(capsys, ["certify", "--state", path])
         assert (code, err) == (0, "")
         res = json.loads(out)["result"]
         assert res["overall"] == "hyperentangled"
         assert [c["rank"] for c in res["subsystems"]] == [2, 2]
+
+    def test_witness_huge_unnormalised_state(self, capsys, tmp_path):
+        # the witness scales the unfolding exactly as the density is scaled
+        ppath = tmp_path / "pp.json"
+        save_projector(Projector(subsystem=Subsystem((1,)), basis=np.array([[0.6, 0.8]])), ppath)
+        results = []
+        for k in (530, 0):
+            argv = ["witness", "--state", self.bohm_like(tmp_path, k), "--pprime-file", str(ppath)]
+            code, out, err = masked_run(capsys, argv)
+            assert (code, err) == (0, "")
+            results.append(json.loads(out)["result"])
+        assert results[0] == results[1]
+        assert results[0]["achieved"] == 1.0 and results[0]["warning"] is False
+
+    def test_schmidt_sum_sq_beyond_float_range(self, capsys, tmp_path):
+        # sum_sq is about 1e319: refused with a reason, not a JSON encoder error
+        code, out, err = masked_run(capsys, ["schmidt", "--state", self.bohm_like(tmp_path, 530)])
+        assert (code, err) == (2, "")
+        assert json.loads(out)["error"] == "sum_sq of the Schmidt coefficients lies beyond the float range"
+        code, rep = run(capsys, "schmidt", "--state", self.bohm_like(tmp_path, 511))
+        assert code == 0
+        assert rep["result"]["sum_sq"] == pytest.approx(math.ldexp(1.0, 1022), rel=1e-15)
 
     def test_certify_beyond_dense_budget(self, capsys, tmp_path, over_budget):
         # 17^3 total dims, beyond the old 4096 cap: the 289 x 289 densities fit

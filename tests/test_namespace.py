@@ -13,6 +13,7 @@ from hyperstate.cli import _build_parser
 from hyperstate.construct import PAIRING_NAMES, PAPER_STATE_NAMES
 
 SPANS = pathlib.Path(__file__).parents[1] / "perfbench" / "spans.py"
+WORKLOADS = SPANS.with_name("workloads.py")
 SUBMODULES = {
     info.name: importlib.import_module(f"hyperstate.{info.name}")
     for info in pkgutil.iter_modules(hyperstate.__path__)
@@ -77,6 +78,24 @@ def test_every_traced_name_is_bound():
     for modname, names in traced.items():
         for name in names:
             assert callable(getattr(SUBMODULES[modname], name, None)), f"{modname}.{name}"
+
+
+def test_every_benchmark_name_is_bound():
+    # the benchmark reads hs.<name> / self.hs.<name> off the package and
+    # self.cli.<name> off hyperstate.cli; read its source, do not run it
+    owners = {"hs": hyperstate, "cli": SUBMODULES["cli"]}
+    used = set()
+    for node in ast.walk(ast.parse(WORKLOADS.read_text())):
+        if isinstance(node, ast.Attribute):
+            owner = node.value
+            if isinstance(owner, ast.Attribute) and getattr(owner.value, "id", None) == "self":
+                used.add((owner.attr, node.attr))
+            elif isinstance(owner, ast.Name):
+                used.add((owner.id, node.attr))
+    used = {(owner, name) for owner, name in used if owner in owners}
+    assert {("hs", "CorrelationQuery"), ("cli", "run_cli")} <= used  # the walk found them
+    for owner, name in sorted(used):
+        assert hasattr(owners[owner], name), f"{owner}.{name}"
 
 
 def test_runtime_imports_are_stdlib_or_numpy():

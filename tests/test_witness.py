@@ -13,6 +13,7 @@ from helpers import (
     rand_unit,
     random_state,
     rank1,
+    scaled_state,
 )
 from hyperstate import (
     CorrelationQuery,
@@ -78,6 +79,12 @@ class TestConditionalProbability:
             conditional_probability(ghz, rank1(0, [1, 0]), rank1(1, [1, 0]))
         with pytest.raises(ValueError):
             conditional_probability(bohm, rank1(0, [1, 0, 0]), rank1(1, [1, 0]))
+        for pp in (rank1(0, [1, 0]), rank1(1, [1, 0, 0])):  # one check, one message
+            with pytest.raises(ValueError) as by_conditional:
+                conditional_probability(bohm, rank1(0, [1, 0]), pp)
+            with pytest.raises(ValueError) as by_witness:
+                correlation_witness(CorrelationQuery(state=bohm, subsystem=(0,), p_prime=pp))
+            assert str(by_conditional.value) == str(by_witness.value)
 
     @given(st.integers(0, 2 ** 31 - 1))
     def test_matches_dense_oracle(self, seed):
@@ -259,3 +266,19 @@ class TestCorrelationWitness:
         pp = rank1(1, rand_unit(np.random.default_rng(5), 2))
         correlation_witness(CorrelationQuery(state=corpus["hardy2"], subsystem=(0,), p_prime=pp))
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("k", (-560, -530, -500, 0, 500, 530, 600))
+def test_witness_is_scale_invariant(k):
+    # peak 0.8: beyond 2**+-200 the unfolding is scaled back to the k = 0 one exactly
+    v = make_state((2, 2), {(0, 1): 0.6, (1, 0): 0.8})
+    pp = rank1(1, [0.6, 0.8j])
+    base, got = (
+        correlation_witness(CorrelationQuery(state=s, subsystem=(0,), p_prime=pp))
+        for s in (v, scaled_state(v, k))
+    )
+    for a, b in ((got.projector.basis, base.projector.basis), (got.target, base.target)):
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+    assert (got.achieved, got.warning) == (base.achieved, base.warning) == (1.0, False)
+    probe = rank1(0, [1.0, 1.0])
+    assert conditional_probability(scaled_state(v, k), probe, pp) == conditional_probability(v, probe, pp)
