@@ -16,6 +16,7 @@ which case window certificates on slice families are the meaningful check.
 A window certificate decides the rank of a cube window's slice vectors by
 singleton elimination or, failing that, a dense SVD (:func:`window_certificate`).
 Either dense matrix, reduced density or window, is refused beyond ``DENSE_BUDGET``.
+:func:`certify_state` joins the two into the verdict the ``certify`` command prints.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ import numpy as np
 
 from .bilinear import RankReport, _cutoff, _rank_report, numerical_rank, rank_tolerance
 from .bilinear import reduced_density
-from .state import StateTensor, Subsystem, _check_dense, _ldexp, _scale_exponent
+from .state import StateTensor, Subsystem, _check_dense, _DenseBudgetError, _ldexp
+from .state import _scale_exponent
 
 __all__ = [
     "Feasibility",
@@ -42,6 +44,9 @@ __all__ = [
     "hyperentanglement_test",
     "window_certificate",
     "cube_window",
+    "recorded_windows",
+    "StateVerdict",
+    "certify_state",
     "STRUCTURAL_MARGIN",
 ]
 
@@ -327,3 +332,41 @@ def cube_window(dims: Sequence[int], axis: int, size: int) -> Window:
     if any(size > d for d in comp_dims):
         raise ValueError(f"window size {size} exceeds complement dims {comp_dims}")
     return Window(axis=axis, size=size)  # rejects size < 1
+
+
+def recorded_windows(v: StateTensor) -> list[Window]:
+    """The cube windows of ``v.metadata["window_sizes"]``, size by size, then axis by axis."""
+    sizes = v.metadata.get("window_sizes")
+    if not sizes:
+        raise ValueError("state metadata records no window sizes; --windows full unavailable")
+    return [cube_window(v.dims, axis, size) for size in sizes for axis in range(v.nfactors)]
+
+
+@dataclass(frozen=True)
+class StateVerdict:
+    """The combined verdict of :func:`certify_state`.
+
+    ``dense`` is None when the cyclicity checks would exceed ``DENSE_BUDGET``;
+    ``feasibility`` is then the dimension gate alone.  ``windows`` holds the
+    certificates of :func:`recorded_windows` when they were asked for.
+    ``positive`` means hyperentangled, or a truncation whose every window passed.
+    """
+
+    positive: bool
+    feasibility: Feasibility
+    dense: CertVerdict | None
+    windows: tuple[WindowCertificate, ...] | None
+
+
+def certify_state(v: StateTensor, tol: float | None = None, windows: bool = False) -> StateVerdict:
+    """Dense test where it fits, plus the recorded windows if ``windows``."""
+    try:
+        dense = hyperentanglement_test(v, tol)
+        feas = dense.feasibility
+    except _DenseBudgetError:  # cyclicity not evaluated beyond the budget
+        dense, feas = None, dimension_gate(v.dims, v.truncated_from_infinite)
+    certs = tuple(window_certificate(v, w, tol) for w in recorded_windows(v)) if windows else None
+    positive = (dense is not None and dense.overall == HYPERENTANGLED) or (
+        v.truncated_from_infinite and certs is not None and all(c.passed for c in certs)
+    )
+    return StateVerdict(positive=positive, feasibility=feas, dense=dense, windows=certs)

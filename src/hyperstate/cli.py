@@ -238,25 +238,20 @@ def _cmd_construct(args: argparse.Namespace) -> tuple[int, dict, dict]:
 
 
 def _cmd_certify(args: argparse.Namespace) -> tuple[int, dict, dict]:
-    from .certify import (
-        HYPERENTANGLED,
-        cube_window,
-        dimension_gate,
-        hyperentanglement_test,
-        window_certificate,
-    )
-    from .state import _DenseBudgetError
+    from .certify import certify_state
 
     v = _load_source(args)
-    overall = subsystems = failing = None
-    try:
-        verdict = hyperentanglement_test(v, args.tol)
-    except _DenseBudgetError:  # dense cyclicity not evaluated beyond the budget
-        feas = dimension_gate(v.dims, v.truncated_from_infinite)
-    else:
-        feas = verdict.feasibility
-        overall = verdict.overall
-        subsystems = [
+    verdict = certify_state(v, args.tol, windows=args.windows == "full")
+    dense, windows = verdict.dense, verdict.windows
+    result = {
+        "dims": list(v.dims),
+        "nnz": v.nnz,
+        "truncated_from_infinite": v.truncated_from_infinite,
+        "dense_evaluated": dense is not None,
+        "overall": None if dense is None else dense.overall,
+        "feasible": verdict.feasibility.feasible,
+        "reason": verdict.feasibility.reason,
+        "subsystems": None if dense is None else [
             {
                 "index": c.subsystem.indices[0],
                 "passed": c.passed,
@@ -265,49 +260,16 @@ def _cmd_certify(args: argparse.Namespace) -> tuple[int, dict, dict]:
                 "full_dim": c.full_dim,
                 "threshold": float(c.threshold),
             }
-            for c in verdict.checks
-        ]
-        failing = list(verdict.failing)
-
-    windows = None
-    if args.windows == "full":
-        sizes = v.metadata.get("window_sizes")
-        if not sizes:
-            raise ValueError(
-                "state metadata records no window sizes; --windows full unavailable"
-            )
-        windows = []
-        for size in sizes:
-            for axis in range(v.nfactors):
-                cert = window_certificate(v, cube_window(v.dims, axis, size), args.tol)
-                windows.append(
-                    {
-                        "axis": axis,
-                        "cube": int(size),
-                        "size": cert.size,
-                        "rank": cert.rank,
-                        "passed": cert.passed,
-                    }
-                )
-
-    positive = overall == HYPERENTANGLED or (
-        v.truncated_from_infinite
-        and windows is not None
-        and all(w["passed"] for w in windows)
-    )
-    result = {
-        "dims": list(v.dims),
-        "nnz": v.nnz,
-        "truncated_from_infinite": v.truncated_from_infinite,
-        "dense_evaluated": subsystems is not None,
-        "overall": overall,
-        "feasible": feas.feasible,
-        "reason": feas.reason,
-        "subsystems": subsystems,
-        "failing": failing,
-        "windows": windows,
+            for c in dense.checks
+        ],
+        "failing": None if dense is None else list(dense.failing),
+        "windows": None if windows is None else [
+            {"axis": w.window.axis, "cube": w.window.size, "size": w.size,
+             "rank": w.rank, "passed": w.passed}
+            for w in windows
+        ],
     }
-    return (0 if positive else 1), result, {"tol": args.tol}
+    return (0 if verdict.positive else 1), result, {"tol": args.tol}
 
 
 def _cmd_schmidt(args: argparse.Namespace) -> tuple[int, dict, dict]:
@@ -320,6 +282,8 @@ def _cmd_schmidt(args: argparse.Namespace) -> tuple[int, dict, dict]:
     sum_sq = float(sum(float(c) * float(c) for c in sd.coeffs))
     if not math.isfinite(sum_sq):  # JSON cannot carry it: refuse before serialising
         raise ValueError("sum_sq of the Schmidt coefficients lies beyond the float range")
+    if sum_sq < sys.float_info.min and any(sd.coeffs):  # underflowed, to 0.0 or subnormal digits
+        raise ValueError("sum_sq of the Schmidt coefficients lies below the normal float range")
     result = {
         "dims": list(v.dims),
         "split": {
@@ -347,7 +311,6 @@ def _cmd_witness(args: argparse.Namespace) -> tuple[int, dict, dict]:
     res = correlation_witness(
         CorrelationQuery(state=v, subsystem=part, p_prime=pp, epsilon=args.epsilon)
     )
-    ok = res.achieved >= 1.0 - args.epsilon and not res.warning
     result = {
         "dims": list(v.dims),
         "subsystem": list(part.indices),
@@ -357,7 +320,7 @@ def _cmd_witness(args: argparse.Namespace) -> tuple[int, dict, dict]:
         "warning": res.warning,
         "projector_vector": [[float(x.real), float(x.imag)] for x in res.projector.basis[0]],
     }
-    return (0 if ok else 1), result, {"epsilon": args.epsilon}
+    return (1 if res.warning else 0), result, {"epsilon": args.epsilon}
 
 
 def _cmd_degree(args: argparse.Namespace) -> tuple[int, dict, dict]:

@@ -29,6 +29,7 @@ from hyperstate import (
     pairing_eval,
     pairing_fn,
     rank_tolerance,
+    recorded_windows,
     window_certificate,
 )
 
@@ -333,13 +334,16 @@ class TestWindowRoutes:
     @pytest.mark.parametrize("stages", [1, 2, 3])
     def test_method2_windows_are_structural(self, stages):
         v = method2_build(stages, STAGE_EPS[:stages])
-        for size in v.metadata["window_sizes"]:
-            for axis in range(3):
-                cert = window_certificate(v, cube_window(v.dims, axis, size))
-                rank, sigma_min = svd_rank(cube_window_matrix(v, axis, size))
-                assert cert.route == "structural", (stages, size, axis)
-                assert (cert.rank, cert.passed) == (rank, rank == size * size)
-                assert cert.report.min_kept <= sigma_min
+        windows = recorded_windows(v)
+        assert [(w.size, w.axis) for w in windows] == [
+            (size, axis) for size in v.metadata["window_sizes"] for axis in range(3)
+        ]
+        for w in windows:
+            cert = window_certificate(v, w)
+            rank, sigma_min = svd_rank(cube_window_matrix(v, w.axis, w.size))
+            assert cert.route == "structural", (stages, w.size, w.axis)
+            assert (cert.rank, cert.passed) == (rank, rank == w.size * w.size)
+            assert cert.report.min_kept <= sigma_min
 
     @pytest.mark.parametrize(
         "kind, bounds, structural",
@@ -450,10 +454,9 @@ class TestWindowRoutes:
             if name.startswith("hyperstate") and hasattr(mod, "slice_family"):
                 monkeypatch.setattr(mod, "slice_family", refuse)
         v = method2_build(3, STAGE_EPS)
-        for size in v.metadata["window_sizes"]:
-            for axis in range(3):
-                cert = window_certificate(v, cube_window(v.dims, axis, size))
-                assert cert.passed and cert.route == "structural"
+        for w in recorded_windows(v):
+            cert = window_certificate(v, w)
+            assert cert.passed and cert.route == "structural"
 
     def test_window_with_more_keys_than_entries_is_refused(self):
         # 2**40 keys but three entries: no row array that size is allocated

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import dense_tensor, rand_unit, random_state
-from hyperstate import Projector, Subsystem, make_state
+from helpers import dense_tensor, rand_unit, random_state, scaled_state
+from hyperstate import Projector, Subsystem, certify_state, make_state, method2_build
 from hyperstate.cli import run_cli
 from hyperstate.io import (
     StateFileError,
@@ -442,6 +442,24 @@ class TestCliConstructAndCertify:
         assert code == 0
         assert rep["result"]["sum_sq"] == pytest.approx(math.ldexp(1.0, 1022), rel=1e-15)
 
+    def test_schmidt_sum_sq_below_normal_range(self, capsys, tmp_path, corpus):
+        # bohm x 2**-560: coefficients near 1.9e-169, whose squares underflow to 0.0
+        path = tmp_path / "tiny.json"
+        save_state(scaled_state(corpus["bohm"], -560), path)
+        code, out, err = masked_run(capsys, ["schmidt", "--state", str(path), "--split", "0"])
+        assert (code, err) == (2, "")
+        assert "sum_sq" in json.loads(out)["error"]
+        save_state(scaled_state(corpus["bohm"], -400), path)
+        code, rep = run(capsys, "schmidt", "--state", str(path), "--split", "0")
+        assert code == 0
+        assert rep["result"]["sum_sq"] == pytest.approx(math.ldexp(1.0, -800), rel=1e-12)
+
+    def test_certify_windows_without_recorded_sizes(self, capsys):
+        path = GOLDEN / "state_method1_3_3_37.json"
+        code, rep = run(capsys, "certify", "--state", str(path), "--windows", "full")
+        assert code == 2
+        assert "records no window sizes" in rep["error"]
+
     def test_certify_beyond_dense_budget(self, capsys, tmp_path, over_budget):
         # 17^3 total dims, beyond the old 4096 cap: the 289 x 289 densities fit
         v = make_state((17, 17, 17), {(k, k, k): 0.5 for k in range(4)}, normalize=True)
@@ -483,6 +501,69 @@ class TestCliConstructAndCertify:
         assert rep["result"]["repair"] == {"replaced": 1, "delta": 0.1}
         code, rep = run(capsys, "certify", "--state", str(fixed))
         assert code == 0
+
+
+class TestCertifyPrintsLibraryVerdict:
+    """``certify`` exits 0 exactly when ``certify_state`` is positive, and prints its fields."""
+
+    @staticmethod
+    def check(capsys, source, v, windows=False):
+        argv = ["certify", *source] + (["--windows", "full"] if windows else [])
+        code, rep = run(capsys, *argv)
+        verdict = certify_state(v, windows=windows)
+        res, dense = rep["result"], verdict.dense
+        assert code == (0 if verdict.positive else 1)
+        assert (res["feasible"], res["reason"]) == (
+            verdict.feasibility.feasible, verdict.feasibility.reason
+        )
+        assert res["dense_evaluated"] is (dense is not None)
+        if dense is None:
+            assert res["overall"] is res["subsystems"] is res["failing"] is None
+        else:
+            assert (res["overall"], res["failing"]) == (dense.overall, list(dense.failing))
+            assert res["subsystems"] == [
+                {
+                    "index": c.subsystem.indices[0], "passed": c.passed,
+                    "min_eigenvalue": c.min_eigenvalue, "rank": c.rank,
+                    "full_dim": c.full_dim, "threshold": c.threshold,
+                }
+                for c in dense.checks
+            ]
+        if verdict.windows is None:
+            assert res["windows"] is None
+        else:
+            assert res["windows"] == [
+                {"axis": w.window.axis, "cube": w.window.size, "size": w.size,
+                 "rank": w.rank, "passed": w.passed}
+                for w in verdict.windows
+            ]
+        return verdict
+
+    def test_catalog_states(self, capsys, tmp_path, corpus):
+        for name, v in corpus.items():
+            path = tmp_path / f"{name}.json"
+            save_state(v, path)
+            by_name = self.check(capsys, ["--paper", name], v)
+            by_file = self.check(capsys, ["--state", str(path)], load_state(path))
+            assert by_name == by_file
+            assert by_name.positive is (name in ("bohm", "hardy2", "spin1_singlet")), name
+
+    @pytest.mark.parametrize("stages", [1, 2, 3])
+    def test_method2_windows(self, capsys, tmp_path, stages):
+        path = tmp_path / "m2.json"
+        save_state(method2_build(stages, (0.01, 0.005, 0.0025)[:stages]), path)
+        verdict = self.check(capsys, ["--state", str(path)], load_state(path), windows=True)
+        assert verdict.positive and len(verdict.windows) == 3 * stages
+        assert (verdict.dense is None) is (stages == 3)  # 677**2-wide densities
+
+    def test_method1_golden(self, capsys):
+        path = GOLDEN / "state_method1_3_3_37.json"
+        verdict = self.check(capsys, ["--state", str(path)], load_state(path))
+        assert not verdict.positive and verdict.feasibility.reason == "unequal_dims"
+
+    def test_beyond_dense_budget(self, capsys, over_budget):
+        verdict = self.check(capsys, ["--state", over_budget], load_state(over_budget))
+        assert verdict.dense is None and not verdict.positive
 
 
 class TestCliAnalysis:
