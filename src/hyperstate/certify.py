@@ -22,6 +22,7 @@ Either dense matrix, reduced density or window, is refused beyond ``DENSE_BUDGET
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -74,7 +75,7 @@ def dimension_gate(dims: Sequence[int], truncated_from_infinite: bool = False) -
     finite common dimension is ruled out as well, unless the state is a
     declared truncation of an infinite-dimensional construction.
     """
-    dims_t = tuple(int(d) for d in dims)
+    dims_t = tuple(map(operator.index, dims))
     if len(dims_t) < 2 or any(d < 2 for d in dims_t):
         raise ValueError(f"invalid dims {dims_t}: need >= 2 factors, each of dim >= 2")
     if len(set(dims_t)) != 1:
@@ -196,8 +197,8 @@ class Window:
     size: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "axis", int(self.axis))
-        object.__setattr__(self, "size", int(self.size))
+        object.__setattr__(self, "axis", operator.index(self.axis))
+        object.__setattr__(self, "size", operator.index(self.size))
         if self.size < 1:
             raise ValueError("window size must be >= 1")
 
@@ -325,7 +326,8 @@ def window_certificate(
 
 def cube_window(dims: Sequence[int], axis: int, size: int) -> Window:
     """The window of all slice keys with every coordinate below ``size``."""
-    dims_t = tuple(int(d) for d in dims)
+    dims_t = tuple(map(operator.index, dims))
+    axis, size = operator.index(axis), operator.index(size)
     if axis < 0 or axis >= len(dims_t):
         raise ValueError(f"axis {axis} out of range for dims {dims_t}")
     comp_dims = dims_t[:axis] + dims_t[axis + 1 :]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -98,9 +99,10 @@ def pairing_fn(kind: str) -> PairingFn:
 
 def pairing_eval(p: PairingFn, a: int, b: int) -> int:
     """Evaluate j(a, b) with range and growth checks."""
+    a, b = operator.index(a), operator.index(b)
     if a < 0 or b < 0:
         raise ValueError(f"pairing arguments must be nonnegative, got ({a}, {b})")
-    value = p.func(int(a), int(b))
+    value = p.func(a, b)
     if value > _PAIRING_MAX:
         # Report the width, not the value: a custom pairing may return an
         # integer too large for str conversion.
@@ -132,7 +134,7 @@ def support_test(p: PairingFn, idx: Sequence[int]) -> bool:
     c = j(a, b).  For four factors each coordinate is tested against the
     nested pairing of the remaining three, e.g. a = j(b, j(c, d)).
     """
-    idx = tuple(int(k) for k in idx)
+    idx = tuple(map(operator.index, idx))
     if any(k < 0 for k in idx):
         raise ValueError(f"indices must be nonnegative, got {idx}")
     if len(idx) not in (3, 4):
@@ -165,7 +167,7 @@ def method1_build(
     """
     if n not in (3, 4):
         raise ValueError(f"pairing-support construction needs n in {{3, 4}}, got {n}")
-    bounds_t = tuple(int(b) for b in bounds)
+    bounds_t = tuple(map(operator.index, bounds))
     if len(bounds_t) != n:
         raise ValueError(f"bounds {bounds_t} must have length {n}")
     if any(b < 2 for b in bounds_t):
@@ -431,35 +433,37 @@ _R3 = 1.0 / math.sqrt(3.0)
 _R7 = 1.0 / math.sqrt(7.0)
 
 
-# name -> (dims, amplitudes) of the named reference states.
-_CATALOG: dict[str, tuple[tuple[int, ...], dict[MultiIndex, float]]] = {
-    # Two spin-1/2 particles, one up and one down, z basis (up = 0).
-    "bohm": ((2, 2), {(0, 1): _R2, (1, 0): _R2}),
-    # Two qubits, z basis: equal weight on every index except (0, 0).
-    "hardy2": ((2, 2), {(0, 1): _R3, (1, 0): _R3, (1, 1): _R3}),
-    # Two spin-1 particles in the orthonormal basis of null directions
-    # of the y, x, z spin components (indices 0, 1, 2 respectively).
-    "spin1_singlet": ((3, 3), {(0, 0): _R3, (1, 1): -_R3, (2, 2): -_R3}),
-    # Same basis as spin1_singlet with the z-null term removed: one
-    # Schmidt coefficient is exactly zero, so this is not cyclic.
-    "spin1_two_term": ((3, 3), {(0, 0): _R2, (1, 1): -_R2}),
-    "ghz": ((2, 2, 2), {(0, 0, 0): _R2, (1, 1, 1): _R2}),
-    # Three qubits, z basis: equal weight everywhere except (0, 0, 0).
-    "hardy3": (
-        (2, 2, 2),
-        {idx: _R7 for idx in itertools.product(range(2), repeat=3) if idx != (0, 0, 0)},
-    ),
+# name -> the named reference state, built once from its (dims, amplitudes).
+_CATALOG: dict[str, StateTensor] = {
+    name: make_state(dims, entries, metadata={"catalog": name})
+    for name, (dims, entries) in {
+        # Two spin-1/2 particles, one up and one down, z basis (up = 0).
+        "bohm": ((2, 2), {(0, 1): _R2, (1, 0): _R2}),
+        # Two qubits, z basis: equal weight on every index except (0, 0).
+        "hardy2": ((2, 2), {(0, 1): _R3, (1, 0): _R3, (1, 1): _R3}),
+        # Two spin-1 particles in the orthonormal basis of null directions
+        # of the y, x, z spin components (indices 0, 1, 2 respectively).
+        "spin1_singlet": ((3, 3), {(0, 0): _R3, (1, 1): -_R3, (2, 2): -_R3}),
+        # Same basis as spin1_singlet with the z-null term removed: one
+        # Schmidt coefficient is exactly zero, so this is not cyclic.
+        "spin1_two_term": ((3, 3), {(0, 0): _R2, (1, 1): -_R2}),
+        "ghz": ((2, 2, 2), {(0, 0, 0): _R2, (1, 1, 1): _R2}),
+        # Three qubits, z basis: equal weight everywhere except (0, 0, 0).
+        "hardy3": (
+            (2, 2, 2),
+            {idx: _R7 for idx in itertools.product(range(2), repeat=3) if idx != (0, 0, 0)},
+        ),
+    }.items()
 }
 
 PAPER_STATE_NAMES: tuple[str, ...] = tuple(sorted(_CATALOG))
 
 
 def paper_state(name: str) -> StateTensor:
-    """Build a state from the named reference catalog."""
+    """The named reference state: one shared immutable state per name."""
     try:
-        dims, entries = _CATALOG[name]
+        return _CATALOG[name]
     except KeyError:
         raise ValueError(
             f"unknown state {name!r}; expected one of {list(PAPER_STATE_NAMES)}"
         ) from None
-    return make_state(dims, entries, metadata={"catalog": name})

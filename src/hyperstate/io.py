@@ -260,23 +260,20 @@ def _float_column(entries: list, key: str) -> np.ndarray | None:
 
 
 def _entry_template(nfactors: int) -> str:
-    """One entry as ``json.dumps(indent=2, sort_keys=True)`` lays it out in a
-    state file, to be filled with ``(im, im_hex, *index, re, re_hex)``."""
-    index = ",\n".join(["        %d"] * nfactors)
-    return (
-        '    {\n      "im": "%.17g",\n      "im_hex": "%s",\n      "index": [\n'
-        + index
-        + '\n      ],\n      "re": "%.17g",\n      "re_hex": "%s"\n    }'
-    )
+    """One entry as :func:`canonical_report_json` lays it out in a state file,
+    to be filled with ``(im, im_hex, *index, re, re_hex)``."""
+    entry = dict(im="%.17g", im_hex="%s", index=["%d"] * nfactors, re="%.17g", re_hex="%s")
+    text = canonical_report_json(entry).replace('"%d"', "%d").rstrip("\n")
+    return "    " + text.replace("\n", "\n    ")
 
 
 def save_state(v: StateTensor, path: str | Path) -> None:
     """Write ``v``; non-finite metadata numbers raise ValueError first.
 
-    The file is what ``json.dumps(..., indent=2, sort_keys=True)`` gives for
-    the whole document, but the entries are rendered from the arrays through
-    one template instead of the stdlib's pure-Python indenting encoder.  The
-    text is complete before the file is opened, so a failed save leaves an
+    The file is what :func:`canonical_report_json` gives for the whole
+    document, but the entries are rendered from the arrays through one
+    template instead of the stdlib's pure-Python indenting encoder.  The text
+    is complete before the file is opened, so a failed save leaves an
     existing file as it was.
     """
     header = {
@@ -286,7 +283,7 @@ def save_state(v: StateTensor, path: str | Path) -> None:
         "entries": [],
         "metadata": v.metadata,
     }
-    text = json.dumps(header, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = canonical_report_json(header)
     if v.nnz:
         template = _entry_template(v.nfactors)
         re_part, im_part = v.amplitudes.real.tolist(), v.amplitudes.imag.tolist()
@@ -315,9 +312,7 @@ def save_projector(p: Projector, path: str | Path) -> None:
             for row in p.basis
         ],
     }
-    Path(path).write_text(
-        json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    Path(path).write_text(canonical_report_json(obj), encoding="utf-8")
 
 
 def _is_finite_number(x: Any) -> bool:
@@ -374,5 +369,5 @@ def load_projector(path: str | Path) -> Projector:
 
 
 def canonical_report_json(report: dict) -> str:
-    """Deterministic rendering used for all CLI reports."""
+    """Deterministic rendering of every CLI report and every written file."""
     return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"

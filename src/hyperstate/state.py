@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -60,13 +62,14 @@ class Subsystem:
     """A nonempty set of factor positions, kept strictly increasing.
 
     ``Subsystem((0, 2))`` selects the first and third tensor factors.  Use
-    :meth:`coerce` to build one from an int or any iterable of ints.
+    :meth:`coerce` to build one from an integer or any iterable of integers;
+    floats, strings and other non-integers are refused, not truncated.
     """
 
     indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        idx = tuple(int(k) for k in self.indices)
+        idx = tuple(map(operator.index, self.indices))
         if len(idx) == 0:
             raise ValueError("subsystem must contain at least one factor")
         if any(k < 0 for k in idx):
@@ -79,9 +82,9 @@ class Subsystem:
     def coerce(cls, spec: "Subsystem | int | Iterable[int]") -> "Subsystem":
         if isinstance(spec, Subsystem):
             return spec
-        if isinstance(spec, int):
+        if isinstance(spec, numbers.Integral):  # int, bool or a numpy integer
             return cls((spec,))
-        idx = sorted(int(k) for k in spec)
+        idx = sorted(map(operator.index, spec))
         if len(set(idx)) != len(idx):
             raise ValueError(f"subsystem indices must be distinct, got {tuple(idx)}")
         return cls(tuple(idx))
@@ -147,10 +150,11 @@ class StateTensor:
         truncated_from_infinite: bool,
         metadata: dict,
     ):
-        indices.flags.writeable = amplitudes.flags.writeable = False
         self._dims = dims
-        self._indices = indices
-        self._amplitudes = amplitudes
+        # Copies over immutable bytes, whose writeable flag cannot be set back.
+        self._indices, self._amplitudes = (
+            np.frombuffer(a.tobytes(), a.dtype).reshape(a.shape) for a in (indices, amplitudes)
+        )
         parts = np.abs(amplitudes.real), np.abs(amplitudes.imag)
         self._peak = float(np.maximum(*parts).max(initial=0.0))  # read by _scale_exponent
         # Squares of components beyond 2**+-500 would overflow or underflow, so
@@ -244,7 +248,8 @@ def make_state(
         a product below 2**63.
     entries:
         Mapping (or iterable of pairs) from index tuples to amplitudes.
-        Indices must be in range and distinct; amplitudes must be finite.
+        Indices must hold integers, in range and distinct; amplitudes must be
+        finite numbers (strings and other non-numbers are refused).
         Errors cite the offending pair as ``entries[k]`` in input order.
         Amplitudes with magnitude <= ``DROP_THRESHOLD`` are discarded.
     normalize:
@@ -254,10 +259,16 @@ def make_state(
         certification treats those dimensions differently.
     """
     pairs = list(entries.items() if isinstance(entries, Mapping) else entries)
+    rows = []
+    for k, (idx, amp) in enumerate(pairs):  # numpy would truncate or parse these
+        try:
+            rows.append(tuple(map(operator.index, idx)))
+        except TypeError:
+            raise ValueError(f"entries[{k}]: index {idx!r} must hold integers") from None
+        if not isinstance(amp, (numbers.Number, np.bool_)):
+            raise ValueError(f"entries[{k}]: amplitude {amp!r} is not a number")
     amps = np.array([amp for _, amp in pairs], dtype=np.complex128)
-    return _state_from_arrays(
-        dims, [idx for idx, _ in pairs], amps, normalize, truncated_from_infinite, metadata
-    )
+    return _state_from_arrays(dims, rows, amps, normalize, truncated_from_infinite, metadata)
 
 
 def _state_from_arrays(
@@ -269,7 +280,7 @@ def _state_from_arrays(
     metadata: dict | None = None,
 ) -> StateTensor:
     """:func:`make_state` for index rows and an amplitude array."""
-    dims_t = tuple(int(d) for d in dims)
+    dims_t = tuple(map(operator.index, dims))
     if len(dims_t) < 2:
         raise ValueError(f"need at least two tensor factors, got dims={dims_t}")
     if any(d < 2 for d in dims_t):

@@ -50,7 +50,9 @@ class Projector:
 
     def __post_init__(self) -> None:
         basis = np.array(self.basis, dtype=np.complex128)
-        if basis.ndim != 2 or basis.shape[0] == 0:
+        if basis.ndim != 2:
+            raise ValueError(f"basis must be a 2-D row-stacked array, got shape {basis.shape}")
+        if basis.shape[0] == 0:
             raise ValueError("projector needs at least one range vector")
         with np.errstate(over="ignore", invalid="ignore"):  # huge rows: inf/NaN, refused below
             gram = basis.conj() @ basis.T

@@ -475,6 +475,17 @@ class TestRepair:
 
 
 class TestCatalog:
+    def test_shared_state_cannot_be_edited(self):
+        v = paper_state("bohm")
+        v.metadata["catalog"] = "edited"
+        for arr in (v.amplitudes, v.indices):
+            with pytest.raises(ValueError):
+                arr.flags.writeable = True
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        assert paper_state("bohm").metadata == {"catalog": "bohm"}
+        assert dict(paper_state("bohm").items()) == {(0, 1): R2, (1, 0): R2}
+
     def test_names(self):
         assert PAPER_STATE_NAMES == (
             "bohm", "ghz", "hardy2", "hardy3", "spin1_singlet", "spin1_two_term",
@@ -498,5 +509,6 @@ class TestCatalog:
     def test_normalized_with_catalog_tag(self, corpus):
         for name, v in corpus.items():
             assert abs(norm(v) - 1.0) <= 1e-12, name
-            assert v.metadata["catalog"] == name
+            assert v.metadata == {"catalog": name}
+            assert v is paper_state(name)
             assert not v.truncated_from_infinite

@@ -206,6 +206,13 @@ class TestProjectorFiles:
         assert q.subsystem == p.subsystem
         np.testing.assert_allclose(q.basis, p.basis, atol=1e-15)
 
+    def test_file_is_the_canonical_layout(self, tmp_path):
+        basis = np.array([[0.6, 0.8j], [0.8, -0.6j]])
+        path = tmp_path / "p.json"
+        save_projector(Projector(subsystem=Subsystem((1,)), basis=basis), path)
+        text = path.read_text(encoding="utf-8")
+        assert text == canonical_report_json(json.loads(text))
+
     def test_validation(self, tmp_path):
         path = tmp_path / "p.json"
         path.write_text(json.dumps({

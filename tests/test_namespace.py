@@ -98,6 +98,24 @@ def test_every_benchmark_name_is_bound():
         assert hasattr(owners[owner], name), f"{owner}.{name}"
 
 
+def test_io_states_one_json_layout():
+    # every written document renders through canonical_report_json, the only
+    # json.dumps call in io.py that lays text out with indent=
+    source = pathlib.Path(SUBMODULES["io"].__file__).read_text()
+    owners = {}
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if (
+                    isinstance(node, ast.Call)
+                    and ast.unparse(node.func) == "json.dumps"
+                    and any(kw.arg == "indent" for kw in node.keywords)
+                ):
+                    owners.setdefault(func.name, []).append(node.lineno)
+    assert list(owners) == ["canonical_report_json"], owners
+    assert len(owners["canonical_report_json"]) == 1, owners
+
+
 def test_runtime_imports_are_stdlib_or_numpy():
     # numpy is the one declared runtime dependency; scipy being installed must not matter
     allowed = set(sys.stdlib_module_names) | {"numpy"}

@@ -2,6 +2,8 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,11 +15,19 @@ from hyperstate import (
     DROP_THRESHOLD,
     StateTensor,
     Subsystem,
+    Window,
+    cube_window,
+    dimension_gate,
     inner,
     make_state,
+    method1_build,
     norm,
+    pairing_eval,
+    pairing_fn,
     paper_state,
+    schmidt_decompose,
     slice_family,
+    support_test,
     unfold,
 )
 
@@ -276,6 +286,9 @@ class TestColumnarStorage:
             v.amplitudes[0] = 0j
         with pytest.raises(AttributeError):
             v.indices = np.zeros((2, 2), dtype=np.int64)
+        for arr in (v.indices, v.amplitudes, v.indices.base, v.amplitudes.base):
+            with pytest.raises(ValueError):
+                arr.flags.writeable = True
 
     def test_amplitude_of_foreign_keys_is_zero(self):
         v = make_state((2, 3), {(0, 0): 1.0, (1, 2): 2.0})
@@ -361,3 +374,76 @@ class TestColumnarStorage:
             make_state((2**32, 2**31), {(0, 0): 1.0})
         with pytest.raises(ValueError, match="2\\*\\*63"):
             make_state((2, 2**70), {(0, 0): 1.0})
+
+
+# Each call passes one non-integer where an integer belongs; int() would have
+# truncated or parsed it into a valid argument.
+NON_INTEGER_CALLS = {
+    "Subsystem": lambda: Subsystem((0.7,)),
+    "Subsystem.coerce float": lambda: Subsystem.coerce([0.7]),
+    "Subsystem.coerce str": lambda: Subsystem.coerce(["1"]),
+    "schmidt_decompose": lambda: schmidt_decompose(paper_state("bohm"), "0"),
+    "Window axis": lambda: Window(axis=0.5, size=2),
+    "Window size": lambda: Window(axis=0, size=2.5),
+    "cube_window size": lambda: cube_window((5, 5, 5), 0, 2.7),
+    "cube_window dims": lambda: cube_window((5.5, 5, 5), 0, 2),
+    "dimension_gate": lambda: dimension_gate((2.5, 2)),
+    "make_state dims": lambda: make_state((2.5, 2), {(0, 1): 1.0}),
+    "method1_build bounds": lambda: method1_build(
+        3, pairing_fn("injection_2a3b"), (3.9, 3, 37)
+    ),
+    "support_test": lambda: support_test(pairing_fn("injection_2a3b"), (1.0, 0, 0)),
+    "pairing_eval": lambda: pairing_eval(pairing_fn("injection_2a3b"), 1.5, 0),
+}
+
+
+class TestIndexLikeArguments:
+    @pytest.mark.parametrize("call", NON_INTEGER_CALLS.values(), ids=list(NON_INTEGER_CALLS))
+    def test_non_integers_are_refused(self, call):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            call()
+
+    def test_numpy_integers_are_accepted(self):
+        one, two = np.int64(1), np.int32(2)
+        assert Subsystem.coerce(one) == Subsystem((1,))
+        assert Subsystem.coerce([two, np.int8(0)]) == Subsystem((0, 2))
+        assert Window(axis=one, size=two) == Window(axis=1, size=2)
+        assert cube_window((np.int64(5),) * 3, one, two) == Window(axis=1, size=2)
+        assert dimension_gate((two, two)).feasible
+        assert make_state((two, np.int16(3)), {(one, two): 1.0}).dims == (2, 3)
+        v = method1_build(3, pairing_fn("injection_2a3b"), (np.int64(3), 3, 37))
+        assert v.dims == (3, 3, 37)
+        assert support_test(pairing_fn("injection_2a3b"), (one, np.int8(0), 0))
+        assert pairing_eval(pairing_fn("injection_2a3b"), one, np.uint8(0)) == 2
+        sd = schmidt_decompose(paper_state("bohm"), np.int64(0))
+        assert sd.rank == schmidt_decompose(paper_state("bohm"), 0).rank
+
+
+class TestMakeStateEntryTypes:
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (((0.5, 1), 1.0), r"index \(0\.5, 1\) must hold integers"),
+            ((("1", 1), 1.0), r"index \('1', 1\) must hold integers"),
+            ((1, 1.0), "index 1 must hold integers"),
+            (((1, 1), "2j"), "amplitude '2j' is not a number"),
+            (((1, 1), b"1"), "amplitude b'1' is not a number"),
+            (((1, 1), None), "amplitude None is not a number"),
+            (((1, 1), [1]), r"amplitude \[1\] is not a number"),
+        ],
+        ids=["float index", "str index", "int index", "str amp", "bytes amp", "None amp", "list amp"],
+    )
+    def test_rewritten_entries_are_refused(self, bad, message):
+        # the bad pair comes second, so the message must cite entries[1]
+        with pytest.raises(ValueError, match=r"^entries\[1\]: " + message):
+            make_state((2, 2), [((0, 0), 1.0), bad])
+
+    @pytest.mark.parametrize(
+        "amp",
+        [2, 0.5, 0.5 - 1j, True, np.True_, np.float32(0.5), np.int8(3), np.complex64(1j),
+         Fraction(1, 4), Decimal("0.25")],
+        ids=repr,
+    )
+    def test_numbers_numpy_converts_stay_accepted(self, amp):
+        v = make_state((2, 2), {(0, 0): 1.0, (1, 1): amp})
+        assert v.amplitude((1, 1)) == complex(np.complex128(amp))

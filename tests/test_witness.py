@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +52,16 @@ class TestProjector:
             Projector(subsystem=Subsystem((0,)), basis=np.zeros((0, 2)))
         with pytest.raises(ValueError):
             Projector(subsystem=Subsystem((0,)), basis=np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 1, 2), ()])
+    def test_basis_of_wrong_rank_is_named(self, shape):
+        message = rf"basis must be a 2-D row-stacked array, got shape {re.escape(str(shape))}"
+        with pytest.raises(ValueError, match=message):
+            Projector(subsystem=Subsystem((0,)), basis=np.ones(shape))
+
+    def test_empty_basis_is_named(self):
+        with pytest.raises(ValueError, match="needs at least one range vector"):
+            Projector(subsystem=Subsystem((0,)), basis=np.zeros((0, 2)))
 
     def test_basis_readonly(self):
         p = rank1(0, [1.0, 0.0])
