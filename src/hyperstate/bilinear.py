@@ -171,7 +171,7 @@ def reduced_density(v: StateTensor, subsystem: Subsystem | int | Iterable[int]) 
     part = Subsystem.coerce(subsystem)
     kept_rows = unfold(v, part.complement(v.nfactors))  # checks the subsystem
     _check_dense(kept_rows.shape[0], kept_rows.shape[0])
-    kept_rows = _ldexp(kept_rows, -_scale_exponent(v))
+    kept_rows = _ldexp(kept_rows, -_scale_exponent(v._peak))
     rho = kept_rows @ kept_rows.conj().T
     rho = (rho + rho.conj().T) / 2.0
     rho.flags.writeable = False

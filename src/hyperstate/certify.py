@@ -287,17 +287,15 @@ def window_certificate(
     ``tol`` (>= 0, checked on either route) cutting singular values.
     """
     axis, side = window.axis, window.size
-    comp = list(Subsystem((axis,)).complement(v.nfactors))  # checks the axis
-    comp_dims = tuple(v.dims[k] for k in comp)
-    if side > min(comp_dims):
-        raise ValueError(f"window size {side} exceeds complement dims {comp_dims}")
+    cube_window(v.dims, axis, side)  # checks the axis and size against the dims
+    comp = [k for k in range(v.nfactors) if k != axis]
     keys = v.indices[:, comp]
     hit = (keys < side).all(axis=1)
     rows_a = np.ravel_multi_index(keys[hit].T, (side,) * len(comp))
     cols_a, amps_a = v.indices[hit, axis], v.amplitudes[hit]
     size = side ** len(comp)
     shape = (size, v.dims[axis])
-    e = _scale_exponent(v)
+    e = _scale_exponent(v._peak)
     mags = np.abs(_ldexp(amps_a, -e))
     bound = _singleton_bound(rows_a, cols_a, mags, size)
     frob = math.ldexp(float(np.linalg.norm(mags)), e)

@@ -112,9 +112,9 @@ class Subsystem:
         return iter(self.indices)
 
 
-def _scale_exponent(v: "StateTensor", window: int = 200) -> int:
-    """The ``e`` scaling ``v``'s peak ``|re|`` or ``|im|`` into [1/2, 1); 0 within 2**+-window."""
-    return 0 if 2.0**-window <= v._peak <= 2.0**window else math.frexp(v._peak)[1]
+def _scale_exponent(peak: float, window: int = 200) -> int:
+    """The ``e`` scaling a state's peak ``|re|`` or ``|im|`` into [1/2, 1); 0 within 2**+-window."""
+    return 0 if 2.0**-window <= peak <= 2.0**window else math.frexp(peak)[1]
 
 
 def _ldexp(a: np.ndarray, e: int) -> np.ndarray:
@@ -127,11 +127,30 @@ def _ldexp(a: np.ndarray, e: int) -> np.ndarray:
     return out
 
 
+def _ldexp_scalar(x: float, e: int) -> float:
+    """``x * 2**e``, or a signed inf where that lies beyond the float range."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _peak_and_norm(amps: np.ndarray) -> tuple[float, float]:
+    """The largest ``|re|`` or ``|im|`` of ``amps``, and their norm, summed exactly (``fsum``)."""
+    peak = float(np.maximum(np.abs(amps.real), np.abs(amps.imag)).max(initial=0.0))
+    # Squares of components beyond 2**+-500 would overflow or underflow, so
+    # those are summed scaled by an exact power of two (Blue 1978, dnrm2).
+    e = _scale_exponent(peak, 500)
+    a = _ldexp(amps, -e)
+    return peak, _ldexp_scalar(math.sqrt(math.fsum((a.real**2 + a.imag**2).tolist())), e)
+
+
 def _positions(indices: np.ndarray, dims: Sequence[int], axes: Iterable[int]) -> np.ndarray:
     """C-order position of each row's coordinates on ``axes``, within those factors."""
     return np.ravel_multi_index([indices[:, k] for k in axes], [dims[k] for k in axes])
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class StateTensor:
     """Immutable sparse tensor of complex amplitudes.
 
@@ -140,59 +159,21 @@ class StateTensor:
     entries are the read-only arrays :attr:`indices` and :attr:`amplitudes`.
     """
 
-    __slots__ = ("_dims", "_indices", "_amplitudes", "_peak", "_norm", "_truncated", "_metadata")
-
-    def __init__(
-        self,
-        dims: tuple[int, ...],
-        indices: np.ndarray,
-        amplitudes: np.ndarray,
-        truncated_from_infinite: bool,
-        metadata: dict,
-    ):
-        self._dims = dims
-        # Copies over immutable bytes, whose writeable flag cannot be set back.
-        self._indices, self._amplitudes = (
-            np.frombuffer(a.tobytes(), a.dtype).reshape(a.shape) for a in (indices, amplitudes)
-        )
-        parts = np.abs(amplitudes.real), np.abs(amplitudes.imag)
-        self._peak = float(np.maximum(*parts).max(initial=0.0))  # read by _scale_exponent
-        # Squares of components beyond 2**+-500 would overflow or underflow, so
-        # those are summed scaled by an exact power of two (Blue 1978, dnrm2).
-        e = _scale_exponent(self, 500)
-        a = _ldexp(amplitudes, -e)
-        try:
-            self._norm = math.ldexp(math.sqrt(math.fsum((a.real**2 + a.imag**2).tolist())), e)
-        except OverflowError:  # the norm itself lies beyond the float range
-            self._norm = math.inf
-        self._truncated = truncated_from_infinite
-        self._metadata = metadata
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self._dims
+    dims: tuple[int, ...]
+    indices: np.ndarray  # int64 (nnz, nfactors), rows strictly increasing lexicographically
+    amplitudes: np.ndarray  # complex128 (nnz,), one per row of indices
+    truncated_from_infinite: bool
+    _metadata: dict
+    _peak: float  # the largest |re| or |im|, for _scale_exponent
+    _norm: float
 
     @property
     def nfactors(self) -> int:
-        return len(self._dims)
+        return len(self.dims)
 
     @property
     def nnz(self) -> int:
-        return len(self._amplitudes)
-
-    @property
-    def indices(self) -> np.ndarray:
-        """int64 ``(nnz, nfactors)``, rows strictly increasing lexicographically."""
-        return self._indices
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        """complex128 ``(nnz,)``, one per row of :attr:`indices`."""
-        return self._amplitudes
-
-    @property
-    def truncated_from_infinite(self) -> bool:
-        return self._truncated
+        return len(self.amplitudes)
 
     @property
     def metadata(self) -> dict:
@@ -205,29 +186,29 @@ class StateTensor:
 
     def items(self) -> tuple[tuple[MultiIndex, complex], ...]:
         """All stored entries, sorted lexicographically by index."""
-        return tuple(zip(map(tuple, self._indices.tolist()), self._amplitudes.tolist()))
+        return tuple(zip(map(tuple, self.indices.tolist()), self.amplitudes.tolist()))
 
     def amplitude(self, idx: Iterable[int]) -> complex:
         key = tuple(idx)
-        if len(key) != len(self._dims):  # a shorter key would broadcast
+        if len(key) != len(self.dims):  # a shorter key would broadcast
             return 0j
-        hit = np.flatnonzero((self._indices == key).all(axis=1))
-        return complex(self._amplitudes[hit[0]]) if hit.size else 0j
+        hit = np.flatnonzero((self.indices == key).all(axis=1))
+        return complex(self.amplitudes[hit[0]]) if hit.size else 0j
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StateTensor):
             return NotImplemented
         return (
-            self._dims == other._dims
-            and np.array_equal(self._indices, other._indices)
-            and np.array_equal(self._amplitudes, other._amplitudes)
-            and self._truncated == other._truncated
+            self.dims == other.dims
+            and np.array_equal(self.indices, other.indices)
+            and np.array_equal(self.amplitudes, other.amplitudes)
+            and self.truncated_from_infinite == other.truncated_from_infinite
         )
 
     def __repr__(self) -> str:
         return (
-            f"StateTensor(dims={self._dims}, nnz={self.nnz}, "
-            f"norm={self._norm:.6g}, truncated={self._truncated})"
+            f"StateTensor(dims={self.dims}, nnz={self.nnz}, "
+            f"norm={self._norm:.6g}, truncated={self.truncated_from_infinite})"
         )
 
 
@@ -312,20 +293,22 @@ def _state_from_arrays(
         raise ValueError(f"entries[{k}]: duplicate index {tuple(idx[k].tolist())}")
     order = order[np.abs(amps[order]) > DROP_THRESHOLD]
 
+    idx, amps = idx[order], amps[order]
+    peak, n = _peak_and_norm(amps)
+    if normalize and n != 1.0:
+        if n == 0.0:
+            raise ValueError("cannot normalize the zero state")
+        if n == math.inf:
+            raise ValueError("cannot normalize: the norm exceeds the float range")
+        # Bit for bit what CPython 3.11's complex / float gives: it divides by n + 0j.
+        re, im = amps.real, amps.imag
+        amps = np.empty_like(amps)
+        amps.real, amps.imag = (re + im * 0.0) / n, (im - re * 0.0) / n
+        peak, n = _peak_and_norm(amps)
+    # Copies over immutable bytes, whose writeable flag cannot be set back.
+    idx, amps = (np.frombuffer(a.tobytes(), a.dtype).reshape(a.shape) for a in (idx, amps))
     meta = copy.deepcopy(dict(metadata or {}))
-    state = StateTensor(dims_t, idx[order], amps[order], bool(truncated_from_infinite), meta)
-    n = state._norm
-    if not normalize or n == 1.0:
-        return state
-    if n == 0.0:
-        raise ValueError("cannot normalize the zero state")
-    if n == math.inf:
-        raise ValueError("cannot normalize: the norm exceeds the float range")
-    # Bit for bit what CPython 3.11's complex / float gives: it divides by n + 0j.
-    re, im = state.amplitudes.real, state.amplitudes.imag
-    scaled = np.empty_like(state.amplitudes)
-    scaled.real, scaled.imag = (re + im * 0.0) / n, (im - re * 0.0) / n
-    return StateTensor(dims_t, state.indices, scaled, state.truncated_from_infinite, meta)
+    return StateTensor(dims_t, idx, amps, bool(truncated_from_infinite), meta, peak, n)
 
 
 def norm(v: StateTensor) -> float:
@@ -334,15 +317,21 @@ def norm(v: StateTensor) -> float:
 
 
 def inner(u: StateTensor, v: StateTensor) -> complex:
-    """Inner product <u, v>, conjugate-linear in the first argument, summed exactly."""
+    """Inner product <u, v>, conjugate-linear in the first argument, summed exactly.
+
+    The products are formed of each operand scaled by its own
+    :func:`_scale_exponent`, so states with finite norms never overflow
+    there; a part of the result beyond the float range is a signed ``inf``.
+    """
     if u.dims != v.dims:
         raise ValueError(f"dimension mismatch: {u.dims} vs {v.dims}")
     fu, fv = (_positions(w.indices, w.dims, range(w.nfactors)) for w in (u, v))
     _, iu, iv = np.intersect1d(fu, fv, assume_unique=True, return_indices=True)
-    a, b = u.amplitudes[iu], v.amplitudes[iv]
+    eu, ev = _scale_exponent(u._peak), _scale_exponent(v._peak)
+    a, b = _ldexp(u.amplitudes[iu], -eu), _ldexp(v.amplitudes[iv], -ev)
     re = a.real * b.real + a.imag * b.imag
     im = a.real * b.imag - a.imag * b.real
-    return complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
+    return complex(*(_ldexp_scalar(math.fsum(p.tolist()), eu + ev) for p in (re, im)))
 
 
 def slice_family(

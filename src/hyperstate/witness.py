@@ -84,7 +84,7 @@ def _split(v: StateTensor, part: Subsystem, pp: Projector) -> np.ndarray:
     m = unfold(v, part)
     if pp.dim != m.shape[0]:
         raise ValueError(f"P' dimension {pp.dim} does not match complement dimension {m.shape[0]}")
-    return _ldexp(m, -_scale_exponent(v))
+    return _ldexp(m, -_scale_exponent(v._peak))
 
 
 def conditional_probability(v: StateTensor, p: Projector, p_prime: Projector) -> float:

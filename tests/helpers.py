@@ -145,23 +145,83 @@ def rank1(subsystem, vec):
     )
 
 
-def cube_window_matrix(v: StateTensor, axis: int, size: int) -> np.ndarray:
-    """Slice vectors of the ``size`` cube window on ``axis``, one row per key.
+def window_entries(v: StateTensor, axis: int, size: int) -> list[tuple[int, int, complex]]:
+    """``(row, column, amplitude)`` of each stored entry in the ``size`` cube window on ``axis``.
 
-    Rows follow the lexicographic order of the complement keys; built by an
-    index loop over the stored entries, so it also works far past the size
-    at which :func:`dense_tensor` fits in memory.
+    Rows follow the lexicographic order of the complement keys, of which
+    there are ``size ** (v.nfactors - 1)``; the column is the coordinate on
+    ``axis``.  Built by an index loop over the stored entries, so it also
+    works far past the size at which :func:`dense_tensor` fits in memory.
     """
-    nkeys = v.nfactors - 1
-    out = np.zeros((size**nkeys, v.dims[axis]), dtype=np.complex128)
+    out = []
     for idx, amp in v.items():
         key = idx[:axis] + idx[axis + 1:]
         if max(key) < size:
             row = 0
             for k in key:
                 row = row * size + k
-            out[row, idx[axis]] = amp
+            out.append((row, idx[axis], amp))
     return out
+
+
+def cube_window_matrix(v: StateTensor, axis: int, size: int) -> np.ndarray:
+    """Slice vectors of the ``size`` cube window on ``axis``, one row per key."""
+    out = np.zeros((size ** (v.nfactors - 1), v.dims[axis]), dtype=np.complex128)
+    for row, col, amp in window_entries(v, axis, size):
+        out[row, col] = amp
+    return out
+
+
+# Two primes p = 1 (mod 4) below 2**31: GF(p) holds a square root of -1, and
+# the product of two residues fits in int64.
+RANK_PRIMES = (2147483629, 2147483549)
+
+
+def _to_gf(x: float, p: int) -> int:
+    """The float ``x = mant * 2**e`` in GF(p), through the inverse of 2 when e < 0."""
+    mant, den = x.as_integer_ratio()  # den is 2**-e, or 1
+    return mant * pow(den, -1, p) % p
+
+
+def _sqrt_minus_one(p: int) -> int:
+    nonresidue = next(g for g in itertools.count(2) if pow(g, (p - 1) // 2, p) == p - 1)
+    return pow(nonresidue, (p - 1) // 4, p)
+
+
+def rank_mod_p(entries: list[tuple[int, int, complex]], shape: tuple[int, int], p: int) -> int:
+    """Rank over GF(p) of the matrix holding ``entries`` as ``(row, column, value)``.
+
+    A complex value ``re + im i`` maps to ``re + im * j`` with ``j**2 = -1``
+    mod p; only the given entries are mapped.  Since every float is a dyadic
+    rational and p is odd, the map is a ring homomorphism, so the rank mod p
+    never exceeds the exact rank over the complex numbers, and full rank mod
+    p proves full rank.  Gaussian elimination touches only the rows with a
+    nonzero in the pivot column, which keeps sparse windows cheap.
+    """
+    j = _sqrt_minus_one(p)
+    m = np.zeros(shape, dtype=np.int64)
+    for row, col, value in entries:
+        m[row, col] = (_to_gf(value.real, p) + j * _to_gf(value.imag, p)) % p
+    rank = 0
+    for col in range(shape[1]):
+        hits = rank + np.flatnonzero(m[rank:, col])
+        if hits.size == 0:
+            continue
+        m[[rank, hits[0]]] = m[[hits[0], rank]]
+        m[rank] = m[rank] * pow(int(m[rank, col]), -1, p) % p
+        below = rank + 1 + np.flatnonzero(m[rank + 1:, col])
+        m[below] = (m[below] - np.outer(m[below, col], m[rank]) % p) % p
+        rank += 1
+        if rank == shape[0]:
+            break
+    return rank
+
+
+def window_ranks_mod_p(v: StateTensor, axis: int, size: int) -> tuple[int, ...]:
+    """:func:`rank_mod_p` of the ``size`` cube window on ``axis``, once per prime."""
+    shape = (size ** (v.nfactors - 1), v.dims[axis])
+    entries = window_entries(v, axis, size)
+    return tuple(rank_mod_p(entries, shape, p) for p in RANK_PRIMES)
 
 
 def svd_rank(m: np.ndarray) -> tuple[int, float]:

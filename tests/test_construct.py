@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import pathlib
@@ -477,14 +478,25 @@ class TestRepair:
 class TestCatalog:
     def test_shared_state_cannot_be_edited(self):
         v = paper_state("bohm")
+        before = (v.dims, norm(v), v.is_normalized, v.truncated_from_infinite)
         v.metadata["catalog"] = "edited"
         for arr in (v.amplitudes, v.indices):
             with pytest.raises(ValueError):
                 arr.flags.writeable = True
             with pytest.raises(ValueError):
                 arr[0] = 0
-        assert paper_state("bohm").metadata == {"catalog": "bohm"}
-        assert dict(paper_state("bohm").items()) == {(0, 1): R2, (1, 0): R2}
+        fields = ("dims", "indices", "amplitudes", "truncated_from_infinite", "_metadata", "_peak", "_norm")
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(v, name, 3.0)
+            with pytest.raises(AttributeError):
+                delattr(v, name)
+        assert {f.name for f in dataclasses.fields(v)} == set(fields)
+        v = paper_state("bohm")
+        assert (v.dims, norm(v), v.is_normalized, v.truncated_from_infinite) == before
+        assert before[1] == pytest.approx(1.0) and before[2]
+        assert v.metadata == {"catalog": "bohm"}
+        assert dict(v.items()) == {(0, 1): R2, (1, 0): R2}
 
     def test_names(self):
         assert PAPER_STATE_NAMES == (

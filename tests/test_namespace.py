@@ -116,6 +116,29 @@ def test_io_states_one_json_layout():
     assert len(owners["canonical_report_json"]) == 1, owners
 
 
+def test_one_place_builds_a_state():
+    # state._state_from_arrays computes each record's peak and norm and makes
+    # its arrays immutable, so it is the one caller of StateTensor(...)
+    def builds(tree):
+        return [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "StateTensor"
+        ]
+
+    found = []
+    for path in sorted(pathlib.Path(hyperstate.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {
+            id(node): f"{path.stem}.{func.name}"
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in builds(func)
+        }
+        found += [owner.get(id(node), path.stem) for node in builds(tree)]
+    assert found == ["state._state_from_arrays"], found
+
+
 def test_runtime_imports_are_stdlib_or_numpy():
     # numpy is the one declared runtime dependency; scipy being installed must not matter
     allowed = set(sys.stdlib_module_names) | {"numpy"}

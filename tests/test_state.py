@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 import tracemalloc
 import warnings
 from decimal import Decimal
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from helpers import dense_tensor, random_state
+from helpers import dense_tensor, random_state, scaled_state
 from hyperstate import (
     DROP_THRESHOLD,
     StateTensor,
@@ -289,6 +291,13 @@ class TestColumnarStorage:
         for arr in (v.indices, v.amplitudes, v.indices.base, v.amplitudes.base):
             with pytest.raises(ValueError):
                 arr.flags.writeable = True
+        with pytest.raises(TypeError):
+            hash(v)
+        for other in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v)):
+            assert other == v and other is not v
+            assert repr(other) == repr(v) == "StateTensor(dims=(2, 3), nnz=2, norm=2.23607, truncated=False)"
+            assert (other.items(), other.metadata, norm(other)) == (v.items(), v.metadata, norm(v))
+        assert v != make_state((2, 3), {(1, 2): 1.0, (0, 1): 2j}, truncated_from_infinite=True)
 
     def test_amplitude_of_foreign_keys_is_zero(self):
         v = make_state((2, 3), {(0, 0): 1.0, (1, 2): 2.0})
@@ -307,6 +316,29 @@ class TestColumnarStorage:
         want = complex(np.vdot(dense_tensor(u), dense_tensor(v)))
         assert inner(u, v) == pytest.approx(want, rel=1e-12, abs=1e-12)
         assert inner(v, u) == pytest.approx(want.conjugate(), rel=1e-12, abs=1e-12)
+
+    def test_inner_beyond_the_float_range(self):
+        u = make_state((2, 2), {(0, 0): 2.0**600, (1, 1): 2.0**600})
+        w = make_state((2, 2), {(0, 0): 2.0**500, (1, 1): -(2.0**500)})
+        assert math.isfinite(norm(u)) and math.isfinite(norm(w))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would reach stderr
+            assert bits(inner(u, w)) == bits(0j)  # the products cancel exactly
+            assert inner(u, u) == math.inf
+            assert inner(scaled_state(u, -1200), u) == 2.0
+            t = make_state((2, 2), {(0, 0): 2.0**600 - 2.0**600 * 1j})
+            assert inner(t, u) == complex(math.inf, math.inf)  # each part keeps its sign
+            assert inner(u, t) == complex(math.inf, -math.inf)
+
+    @pytest.mark.parametrize(
+        "a, b", [(0, 0), (300, -300), (600, 0), (-700, 650), (550, 400), (-560, -470)]
+    )
+    def test_inner_scales_exactly(self, a, b):
+        rng = np.random.default_rng(0)
+        u, w = (random_state(rng, (3, 2)) for _ in range(2))
+        want = inner(u, w)
+        got = inner(scaled_state(u, a), scaled_state(w, b))
+        assert bits(got) == bits(complex(*(math.ldexp(x, a + b) for x in (want.real, want.imag))))
 
     @given(
         st.lists(
