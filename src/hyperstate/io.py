@@ -13,7 +13,7 @@ import math
 import re as _re
 from itertools import chain
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -101,39 +101,6 @@ def _parse_json(path: Path) -> Any:
     return obj
 
 
-def _float_field(entry: dict, key: str, where: str) -> float:
-    if key not in entry:
-        raise _fail(where, f"missing field {key!r}")
-    raw = entry[key]
-    if isinstance(raw, bool) or not isinstance(raw, (str, int, float)):
-        raise _fail(where, f"field {key!r} must be a decimal string or number")
-    try:
-        value = float(raw)
-    except OverflowError:  # an integer beyond the float range
-        value = math.inf
-    except ValueError:
-        raise _fail(where, f"field {key!r} is not a number: {raw!r}") from None
-    hex_key = key + "_hex"
-    if hex_key in entry:
-        raw_hex = entry[hex_key]
-        if not isinstance(raw_hex, str):
-            raise _fail(where, f"field {hex_key!r} must be a hex-float string")
-        try:
-            exact = float.fromhex(raw_hex)
-        except OverflowError:
-            exact = math.inf
-        except ValueError:
-            raise _fail(where, f"field {hex_key!r} is not a hex float: {raw_hex!r}") from None
-        if not (math.isfinite(exact) and math.isfinite(value)):
-            raise _fail(where, f"field {key!r} must be finite")
-        if abs(exact - value) > 1e-9 * max(1.0, abs(exact)):
-            raise _fail(where, f"fields {key!r} and {hex_key!r} disagree")
-        value = exact
-    if not math.isfinite(value):
-        raise _fail(where, f"field {key!r} must be finite")
-    return value
-
-
 def _is_count(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= 1
 
@@ -171,9 +138,7 @@ def _state_from_json(obj: Any, where: str) -> StateTensor:
     dims = obj.get("dims")
     if dims is None:
         raise _fail(where, "missing field 'dims'")
-    if not isinstance(dims, list) or not all(
-        isinstance(d, int) and not isinstance(d, bool) for d in dims
-    ):
+    if not _is_int_list(dims):
         raise _fail(where, "field 'dims' must be a list of integers")
 
     raw_entries = obj.get("entries")
@@ -191,26 +156,10 @@ def _state_from_json(obj: Any, where: str) -> StateTensor:
         raise _fail(where, "field 'metadata' must be an object")
     _check_metadata(metadata, where)
 
-    rows = _index_column(raw_entries)
-    re_part = _float_column(raw_entries, "re")
-    im_part = _float_column(raw_entries, "im")
-    if rows is None or re_part is None or im_part is None:
-        # Some entry fails a column check: this loop names the first one.
-        rows, re_part, im_part = [], [], []
-        for k, entry in enumerate(raw_entries):
-            spot = f"{where}: entries[{k}]"
-            if not isinstance(entry, dict):
-                raise _fail(spot, "must be an object")
-            index = entry.get("index")
-            if not isinstance(index, list) or not all(
-                isinstance(i, int) and not isinstance(i, bool) for i in index
-            ):
-                raise _fail(spot, "field 'index' must be a list of integers")
-            rows.append(index)
-            re_part.append(_float_field(entry, "re", spot))
-            im_part.append(_float_field(entry, "im", spot))
+    rows = _index_column(raw_entries, where)
     amps = np.empty(len(rows), dtype=np.complex128)
-    amps.real, amps.imag = re_part, im_part
+    amps.real = _float_column(raw_entries, "re", where)
+    amps.imag = _float_column(raw_entries, "im", where)
 
     # _state_from_arrays checks index length, range and repeats, citing entries[k].
     try:
@@ -221,42 +170,88 @@ def _state_from_json(obj: Any, where: str) -> StateTensor:
         raise _fail(where, str(exc)) from None
 
 
-def _index_column(entries: list) -> list | None:
-    """The ``index`` lists of all entries, or None unless each is a list of ints."""
+def _name_first(where: str, oks: Iterable, problem: str) -> StateFileError:
+    """The error citing the first falsy item of ``oks`` as ``entries[k]``."""
+    k = next(k for k, ok in enumerate(oks) if not ok)
+    return _fail(f"{where}: entries[{k}]", problem)
+
+
+def _is_int_list(x: Any) -> bool:
+    return isinstance(x, list) and all(isinstance(i, int) and not isinstance(i, bool) for i in x)
+
+
+def _index_column(entries: list, where: str) -> list:
+    """The ``index`` list of every entry, after every entry is checked to be an object."""
     try:
         rows = [entry["index"] for entry in entries]
+        if set(map(type, rows)) <= {list} and set(map(type, chain.from_iterable(rows))) <= {int}:
+            return rows
     except (KeyError, TypeError):  # a missing field, or an entry that is no object
-        return None
-    if set(map(type, rows)) <= {list} and set(map(type, chain.from_iterable(rows))) <= {int}:
-        return rows
-    return None
+        pass
+    objects = [isinstance(entry, dict) for entry in entries]
+    if not all(objects):
+        raise _name_first(where, objects, "must be an object")
+    oks = (_is_int_list(entry.get("index")) for entry in entries)
+    raise _name_first(where, oks, "field 'index' must be a list of integers")
 
 
-def _float_column(entries: list, key: str) -> np.ndarray | None:
-    """Field ``key`` of all entries as :func:`_float_field` reads it, or None.
+def _parse_column(parse: Callable, raw: list, where: str, problem: str) -> np.ndarray:
+    """``map(parse, raw)`` as float64; after it fails, each item is parsed again
+    to name the first refused one, and an integer beyond the float range is inf."""
+    try:
+        return np.array(list(map(parse, raw)), dtype=np.float64)
+    except (ValueError, OverflowError):
+        pass
+    out = []
+    for k, x in enumerate(raw):
+        try:
+            out.append(parse(x))
+        except OverflowError:
+            out.append(math.inf)
+        except ValueError:
+            raise _fail(f"{where}: entries[{k}]", f"{problem}: {x!r}") from None
+    return np.array(out, dtype=np.float64)
 
-    None means some entry fails one of :func:`_float_field`'s checks, or only
-    some entries carry the hex companion; the per-entry loop then decodes the
-    file, or names its first bad entry.
+
+def _float_column(entries: list, key: str, where: str) -> np.ndarray:
+    """Field ``key`` of every entry, exact from its ``key + "_hex"`` companion if any.
+
+    Each check runs over the whole column, naming its first failing entry,
+    before the next: missing, type, number, hex type, hex number, finite,
+    agreement.  Where only some entries carry the companion, the others stand
+    for their decimal's own hex.
     """
     hex_key = key + "_hex"
     try:
         raw = [entry[key] for entry in entries]
-        if not set(map(type, raw)) <= {str, int, float}:
-            return None
-        value = np.array(list(map(float, raw)), dtype=np.float64)
-        if not np.isfinite(value).all():
-            return None
-        if not any(hex_key in entry for entry in entries):
-            return value
+    except KeyError:
+        raise _name_first(where, (key in e for e in entries), f"missing field {key!r}") from None
+    if not set(map(type, raw)) <= {str, int, float}:
+        oks = (type(x) in (str, int, float) for x in raw)
+        raise _name_first(where, oks, f"field {key!r} must be a decimal string or number")
+    value = _parse_column(float, raw, where, f"field {key!r} is not a number")
+    if not any(hex_key in entry for entry in entries):
+        finite = np.isfinite(value)
+        if not finite.all():
+            raise _name_first(where, finite, f"field {key!r} must be finite")
+        return value
+    try:
         raw_hex = [entry[hex_key] for entry in entries]
-        if not set(map(type, raw_hex)) <= {str}:
-            return None
-        exact = np.array(list(map(float.fromhex, raw_hex)), dtype=np.float64)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        return None
-    agree = np.abs(exact - value) <= 1e-9 * np.maximum(1.0, np.abs(exact))
-    return exact if np.isfinite(exact).all() and agree.all() else None
+    except KeyError:
+        pairs = zip(entries, value.tolist())
+        raw_hex = [e[hex_key] if hex_key in e else x.hex() for e, x in pairs]
+    if not set(map(type, raw_hex)) <= {str}:
+        oks = (isinstance(x, str) for x in raw_hex)
+        raise _name_first(where, oks, f"field {hex_key!r} must be a hex-float string")
+    exact = _parse_column(float.fromhex, raw_hex, where, f"field {hex_key!r} is not a hex float")
+    finite = np.isfinite(exact) & np.isfinite(value)
+    if not finite.all():
+        raise _name_first(where, finite, f"field {key!r} must be finite")
+    with np.errstate(over="ignore"):  # a gap beyond the float range is inf: they disagree
+        agree = np.abs(exact - value) <= 1e-9 * np.maximum(1.0, np.abs(exact))
+    if not agree.all():
+        raise _name_first(where, agree, f"fields {key!r} and {hex_key!r} disagree")
+    return exact
 
 
 def _entry_template(nfactors: int) -> str:
@@ -333,9 +328,7 @@ def load_projector(path: str | Path) -> Projector:
     _check_version(obj, where)
 
     subsystem = obj.get("subsystem")
-    if not isinstance(subsystem, list) or not all(
-        isinstance(i, int) and not isinstance(i, bool) for i in subsystem
-    ):
+    if not _is_int_list(subsystem):
         raise _fail(where, "field 'subsystem' must be a list of integers")
 
     vectors = obj.get("vectors")

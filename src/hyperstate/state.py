@@ -211,6 +211,15 @@ class StateTensor:
             f"norm={self._norm:.6g}, truncated={self.truncated_from_infinite})"
         )
 
+    def __reduce__(self) -> tuple:
+        # pickle and copy rebuild through the one constructor: read-only
+        # arrays, and a peak and norm taken from the copied amplitudes
+        normalize = False
+        return _state_from_arrays, (
+            self.dims, self.indices, self.amplitudes, normalize,
+            self.truncated_from_infinite, self._metadata,
+        )
+
 
 def make_state(
     dims: Iterable[int],

@@ -116,6 +116,18 @@ def test_io_states_one_json_layout():
     assert len(owners["canonical_report_json"]) == 1, owners
 
 
+def test_one_hex_decoder():
+    # io._float_column is the one decoder of state-file entries, so the hex
+    # companions are parsed in one place
+    found = [
+        (path.stem, node.lineno)
+        for path in sorted(pathlib.Path(hyperstate.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and ast.unparse(node) == "float.fromhex"
+    ]
+    assert [stem for stem, _ in found] == ["io"], found
+
+
 def test_one_place_builds_a_state():
     # state._state_from_arrays computes each record's peak and norm and makes
     # its arrays immutable, so it is the one caller of StateTensor(...)

@@ -293,10 +293,13 @@ class TestColumnarStorage:
                 arr.flags.writeable = True
         with pytest.raises(TypeError):
             hash(v)
-        for other in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v)):
+        for other in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
             assert other == v and other is not v
             assert repr(other) == repr(v) == "StateTensor(dims=(2, 3), nnz=2, norm=2.23607, truncated=False)"
             assert (other.items(), other.metadata, norm(other)) == (v.items(), v.metadata, norm(v))
+            for arr in (other.indices, other.amplitudes):  # rebuilt read-only, for good
+                with pytest.raises(ValueError):
+                    arr.flags.writeable = True
         assert v != make_state((2, 3), {(1, 2): 1.0, (0, 1): 2j}, truncated_from_infinite=True)
 
     def test_amplitude_of_foreign_keys_is_zero(self):

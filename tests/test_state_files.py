@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from helpers import state_document
 from hyperstate import make_state
-from hyperstate import io as hio
 from hyperstate.cli import run_cli
 from hyperstate.io import StateFileError, load_state, save_state
 
@@ -151,6 +150,11 @@ class TestLoaderMessages:
                 "field 're' must be finite",
                 id="re_hex-overflow",
             ),
+            pytest.param(  # their difference is beyond the float range, with no warning
+                lambda e: e.update(re="-1.7e308", re_hex=(1.7e308).hex()),
+                "fields 're' and 're_hex' disagree",
+                id="re_hex-opposite-huge",
+            ),
         ],
     )
     def test_one_bad_entry_among_many(self, tmp_path, edit, problem):
@@ -178,27 +182,40 @@ class TestLoaderMessages:
             load_state(path)
         assert str(info.value) == f"{path}: {problem}"
 
-    @pytest.mark.parametrize("flavour", ["hex", "decimal_only", "numbers"])
-    def test_valid_files_load_by_column(self, tmp_path, monkeypatch, flavour):
+    @pytest.mark.parametrize(
+        "bad, problem",
+        [
+            ({3: ("im", "x"), 9: ("index", [0, True])}, "field 'index' must be a list of integers"),
+            ({3: ("re", "nan"), 9: ("re", [0.5])}, "field 're' must be a decimal string or number"),
+        ],
+    )
+    def test_first_failing_check_names_the_entry(self, tmp_path, bad, problem):
+        # checks run field by field (object, index, re, im), each over the
+        # whole column, so the earliest check names its first failing entry
         doc = self.big_document()
-        want = load_state_text(tmp_path, json.dumps(doc))
-        for entry in doc["entries"]:
-            if flavour != "hex":
-                del entry["re_hex"], entry["im_hex"]
-            if flavour == "numbers":
-                entry["re"], entry["im"] = float(entry["re"]), 0
-        monkeypatch.setattr(hio, "_float_field", lambda *a: pytest.fail("per-entry loop ran"))
-        got = load_state_text(tmp_path, json.dumps(doc))
-        assert np.array_equal(got.amplitudes.view(np.uint64), want.amplitudes.view(np.uint64))
-        assert got == want
+        for k, (field, value) in bad.items():
+            doc["entries"][k][field] = value
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(StateFileError) as info:
+            load_state(path)
+        assert str(info.value) == f"{path}: entries[9]: {problem}"
 
-    def test_mixed_hex_file_loads_by_entry(self, tmp_path):
+    @pytest.mark.parametrize("flavour", ["hex", "decimal_only", "numbers", "mixed_hex"])
+    def test_valid_files_load_by_column(self, tmp_path, flavour):
         doc = self.big_document()
         want = load_state_text(tmp_path, json.dumps(doc))
         for k, entry in enumerate(doc["entries"]):
-            del entry[("re_hex", "im_hex")[k % 2]]
+            if flavour == "mixed_hex":
+                del entry[("re_hex", "im_hex")[k % 2]]
+            elif flavour != "hex":
+                del entry["re_hex"], entry["im_hex"]
+            if flavour == "numbers":
+                entry["re"], entry["im"] = float(entry["re"]), 0
         got = load_state_text(tmp_path, json.dumps(doc))
+        assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.amplitudes.view(np.uint64), want.amplitudes.view(np.uint64))
+        assert got == want
 
 
 def load_state_text(tmp_path: pathlib.Path, text: str):
