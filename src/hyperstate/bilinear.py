@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .state import StateTensor, Subsystem, _check_dense, _ldexp, _positions, _scale_exponent
+from .state import StateTensor, Subsystem, _check_dense, _ldexp, _positions
 
 __all__ = [
     "RANK_SAFETY",
@@ -171,7 +171,7 @@ def reduced_density(v: StateTensor, subsystem: Subsystem | int | Iterable[int]) 
     part = Subsystem.coerce(subsystem)
     kept_rows = unfold(v, part.complement(v.nfactors))  # checks the subsystem
     _check_dense(kept_rows.shape[0], kept_rows.shape[0])
-    kept_rows = _ldexp(kept_rows, -_scale_exponent(v._peak))
+    kept_rows = _ldexp(kept_rows, -v._scale)
     rho = kept_rows @ kept_rows.conj().T
     rho = (rho + rho.conj().T) / 2.0
     rho.flags.writeable = False

@@ -32,7 +32,6 @@ import numpy as np
 from .bilinear import RankReport, _cutoff, _rank_report, numerical_rank, rank_tolerance
 from .bilinear import reduced_density
 from .state import StateTensor, Subsystem, _check_dense, _DenseBudgetError, _ldexp
-from .state import _scale_exponent
 
 __all__ = [
     "Feasibility",
@@ -295,7 +294,7 @@ def window_certificate(
     cols_a, amps_a = v.indices[hit, axis], v.amplitudes[hit]
     size = side ** len(comp)
     shape = (size, v.dims[axis])
-    e = _scale_exponent(v._peak)
+    e = v._scale
     mags = np.abs(_ldexp(amps_a, -e))
     bound = _singleton_bound(rows_a, cols_a, mags, size)
     frob = math.ldexp(float(np.linalg.norm(mags)), e)

@@ -83,6 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     con = sub.add_parser("construct", help="build a state and write it to a file")
+    con.set_defaults(run=_cmd_construct)
     modes = con.add_subparsers(dest="mode", required=True)
 
     m1 = modes.add_parser("method1", help="truncated pairing-support state")
@@ -113,6 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--out", required=True, metavar="FILE")
 
     ce = sub.add_parser("certify", help="hyperentanglement verdict")
+    ce.set_defaults(run=_cmd_certify)
     _add_source(ce)
     ce.add_argument("--tol", type=float, default=None)
     ce.add_argument(
@@ -123,6 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     sc = sub.add_parser("schmidt", help="Schmidt spectrum across a split")
+    sc.set_defaults(run=_cmd_schmidt)
     _add_source(sc)
     sc.add_argument(
         "--split", default="0", help="factors of S left of '|', e.g. 0|1,2"
@@ -130,11 +133,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--tol", type=float, default=None)
 
     wi = sub.add_parser("witness", help="rank-1 conditioning projector for P'")
+    wi.set_defaults(run=_cmd_witness)
     _add_source(wi)
     wi.add_argument("--pprime-file", required=True, metavar="FILE")
     wi.add_argument("--epsilon", type=float, default=1e-9)
 
     de = sub.add_parser("degree", help="distance from the product states")
+    de.set_defaults(run=_cmd_degree)
     _add_source(de)
     de.add_argument("--split", default=None, help="bipartite route across this split")
     de.add_argument("--restarts", type=int, default=16)
@@ -359,15 +364,6 @@ def _cmd_degree(args: argparse.Namespace) -> tuple[int, dict, dict]:
     return 0, result, {"tol": args.tol, "seed": args.seed}
 
 
-_HANDLERS = {
-    "construct": _cmd_construct,
-    "certify": _cmd_certify,
-    "schmidt": _cmd_schmidt,
-    "witness": _cmd_witness,
-    "degree": _cmd_degree,
-}
-
-
 def run_cli(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     start = time.perf_counter()
@@ -377,7 +373,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     try:
         _apply_thread_cap()  # before the first _build_parser imports the numerical modules
         _build_parser().parse_args(argv, namespace=args)
-        code, result, tolerances = _HANDLERS[args.command](args)
+        code, result, tolerances = args.run(args)
         from .io import canonical_report_json
 
         # Serialised in here: a non-finite value (a NaN --tol, say) must

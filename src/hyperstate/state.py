@@ -135,14 +135,15 @@ def _ldexp_scalar(x: float, e: int) -> float:
         return math.copysign(math.inf, x)
 
 
-def _peak_and_norm(amps: np.ndarray) -> tuple[float, float]:
-    """The largest ``|re|`` or ``|im|`` of ``amps``, and their norm, summed exactly (``fsum``)."""
+def _scale_and_norm(amps: np.ndarray) -> tuple[int, float]:
+    """The :func:`_scale_exponent` of ``amps``, and their norm, summed exactly (``fsum``)."""
     peak = float(np.maximum(np.abs(amps.real), np.abs(amps.imag)).max(initial=0.0))
     # Squares of components beyond 2**+-500 would overflow or underflow, so
     # those are summed scaled by an exact power of two (Blue 1978, dnrm2).
     e = _scale_exponent(peak, 500)
     a = _ldexp(amps, -e)
-    return peak, _ldexp_scalar(math.sqrt(math.fsum((a.real**2 + a.imag**2).tolist())), e)
+    n = math.fsum((a.real**2 + a.imag**2).tolist())
+    return _scale_exponent(peak), _ldexp_scalar(math.sqrt(n), e)
 
 
 def _positions(indices: np.ndarray, dims: Sequence[int], axes: Iterable[int]) -> np.ndarray:
@@ -164,7 +165,7 @@ class StateTensor:
     amplitudes: np.ndarray  # complex128 (nnz,), one per row of indices
     truncated_from_infinite: bool
     _metadata: dict
-    _peak: float  # the largest |re| or |im|, for _scale_exponent
+    _scale: int  # the _scale_exponent of the amplitudes; dense products scale by 2**-_scale
     _norm: float
 
     @property
@@ -213,7 +214,7 @@ class StateTensor:
 
     def __reduce__(self) -> tuple:
         # pickle and copy rebuild through the one constructor: read-only
-        # arrays, and a peak and norm taken from the copied amplitudes
+        # arrays, and a scale and norm taken from the copied amplitudes
         normalize = False
         return _state_from_arrays, (
             self.dims, self.indices, self.amplitudes, normalize,
@@ -303,7 +304,7 @@ def _state_from_arrays(
     order = order[np.abs(amps[order]) > DROP_THRESHOLD]
 
     idx, amps = idx[order], amps[order]
-    peak, n = _peak_and_norm(amps)
+    scale, n = _scale_and_norm(amps)
     if normalize and n != 1.0:
         if n == 0.0:
             raise ValueError("cannot normalize the zero state")
@@ -313,11 +314,11 @@ def _state_from_arrays(
         re, im = amps.real, amps.imag
         amps = np.empty_like(amps)
         amps.real, amps.imag = (re + im * 0.0) / n, (im - re * 0.0) / n
-        peak, n = _peak_and_norm(amps)
+        scale, n = _scale_and_norm(amps)
     # Copies over immutable bytes, whose writeable flag cannot be set back.
     idx, amps = (np.frombuffer(a.tobytes(), a.dtype).reshape(a.shape) for a in (idx, amps))
     meta = copy.deepcopy(dict(metadata or {}))
-    return StateTensor(dims_t, idx, amps, bool(truncated_from_infinite), meta, peak, n)
+    return StateTensor(dims_t, idx, amps, bool(truncated_from_infinite), meta, scale, n)
 
 
 def norm(v: StateTensor) -> float:
@@ -329,14 +330,14 @@ def inner(u: StateTensor, v: StateTensor) -> complex:
     """Inner product <u, v>, conjugate-linear in the first argument, summed exactly.
 
     The products are formed of each operand scaled by its own
-    :func:`_scale_exponent`, so states with finite norms never overflow
+    ``2**-_scale``, so states with finite norms never overflow
     there; a part of the result beyond the float range is a signed ``inf``.
     """
     if u.dims != v.dims:
         raise ValueError(f"dimension mismatch: {u.dims} vs {v.dims}")
     fu, fv = (_positions(w.indices, w.dims, range(w.nfactors)) for w in (u, v))
     _, iu, iv = np.intersect1d(fu, fv, assume_unique=True, return_indices=True)
-    eu, ev = _scale_exponent(u._peak), _scale_exponent(v._peak)
+    eu, ev = u._scale, v._scale
     a, b = _ldexp(u.amplitudes[iu], -eu), _ldexp(v.amplitudes[iv], -ev)
     re = a.real * b.real + a.imag * b.imag
     im = a.real * b.imag - a.imag * b.real

@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .bilinear import rank_tolerance, unfold
-from .state import StateTensor, Subsystem, _ldexp, _scale_exponent
+from .state import StateTensor, Subsystem, _ldexp
 
 __all__ = [
     "ORTHONORMALITY_TOL",
@@ -84,7 +84,7 @@ def _split(v: StateTensor, part: Subsystem, pp: Projector) -> np.ndarray:
     m = unfold(v, part)
     if pp.dim != m.shape[0]:
         raise ValueError(f"P' dimension {pp.dim} does not match complement dimension {m.shape[0]}")
-    return _ldexp(m, -_scale_exponent(v._peak))
+    return _ldexp(m, -v._scale)
 
 
 def conditional_probability(v: StateTensor, p: Projector, p_prime: Projector) -> float:

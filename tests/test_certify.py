@@ -345,6 +345,17 @@ class TestWindowRoutes:
             assert (cert.rank, cert.passed) == (rank, rank == w.size * w.size)
             assert cert.report.min_kept <= sigma_min
 
+    def test_structural_bound_pivots_on_the_largest_singleton(self):
+        # row 0 holds two singleton columns, 1.0 and 0.1; pivoting on 1.0
+        # leaves 0.1 off the pivot and the bound equals sigma_min, where
+        # pivoting on 0.1 would give a bound of 0.089
+        v = make_state((3, 2), {(0, 0): 1.0, (1, 0): 0.1, (2, 1): 0.5}, normalize=True)
+        cert = window_certificate(v, cube_window(v.dims, 0, 2))
+        sigma_min = np.linalg.svd(cube_window_matrix(v, 0, 2), compute_uv=False)[-1]
+        assert cert.route == "structural" and cert.passed
+        assert sigma_min == pytest.approx(0.44543540318737396, rel=1e-12)
+        assert cert.report.min_kept == pytest.approx(sigma_min, rel=1e-12)
+
     @pytest.mark.parametrize(
         "kind, bounds, structural",
         [

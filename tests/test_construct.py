@@ -485,7 +485,7 @@ class TestCatalog:
                 arr.flags.writeable = True
             with pytest.raises(ValueError):
                 arr[0] = 0
-        fields = ("dims", "indices", "amplitudes", "truncated_from_infinite", "_metadata", "_peak", "_norm")
+        fields = ("dims", "indices", "amplitudes", "truncated_from_infinite", "_metadata", "_scale", "_norm")
         for name in fields:
             with pytest.raises(AttributeError):
                 setattr(v, name, 3.0)

@@ -572,6 +572,21 @@ class TestCertifyPrintsLibraryVerdict:
         verdict = self.check(capsys, ["--state", over_budget], load_state(over_budget))
         assert verdict.dense is None and not verdict.positive
 
+    def test_passing_windows_need_a_truncation(self, capsys, tmp_path):
+        # windows vouch only for a truncation: a finite 2x2x2 state stays
+        # infeasible by its dims, though every recorded window passes
+        amp = 1.0 / math.sqrt(8.0)
+        entries = {(i, j, k): amp for i in range(2) for j in range(2) for k in range(2)}
+        v = make_state((2, 2, 2), entries, metadata={"window_sizes": [1]})
+        direct = certify_state(v, windows=True)
+        assert len(direct.windows) == 3 and all(w.passed for w in direct.windows)
+        assert not direct.positive
+        path = tmp_path / "flat.json"
+        save_state(v, path)
+        # check() pins the exit code to 1 and the printed overall to the library's
+        verdict = self.check(capsys, ["--state", str(path)], load_state(path), windows=True)
+        assert verdict == direct and verdict.dense.overall == "infeasible_dims"
+
 
 class TestCliAnalysis:
     def test_schmidt(self, capsys):
@@ -761,12 +776,12 @@ class TestCliContract:
         assert rep["command"] == "certify"
 
     def test_error_without_text_names_its_type(self, capsys, monkeypatch):
-        from hyperstate import cli
+        import hyperstate.certify
 
-        def out_of_memory(args):
+        def out_of_memory(*args, **kwargs):
             raise MemoryError()
 
-        monkeypatch.setitem(cli._HANDLERS, "certify", out_of_memory)
+        monkeypatch.setattr(hyperstate.certify, "certify_state", out_of_memory)
         code, rep = run(capsys, "certify", "--paper", "bohm")
         assert code == 2
         assert set(rep) == {"argv", "command", "error", "timing_ms"}

@@ -129,7 +129,7 @@ def test_one_hex_decoder():
 
 
 def test_one_place_builds_a_state():
-    # state._state_from_arrays computes each record's peak and norm and makes
+    # state._state_from_arrays computes each record's scale and norm and makes
     # its arrays immutable, so it is the one caller of StateTensor(...)
     def builds(tree):
         return [
@@ -149,6 +149,20 @@ def test_one_place_builds_a_state():
         }
         found += [owner.get(id(node), path.stem) for node in builds(tree)]
     assert found == ["state._state_from_arrays"], found
+
+
+def test_one_scale_rule():
+    # a state's power-of-two scale is decided once, when state.py builds it,
+    # and kept as StateTensor._scale; every dense product reads that field
+    named, peaks = set(), []
+    for path in sorted(pathlib.Path(hyperstate.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if "_scale_exponent" in {getattr(node, k, None) for k in ("id", "attr", "name")}:
+                named.add(path.stem)
+            if isinstance(node, ast.Attribute) and node.attr == "_peak":
+                peaks.append((path.stem, node.lineno))
+    assert named == {"state"}, named
+    assert peaks == [], peaks
 
 
 def test_runtime_imports_are_stdlib_or_numpy():
