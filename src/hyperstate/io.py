@@ -42,16 +42,6 @@ def _fail(where: str, problem: str) -> "StateFileError":
     return StateFileError(f"{where}: {problem}")
 
 
-def _check_version(obj: dict, where: str) -> None:
-    version = obj.get("format_version")
-    if version is None:
-        raise _fail(where, "missing field 'format_version'")
-    if not isinstance(version, str) or not _VERSION_PATTERN.match(version):
-        raise _fail(
-            where, f"unsupported format_version {version!r}; need '1.x' as a string"
-        )
-
-
 class _NonFinite:
     """Placeholder for a ``NaN``/``Infinity`` token, located after parsing."""
 
@@ -76,12 +66,19 @@ def _find_nonfinite(obj: Any, path: str) -> tuple[str, str] | None:
     return None
 
 
-def _parse_json(path: Path) -> Any:
-    """Read and parse ``path``; non-finite constants are rejected by field."""
+def _read_document(path: str | Path) -> tuple[dict, str]:
+    """The top-level object of the file at ``path`` and the name errors cite.
+
+    The one reader of state and projector files: it reads, parses (naming a
+    non-finite token by its field), refuses a top level that is not an
+    object and checks ``format_version``, in that order.
+    """
+    path = Path(path)
+    where = str(path)
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise _fail(str(path), f"cannot read file ({exc})") from None
+        raise _fail(where, f"cannot read file ({exc})") from None
     tokens: list[str] = []
 
     def constant(token: str) -> _NonFinite:
@@ -91,14 +88,18 @@ def _parse_json(path: Path) -> Any:
     try:
         obj = json.loads(text, parse_constant=constant)
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-        raise _fail(str(path), f"invalid JSON ({exc})") from None
+        raise _fail(where, f"invalid JSON ({exc})") from None
     if tokens:  # walk the tree only when a constant was seen
         field, token = _find_nonfinite(obj, "")
-        raise _fail(
-            f"{path}: {field or 'top level'}",
-            f"non-finite number {token} is not allowed",
-        )
-    return obj
+        raise _fail(f"{where}: {field or 'top level'}", f"non-finite number {token} is not allowed")
+    if not isinstance(obj, dict):
+        raise _fail(where, "top level must be a JSON object")
+    version = obj.get("format_version")
+    if version is None:
+        raise _fail(where, "missing field 'format_version'")
+    if not isinstance(version, str) or not _VERSION_PATTERN.match(version):
+        raise _fail(where, f"unsupported format_version {version!r}; need '1.x' as a string")
+    return obj, where
 
 
 def _is_count(x: Any) -> bool:
@@ -128,46 +129,6 @@ def _check_metadata(metadata: dict, where: str) -> None:
     need(isinstance(sizes, list), "window_sizes", "a list of integers >= 1", sizes)
     for k, size in enumerate(sizes):
         need(_is_count(size), f"window_sizes[{k}]", "an integer >= 1", size)
-
-
-def _state_from_json(obj: Any, where: str) -> StateTensor:
-    if not isinstance(obj, dict):
-        raise _fail(where, "top level must be a JSON object")
-    _check_version(obj, where)
-
-    dims = obj.get("dims")
-    if dims is None:
-        raise _fail(where, "missing field 'dims'")
-    if not _is_int_list(dims):
-        raise _fail(where, "field 'dims' must be a list of integers")
-
-    raw_entries = obj.get("entries")
-    if raw_entries is None:
-        raise _fail(where, "missing field 'entries'")
-    if not isinstance(raw_entries, list):
-        raise _fail(where, "field 'entries' must be a list")
-
-    truncated = obj.get("truncated_from_infinite", False)
-    if not isinstance(truncated, bool):
-        raise _fail(where, "field 'truncated_from_infinite' must be a boolean")
-
-    metadata = obj.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise _fail(where, "field 'metadata' must be an object")
-    _check_metadata(metadata, where)
-
-    rows = _index_column(raw_entries, where)
-    amps = np.empty(len(rows), dtype=np.complex128)
-    amps.real = _float_column(raw_entries, "re", where)
-    amps.imag = _float_column(raw_entries, "im", where)
-
-    # _state_from_arrays checks index length, range and repeats, citing entries[k].
-    try:
-        return _state_from_arrays(
-            dims, rows, amps, truncated_from_infinite=truncated, metadata=metadata
-        )
-    except ValueError as exc:
-        raise _fail(where, str(exc)) from None
 
 
 def _name_first(where: str, oks: Iterable, problem: str) -> StateFileError:
@@ -229,21 +190,18 @@ def _float_column(entries: list, key: str, where: str) -> np.ndarray:
     if not set(map(type, raw)) <= {str, int, float}:
         oks = (type(x) in (str, int, float) for x in raw)
         raise _name_first(where, oks, f"field {key!r} must be a decimal string or number")
-    value = _parse_column(float, raw, where, f"field {key!r} is not a number")
-    if not any(hex_key in entry for entry in entries):
-        finite = np.isfinite(value)
-        if not finite.all():
-            raise _name_first(where, finite, f"field {key!r} must be finite")
-        return value
-    try:
-        raw_hex = [entry[hex_key] for entry in entries]
-    except KeyError:
-        pairs = zip(entries, value.tolist())
-        raw_hex = [e[hex_key] if hex_key in e else x.hex() for e, x in pairs]
-    if not set(map(type, raw_hex)) <= {str}:
-        oks = (isinstance(x, str) for x in raw_hex)
-        raise _name_first(where, oks, f"field {hex_key!r} must be a hex-float string")
-    exact = _parse_column(float.fromhex, raw_hex, where, f"field {hex_key!r} is not a hex float")
+    value = exact = _parse_column(float, raw, where, f"field {key!r} is not a number")
+    if any(hex_key in entry for entry in entries):
+        try:
+            raw_hex = [entry[hex_key] for entry in entries]
+        except KeyError:
+            pairs = zip(entries, value.tolist())
+            raw_hex = [e[hex_key] if hex_key in e else x.hex() for e, x in pairs]
+        if not set(map(type, raw_hex)) <= {str}:
+            oks = (isinstance(x, str) for x in raw_hex)
+            raise _name_first(where, oks, f"field {hex_key!r} must be a hex-float string")
+        problem = f"field {hex_key!r} is not a hex float"
+        exact = _parse_column(float.fromhex, raw_hex, where, problem)
     finite = np.isfinite(exact) & np.isfinite(value)
     if not finite.all():
         raise _name_first(where, finite, f"field {key!r} must be finite")
@@ -294,8 +252,41 @@ def save_state(v: StateTensor, path: str | Path) -> None:
 
 
 def load_state(path: str | Path) -> StateTensor:
-    p = Path(path)
-    return _state_from_json(_parse_json(p), str(p))
+    obj, where = _read_document(path)
+
+    dims = obj.get("dims")
+    if dims is None:
+        raise _fail(where, "missing field 'dims'")
+    if not _is_int_list(dims):
+        raise _fail(where, "field 'dims' must be a list of integers")
+
+    raw_entries = obj.get("entries")
+    if raw_entries is None:
+        raise _fail(where, "missing field 'entries'")
+    if not isinstance(raw_entries, list):
+        raise _fail(where, "field 'entries' must be a list")
+
+    truncated = obj.get("truncated_from_infinite", False)
+    if not isinstance(truncated, bool):
+        raise _fail(where, "field 'truncated_from_infinite' must be a boolean")
+
+    metadata = obj.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise _fail(where, "field 'metadata' must be an object")
+    _check_metadata(metadata, where)
+
+    rows = _index_column(raw_entries, where)
+    amps = np.empty(len(rows), dtype=np.complex128)
+    amps.real = _float_column(raw_entries, "re", where)
+    amps.imag = _float_column(raw_entries, "im", where)
+
+    # _state_from_arrays checks index length, range and repeats, citing entries[k].
+    try:
+        return _state_from_arrays(
+            dims, rows, amps, truncated_from_infinite=truncated, metadata=metadata
+        )
+    except ValueError as exc:
+        raise _fail(where, str(exc)) from None
 
 
 def save_projector(p: Projector, path: str | Path) -> None:
@@ -320,12 +311,7 @@ def _is_finite_number(x: Any) -> bool:
 
 
 def load_projector(path: str | Path) -> Projector:
-    p = Path(path)
-    obj = _parse_json(p)
-    where = str(p)
-    if not isinstance(obj, dict):
-        raise _fail(where, "top level must be a JSON object")
-    _check_version(obj, where)
+    obj, where = _read_document(path)
 
     subsystem = obj.get("subsystem")
     if not _is_int_list(subsystem):
@@ -335,7 +321,6 @@ def load_projector(path: str | Path) -> Projector:
     if not isinstance(vectors, list) or not vectors:
         raise _fail(where, "field 'vectors' must be a nonempty list")
     rows = []
-    width = None
     for k, vec in enumerate(vectors):
         spot = f"{where}: vectors[{k}]"
         if not isinstance(vec, dict):
@@ -347,9 +332,7 @@ def load_projector(path: str | Path) -> Projector:
                 raise _fail(spot, f"field {name!r} must be a list of finite numbers")
         if len(re_part) != len(im_part):
             raise _fail(spot, "'re' and 'im' must have the same length")
-        if width is None:
-            width = len(re_part)
-        elif len(re_part) != width:
+        if rows and len(re_part) != len(rows[0]):
             raise _fail(spot, "all vectors must have the same length")
         rows.append([complex(r, i) for r, i in zip(re_part, im_part)])
 

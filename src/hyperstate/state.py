@@ -190,7 +190,7 @@ class StateTensor:
         return tuple(zip(map(tuple, self.indices.tolist()), self.amplitudes.tolist()))
 
     def amplitude(self, idx: Iterable[int]) -> complex:
-        key = tuple(idx)
+        key = tuple(map(operator.index, idx))
         if len(key) != len(self.dims):  # a shorter key would broadcast
             return 0j
         hit = np.flatnonzero((self.indices == key).all(axis=1))

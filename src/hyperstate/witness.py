@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .bilinear import rank_tolerance, unfold
-from .state import StateTensor, Subsystem, _ldexp
+from .state import StateTensor, Subsystem, _check_dense, _ldexp
 
 __all__ = [
     "ORTHONORMALITY_TOL",
@@ -54,6 +54,8 @@ class Projector:
             raise ValueError(f"basis must be a 2-D row-stacked array, got shape {basis.shape}")
         if basis.shape[0] == 0:
             raise ValueError("projector needs at least one range vector")
+        if basis.shape[0] > basis.shape[1]:  # never orthonormal: refused before the Gram matrix
+            raise ValueError("projector range vectors are not orthonormal")
         with np.errstate(over="ignore", invalid="ignore"):  # huge rows: inf/NaN, refused below
             gram = basis.conj() @ basis.T
         if not (np.abs(gram - np.eye(basis.shape[0])) <= ORTHONORMALITY_TOL).all():
@@ -123,11 +125,13 @@ def steering_operator(
     against the slice family; requires the family to have full rank under
     the default rank rule (the cyclicity criterion), otherwise raises.
     ``embed`` defaults to the first basis vector of H_S.  The slices come from
-    :func:`unfold`, so a slice matrix beyond ``DENSE_BUDGET`` bytes is refused.
+    :func:`unfold`, so a slice matrix beyond ``DENSE_BUDGET`` bytes is refused;
+    so is an operator A beyond it, before the solve.
     """
     part = Subsystem.coerce(subsystem)
     slices = unfold(v, part)  # (n_keys, dim_S)
     n_keys, dim_s = slices.shape
+    _check_dense(dim_s, dim_s)  # the returned operator
 
     phi = np.asarray(target, dtype=np.complex128).reshape(-1)
     if phi.shape[0] != n_keys:

@@ -335,6 +335,34 @@ class TestNonUtf8Files:
             assert rep["error"].startswith(f"{bad}: ")
 
 
+class TestSharedHeaderCheck:
+    """State and projector files share one header check and its messages."""
+
+    @pytest.mark.parametrize("doc, problem", [
+        ([{"format_version": "1.0"}], "top level must be a JSON object"),
+        ({"dims": [2, 2], "subsystem": [0]}, "missing field 'format_version'"),
+        ({"format_version": "2.0"}, "unsupported format_version '2.0'; need '1.x' as a string"),
+        ({"format_version": 1.0}, "unsupported format_version 1.0; need '1.x' as a string"),
+    ])
+    def test_both_loaders_give_one_message(self, tmp_path, doc, problem):
+        path = tmp_path / "header.json"
+        path.write_text(json.dumps(doc))
+        for loader in (load_state, load_projector):
+            with pytest.raises(StateFileError) as info:
+                loader(path)
+            assert str(info.value) == f"{path}: {problem}"
+
+    def test_cli_exits_two_with_the_message(self, capsys, tmp_path):
+        path = tmp_path / "header.json"
+        path.write_text(json.dumps({"format_version": "2.0"}))
+        for argv in (["certify", "--state"], ["witness", "--paper", "bohm", "--pprime-file"]):
+            code, rep = run(capsys, *argv, str(path))
+            assert code == 2
+            assert rep["error"] == (
+                f"{path}: unsupported format_version '2.0'; need '1.x' as a string"
+            )
+
+
 class TestGoldenReports:
     """Reports that depend on the last bits of the arithmetic, pinned byte for byte."""
 

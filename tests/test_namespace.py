@@ -165,6 +165,37 @@ def test_one_scale_rule():
     assert peaks == [], peaks
 
 
+def test_one_reader_for_files():
+    # io._read_document reads every state and projector file and checks its
+    # top level and format_version, so both loaders share those rules
+    def kind(node):
+        if isinstance(node, ast.Constant) and node.value == "top level must be a JSON object":
+            return "object check"
+        if "_VERSION_PATTERN" in {getattr(node, "id", None), getattr(node, "attr", None)}:
+            return "version check"
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "read_text":
+            return "file read"
+        return None
+
+    found = {}
+    for path in sorted(pathlib.Path(hyperstate.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {
+            id(node): f"{path.stem}.{func.name}"
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func)
+        }
+        for node in ast.walk(tree):
+            if found_kind := kind(node):
+                found.setdefault(found_kind, []).append(owner.get(id(node), path.stem))
+    assert found == {
+        "object check": ["io._read_document"],
+        "version check": ["io", "io._read_document"],  # "io": its module-level definition
+        "file read": ["io._read_document"],
+    }, found
+
+
 def test_runtime_imports_are_stdlib_or_numpy():
     # numpy is the one declared runtime dependency; scipy being installed must not matter
     allowed = set(sys.stdlib_module_names) | {"numpy"}

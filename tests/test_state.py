@@ -429,6 +429,7 @@ NON_INTEGER_CALLS = {
     ),
     "support_test": lambda: support_test(pairing_fn("injection_2a3b"), (1.0, 0, 0)),
     "pairing_eval": lambda: pairing_eval(pairing_fn("injection_2a3b"), 1.5, 0),
+    "StateTensor.amplitude": lambda: paper_state("bohm").amplitude((0.0, 1.0)),
 }
 
 

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,18 @@ class TestProjector:
     def test_empty_basis_is_named(self):
         with pytest.raises(ValueError, match="needs at least one range vector"):
             Projector(subsystem=Subsystem((0,)), basis=np.zeros((0, 2)))
+
+    def test_more_vectors_than_dimension_refused_before_gram(self):
+        # 4096 range vectors in dimension 1: the 4096 x 4096 Gram matrix is never formed
+        basis = np.ones((4096, 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="projector range vectors are not orthonormal"):
+                Projector(subsystem=0, basis=basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_basis_readonly(self):
         p = rank1(0, [1.0, 0.0])
@@ -168,6 +181,12 @@ class TestSteering:
         v = make_state((2, 2**22), {(0, 0): 1.0, (1, 1): 1.0})
         with pytest.raises(ValueError, match="4194304x2.*budget"):
             steering_operator(v, 0, np.ones(2**22))
+
+    def test_operator_refused_beyond_dense_budget(self):
+        # a 2 x 4096 slice matrix passes, but A is 4096 x 4096 (256 MiB)
+        v = make_state((4096, 2), {(0, 0): 0.6, (4095, 1): 0.8})
+        with pytest.raises(ValueError, match="4096x4096.*budget"):
+            steering_operator(v, 0, np.array([1.0, 0.0]))
 
 
 class TestCorrelationWitness:
