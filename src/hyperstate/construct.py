@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .bilinear import schmidt_decompose, unfold
-from .certify import cube_window, window_certificate
+from .certify import HYPERENTANGLED, cube_window, hyperentanglement_test, window_certificate
 from .state import DROP_THRESHOLD, MultiIndex, StateTensor, Subsystem, make_state, norm
 from .state import _state_from_arrays
 
@@ -375,7 +375,8 @@ def repair_bipartite(
     Zero Schmidt coefficients (cut at the rank threshold) are replaced by
     delta / (2 sqrt(#zeros)) and the state is renormalized; full-rank inputs
     are returned unchanged.  The output is within ``delta`` of the input in
-    norm and has strictly positive Schmidt spectrum across the split.
+    norm, and :func:`hyperentanglement_test` accepts it: where it would not,
+    ``ValueError`` names the remedy, a larger ``delta`` or ``tol``.
     """
     part = Subsystem.coerce(subsystem)
     if v.nfactors != 2:
@@ -391,40 +392,43 @@ def repair_bipartite(
         raise ValueError(f"delta must be positive and finite, got {delta}")
 
     sd = schmidt_decompose(v, part, tol)
-    total = sd.coeffs.size
-    nzeros = total - sd.rank
-    if nzeros == 0:
-        return v
-
-    fill = delta / (2.0 * math.sqrt(nzeros))
+    nzeros = sd.coeffs.size - sd.rank
+    fill = delta / (2.0 * math.sqrt(max(nzeros, 1)))
     coeffs = [float(c) if k < sd.rank else fill for k, c in enumerate(sd.coeffs)]
-
-    # Rows of mat run over the subsystem's factor, columns over the other;
-    # transposed to (factor 0, factor 1) order when the subsystem is 1.
-    d = v.dims[0]
-    mat = np.zeros((d, d), dtype=np.complex128)
-    for ck, left, right in zip(coeffs, sd.left_vectors, sd.right_vectors):
-        if ck != 0.0:
+    out = v
+    if nzeros:
+        # Rows of mat run over the subsystem's factor, columns over the other;
+        # transposed to (factor 0, factor 1) order when the subsystem is 1.
+        d = v.dims[0]
+        mat = np.zeros((d, d), dtype=np.complex128)
+        for ck, left, right in zip(coeffs, sd.left_vectors, sd.right_vectors):
             mat += ck * np.outer(left, right)
-    if part.indices[0] == 1:
-        mat = mat.T
-    support = np.nonzero(mat)
+        if part.indices[0] == 1:
+            mat = mat.T
+        support = np.nonzero(mat)
 
-    metadata = dict(v.metadata)
-    metadata["repair"] = {"replaced": int(nzeros), "delta": float(delta)}
-    out = _state_from_arrays(
-        v.dims,
-        np.stack(support, axis=1),
-        mat[support],
-        normalize=True,
-        truncated_from_infinite=v.truncated_from_infinite,
-        metadata=metadata,
-    )
+        metadata = dict(v.metadata)
+        metadata["repair"] = {"replaced": int(nzeros), "delta": float(delta)}
+        out = _state_from_arrays(
+            v.dims,
+            np.stack(support, axis=1),
+            mat[support],
+            normalize=True,
+            truncated_from_infinite=v.truncated_from_infinite,
+            metadata=metadata,
+        )
 
-    # Distance guarantee, checked on the dense coefficient matrices.
-    dist = float(np.linalg.norm(unfold(out, 0) - unfold(v, 0)))
-    if dist > delta:
-        raise RuntimeError(f"repair moved {dist}, beyond delta={delta}")
+        # Distance guarantee, checked on the dense coefficient matrices.
+        dist = float(np.linalg.norm(unfold(out, 0) - unfold(v, 0)))
+        if dist > delta:
+            raise RuntimeError(f"repair moved {dist}, beyond delta={delta}")
+
+    verdict = hyperentanglement_test(out)
+    if verdict.overall != HYPERENTANGLED:
+        # the largest coefficient, in the input's units, that certification drops
+        c = sorted(coeffs, reverse=True)[min(check.rank for check in verdict.checks)]
+        fix = f"a delta above {delta}" if nzeros and c == fill else f"tol={c!r} or above"
+        raise ValueError(f"Schmidt coefficient {c!r} is too small to certify; use {fix}")
     return out
 
 

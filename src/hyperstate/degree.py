@@ -20,7 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from .bilinear import _check_tol, schmidt_decompose
-from .state import StateTensor, Subsystem, norm
+from .state import StateTensor, Subsystem, _check_dense, norm
 
 __all__ = ["DegreeResult", "degree_bipartite", "degree_multipartite"]
 
@@ -172,6 +172,7 @@ def degree_multipartite(
         raise ValueError(f"need at least one sweep, got max_iters={max_iters}")
     _check_seed(seed)
     _check_tol(tol)
+    _check_dense(1, sum(v.dims))  # one restart's factors, and its draws
     rng = np.random.default_rng(seed)
     block = _block_size(v)
     bins = _bins(v, min(block, restarts))

@@ -112,11 +112,6 @@ class Subsystem:
         return iter(self.indices)
 
 
-def _scale_exponent(peak: float, window: int = 200) -> int:
-    """The ``e`` scaling a state's peak ``|re|`` or ``|im|`` into [1/2, 1); 0 within 2**+-window."""
-    return 0 if 2.0**-window <= peak <= 2.0**window else math.frexp(peak)[1]
-
-
 def _ldexp(a: np.ndarray, e: int) -> np.ndarray:
     """The complex array ``a * 2**e``, exact part by part; ``a`` itself when ``e`` is 0."""
     if not e:
@@ -136,14 +131,13 @@ def _ldexp_scalar(x: float, e: int) -> float:
 
 
 def _scale_and_norm(amps: np.ndarray) -> tuple[int, float]:
-    """The :func:`_scale_exponent` of ``amps``, and their norm, summed exactly (``fsum``)."""
+    """``(e, norm)`` of ``amps``: ``e`` is 0 while their peak ``|re|`` or ``|im|`` lies within
+    2**+-200, else the one scaling it into [1/2, 1); ``norm`` is ``2**e`` times the root of the
+    exact sum (``fsum``) of the squares of ``amps * 2**-e``, which cannot overflow (Blue 1978)."""
     peak = float(np.maximum(np.abs(amps.real), np.abs(amps.imag)).max(initial=0.0))
-    # Squares of components beyond 2**+-500 would overflow or underflow, so
-    # those are summed scaled by an exact power of two (Blue 1978, dnrm2).
-    e = _scale_exponent(peak, 500)
+    e = 0 if 2.0**-200 <= peak <= 2.0**200 else math.frexp(peak)[1]
     a = _ldexp(amps, -e)
-    n = math.fsum((a.real**2 + a.imag**2).tolist())
-    return _scale_exponent(peak), _ldexp_scalar(math.sqrt(n), e)
+    return e, _ldexp_scalar(math.sqrt(math.fsum((a.real**2 + a.imag**2).tolist())), e)
 
 
 def _positions(indices: np.ndarray, dims: Sequence[int], axes: Iterable[int]) -> np.ndarray:
@@ -165,7 +159,7 @@ class StateTensor:
     amplitudes: np.ndarray  # complex128 (nnz,), one per row of indices
     truncated_from_infinite: bool
     _metadata: dict
-    _scale: int  # the _scale_exponent of the amplitudes; dense products scale by 2**-_scale
+    _scale: int  # from _scale_and_norm; dense products scale by 2**-_scale
     _norm: float
 
     @property

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -473,6 +474,34 @@ class TestRepair:
     def test_zero_tol_still_repairs_exact_zeros(self, corpus):
         out = repair_bipartite(corpus["spin1_two_term"], tol=0.0)
         assert out.metadata["repair"] == {"replaced": 1, "delta": 0.1}
+
+    def test_too_small_delta_refused(self, corpus):
+        # a 5e-9 fill passes the Schmidt cutoff, but its square fails certification
+        message = "Schmidt coefficient 5e-09 is too small to certify; use a delta above 1e-08"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            repair_bipartite(corpus["spin1_two_term"], 0, 1e-8)
+
+    def test_tiny_kept_coefficient_refused(self):
+        v = make_state((3, 3), {(0, 0): 0.7, (1, 1): 0.7, (2, 2): 1e-9}, normalize=True)
+        c = float(schmidt_decompose(v, 0).coeffs[2])
+        assert hyperentanglement_test(v).overall == "not_hyperentangled"
+        message = f"Schmidt coefficient {c!r} is too small to certify; use tol={c!r} or above"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            repair_bipartite(v, 0, 0.1)
+        for tol in (c, 1e-8):
+            out = repair_bipartite(v, 0, 0.1, tol)
+            assert out.metadata["repair"] == {"replaced": 1, "delta": 0.1}
+            assert hyperentanglement_test(out).overall == "hyperentangled"
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 6), st.floats(-12.0, math.log10(0.5)))
+    def test_result_is_certified_or_refused(self, seed, d, log_delta):
+        rng = np.random.default_rng(seed)
+        v = random_schmidt_state(rng, d, int(rng.integers(1, d + 1)))
+        try:
+            out = repair_bipartite(v, delta=10.0**log_delta)
+        except ValueError:
+            return
+        assert hyperentanglement_test(out).overall == "hyperentangled"
 
 
 class TestCatalog:

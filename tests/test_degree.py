@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +133,18 @@ class TestMultipartite:
             degree_multipartite(corpus["ghz"], seed=-1)
         with pytest.raises(ValueError):
             degree_multipartite(make_state((2, 2), {(0, 0): 2.0}))
+
+    def test_factors_beyond_dense_budget_refused(self):
+        # one restart draws 2 * sum(dims) floats and builds (1, dims[k]) factors
+        v = make_state((2**22, 2, 2), {(0, 0, 0): 0.6, (5, 1, 1): 0.8})
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="budget"):
+                degree_multipartite(v, restarts=1, max_iters=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_max_iters_must_allow_a_sweep(self, corpus):
         # with no sweep the random start would be reported with overlap 0.0

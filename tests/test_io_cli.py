@@ -537,6 +537,17 @@ class TestCliConstructAndCertify:
         code, rep = run(capsys, "certify", "--state", str(fixed))
         assert code == 0
 
+    def test_repair_refuses_a_delta_too_small_to_certify(self, capsys, tmp_path):
+        fixed = tmp_path / "fixed.json"
+        code, rep = run(
+            capsys, "construct", "repair", "--paper", "spin1_two_term",
+            "--delta", "1e-8", "--out", str(fixed),
+        )
+        assert code == 2
+        assert set(rep) == {"argv", "command", "error", "timing_ms"}
+        assert rep["error"].endswith("use a delta above 1e-08")
+        assert not fixed.exists()
+
 
 class TestCertifyPrintsLibraryVerdict:
     """``certify`` exits 0 exactly when ``certify_state`` is positive, and prints its fields."""
@@ -758,6 +769,14 @@ class TestCliAnalysis:
         assert code == 0
         assert rep["result"]["value"] == pytest.approx(1 - R2, abs=1e-6)
         assert rep["result"]["route"] == "multipartite"
+
+    def test_degree_beyond_dense_budget_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        save_state(make_state((2**22, 2, 2), {(0, 0, 0): 0.6, (5, 1, 1): 0.8}), path)
+        code, rep = run(capsys, "degree", "--state", str(path))
+        assert code == 2
+        assert set(rep) == {"argv", "command", "error", "timing_ms"}
+        assert "budget" in rep["error"]
 
     def test_degree_needs_a_sweep(self, capsys):
         for value in ("0", "-1"):

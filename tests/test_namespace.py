@@ -152,16 +152,28 @@ def test_one_place_builds_a_state():
 
 
 def test_one_scale_rule():
-    # a state's power-of-two scale is decided once, when state.py builds it,
-    # and kept as StateTensor._scale; every dense product reads that field
-    named, peaks = set(), []
+    # a state's power-of-two scale is decided once, by state._scale_and_norm
+    # when the state is built, and kept as StateTensor._scale; the norm is
+    # summed under that exponent and every dense product reads that field
+    frexps, named, peaks = [], [], []
     for path in sorted(pathlib.Path(hyperstate.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if "_scale_exponent" in {getattr(node, k, None) for k in ("id", "attr", "name")}:
-                named.add(path.stem)
+        tree = ast.parse(path.read_text())
+        owner = {
+            id(node): f"{path.stem}.{func.name}"
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func)
+        }
+        for node in ast.walk(tree):
+            names = {getattr(node, k, None) for k in ("id", "attr", "name")}
+            if "frexp" in names:  # math.frexp, or a name imported from math
+                frexps.append(owner.get(id(node), path.stem))
+            if "_scale_exponent" in names:
+                named.append((path.stem, node.lineno))
             if isinstance(node, ast.Attribute) and node.attr == "_peak":
                 peaks.append((path.stem, node.lineno))
-    assert named == {"state"}, named
+    assert frexps == ["state._scale_and_norm"], frexps
+    assert named == [], named
     assert peaks == [], peaks
 
 
