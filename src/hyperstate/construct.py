@@ -381,12 +381,10 @@ def repair_bipartite(
     part = Subsystem.coerce(subsystem)
     if v.nfactors != 2:
         raise ValueError(f"repair is defined for two factors, got {v.nfactors}")
-    if len(part) != 1:
-        raise ValueError(f"subsystem must be a single factor, got {part.indices}")
     part.validate_for(2)
     if v.dims[0] != v.dims[1]:
         raise ValueError(f"repair needs equal dimensions, got {v.dims}")
-    if abs(norm(v) - 1.0) > 1e-10:
+    if not v.is_normalized:
         raise ValueError(f"input must be normalized, norm is {norm(v)!r}")
     if not (delta > 0.0 and math.isfinite(delta)):
         raise ValueError(f"delta must be positive and finite, got {delta}")

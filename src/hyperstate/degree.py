@@ -48,17 +48,13 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
 
-def _require_unit(v: StateTensor) -> None:
-    if abs(norm(v) - 1.0) > 1e-10:
-        raise ValueError(f"degree is defined for unit states, norm is {norm(v)!r}")
-
-
 def degree_bipartite(
     v: StateTensor,
     subsystem: Subsystem | int | Iterable[int] = 0,
 ) -> DegreeResult:
     """Exact degree across the split (S | S'): 1 - top Schmidt coefficient."""
-    _require_unit(v)
+    if not v.is_normalized:
+        raise ValueError(f"degree is defined for unit states, norm is {norm(v)!r}")
     sd = schmidt_decompose(v, subsystem)
     top = float(sd.coeffs[0])
     value = max(0.0, 1.0 - top)
@@ -165,7 +161,8 @@ def degree_multipartite(
     working memory, so no call allocates in proportion to ``restarts``;
     every result is bit-identical to sweeping the restarts one at a time.
     """
-    _require_unit(v)
+    if not v.is_normalized:
+        raise ValueError(f"degree is defined for unit states, norm is {norm(v)!r}")
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
     if max_iters < 1:

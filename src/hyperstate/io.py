@@ -8,9 +8,12 @@ validation errors cite the offending field and raise
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import re as _re
+import stat
 from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Iterable
@@ -100,6 +103,33 @@ def _read_document(path: str | Path) -> tuple[dict, str]:
     if not isinstance(version, str) or not _VERSION_PATTERN.match(version):
         raise _fail(where, f"unsupported format_version {version!r}; need '1.x' as a string")
     return obj, where
+
+
+def _write_document(path: str | Path, text: str) -> None:
+    """Replace the file at ``path`` with ``text`` in one step.
+
+    The one writer of state and projector files: the text goes to a new
+    file beside the target, which ``os.replace`` then moves over it, so a
+    failed write leaves an existing file as it was and no new file behind.
+    A symlink is written through, an existing file keeps its permission
+    bits, and an ``OSError`` names ``path``.
+    """
+    target = os.path.realpath(path) if os.path.islink(path) else path
+    temp = os.path.join(os.path.dirname(target), f".hyperstate-{os.urandom(6).hex()}.tmp")
+    made = False
+    try:
+        with open(temp, "x", encoding="utf-8") as out:
+            made = True
+            out.write(text)
+        with contextlib.suppress(FileNotFoundError):  # a new file keeps open's mode
+            os.chmod(temp, stat.S_IMODE(os.stat(target).st_mode))
+        os.replace(temp, target)
+    except BaseException as exc:
+        if made:
+            os.unlink(temp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, str(Path(path))) from None
+        raise
 
 
 def _is_count(x: Any) -> bool:
@@ -225,9 +255,8 @@ def save_state(v: StateTensor, path: str | Path) -> None:
 
     The file is what :func:`canonical_report_json` gives for the whole
     document, but the entries are rendered from the arrays through one
-    template instead of the stdlib's pure-Python indenting encoder.  The text
-    is complete before the file is opened, so a failed save leaves an
-    existing file as it was.
+    template instead of the stdlib's pure-Python indenting encoder.  The
+    file is replaced in one step, so a failed save leaves the old file.
     """
     header = {
         "format_version": FORMAT_VERSION,
@@ -248,7 +277,7 @@ def save_state(v: StateTensor, path: str | Path) -> None:
         text = text.replace(
             '\n  "entries": [],\n', f'\n  "entries": [\n{block}\n  ],\n', 1
         )
-    Path(path).write_text(text, encoding="utf-8")
+    _write_document(path, text)
 
 
 def load_state(path: str | Path) -> StateTensor:
@@ -298,7 +327,7 @@ def save_projector(p: Projector, path: str | Path) -> None:
             for row in p.basis
         ],
     }
-    Path(path).write_text(canonical_report_json(obj), encoding="utf-8")
+    _write_document(path, canonical_report_json(obj))
 
 
 def _is_finite_number(x: Any) -> bool:

@@ -37,8 +37,9 @@ MultiIndex = tuple[int, ...]
 
 # Amplitudes at or below this magnitude are discarded at construction time.
 DROP_THRESHOLD = 1e-300
-# |norm - 1| allowed for a state to count as normalized.
-UNIT_NORM_TOL = 1e-12
+# |norm - 1| allowed for a state to count as normalized: the one unit-state
+# rule, which degree and repair apply.
+UNIT_NORM_TOL = 1e-10
 # Largest dense complex matrix any layer makes from a state, in bytes.
 DENSE_BUDGET = 64 * 2**20
 

@@ -9,7 +9,6 @@ import numpy as np
 
 from hyperstate import DegreeResult, StateTensor, make_state, rank_tolerance
 from hyperstate.bilinear import _check_tol
-from hyperstate.degree import _require_unit
 
 
 def dense_tensor(v: StateTensor) -> np.ndarray:
@@ -286,7 +285,8 @@ def loop_degree_multipartite(
     max_iters: int = 500,
     seed: int = 0,
 ) -> DegreeResult:
-    _require_unit(v)
+    if not v.is_normalized:
+        raise ValueError("degree is defined for unit states")
     if restarts < 1:
         raise ValueError(f"need at least one restart, got {restarts}")
     if max_iters < 1:

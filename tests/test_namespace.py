@@ -151,11 +151,9 @@ def test_one_place_builds_a_state():
     assert found == ["state._state_from_arrays"], found
 
 
-def test_one_scale_rule():
-    # a state's power-of-two scale is decided once, by state._scale_and_norm
-    # when the state is built, and kept as StateTensor._scale; the norm is
-    # summed under that exponent and every dense product reads that field
-    frexps, named, peaks = [], [], []
+def _owned_nodes():
+    """``(owner, node)`` for every node under ``src/hyperstate``; the owner is
+    ``module.function`` of the innermost enclosing function, else ``module``."""
     for path in sorted(pathlib.Path(hyperstate.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         owner = {
@@ -165,13 +163,22 @@ def test_one_scale_rule():
             for node in ast.walk(func)
         }
         for node in ast.walk(tree):
-            names = {getattr(node, k, None) for k in ("id", "attr", "name")}
-            if "frexp" in names:  # math.frexp, or a name imported from math
-                frexps.append(owner.get(id(node), path.stem))
-            if "_scale_exponent" in names:
-                named.append((path.stem, node.lineno))
-            if isinstance(node, ast.Attribute) and node.attr == "_peak":
-                peaks.append((path.stem, node.lineno))
+            yield owner.get(id(node), path.stem), node
+
+
+def test_one_scale_rule():
+    # a state's power-of-two scale is decided once, by state._scale_and_norm
+    # when the state is built, and kept as StateTensor._scale; the norm is
+    # summed under that exponent and every dense product reads that field
+    frexps, named, peaks = [], [], []
+    for owner, node in _owned_nodes():
+        names = {getattr(node, k, None) for k in ("id", "attr", "name")}
+        if "frexp" in names:  # math.frexp, or a name imported from math
+            frexps.append(owner)
+        if "_scale_exponent" in names:
+            named.append((owner, node.lineno))
+        if isinstance(node, ast.Attribute) and node.attr == "_peak":
+            peaks.append((owner, node.lineno))
     assert frexps == ["state._scale_and_norm"], frexps
     assert named == [], named
     assert peaks == [], peaks
@@ -190,22 +197,71 @@ def test_one_reader_for_files():
         return None
 
     found = {}
-    for path in sorted(pathlib.Path(hyperstate.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        owner = {
-            id(node): f"{path.stem}.{func.name}"
-            for func in ast.walk(tree)
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-            for node in ast.walk(func)
-        }
-        for node in ast.walk(tree):
-            if found_kind := kind(node):
-                found.setdefault(found_kind, []).append(owner.get(id(node), path.stem))
+    for owner, node in _owned_nodes():
+        if found_kind := kind(node):
+            found.setdefault(found_kind, []).append(owner)
     assert found == {
         "object check": ["io._read_document"],
         "version check": ["io", "io._read_document"],  # "io": its module-level definition
         "file read": ["io._read_document"],
     }, found
+
+
+def test_one_writer_for_files():
+    # io._write_document writes every state and projector file: a temporary
+    # file beside the target, moved over it in one step
+    def kind(node):
+        if not isinstance(node, ast.Call):
+            return None
+        func = ast.unparse(node.func)
+        if func.split(".")[-1] in ("write_text", "write_bytes"):
+            return "file write"
+        if func in ("os.replace", "os.rename"):
+            return "replace"
+        if func.split(".")[-1] == "open":
+            # builtin open(file, mode), or a path's .open(mode)
+            modes = node.args[1:2] if func == "open" else node.args[:1]
+            modes += [kw.value for kw in node.keywords if kw.arg == "mode"]
+            if any(
+                not isinstance(m, ast.Constant) or set(str(m.value)) & set("wxa+") for m in modes
+            ):
+                return "write-mode open"
+        return None
+
+    found = {}
+    for owner, node in _owned_nodes():
+        if found_kind := kind(node):
+            found.setdefault(found_kind, []).append(owner)
+    assert found == {
+        "write-mode open": ["io._write_document"],
+        "replace": ["io._write_document"],
+    }, found
+
+
+def test_one_unit_rule():
+    # StateTensor.is_normalized, within UNIT_NORM_TOL, is the only test of
+    # whether a state is a unit state; degree and repair read it
+    def one(node):
+        return isinstance(node, ast.Constant) and node.value == 1 and node.value is not True
+
+    def state_norm(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr == "_norm"
+        return isinstance(node, ast.Call) and ast.unparse(node.func) in ("norm", "state.norm")
+
+    found = []
+    for owner, node in _owned_nodes():
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub):
+            sides = [node.left, node.right]
+        elif isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+        elif isinstance(node, ast.Call) and ast.unparse(node.func).endswith("isclose"):
+            sides = node.args[:2]
+        else:
+            continue
+        if any(map(one, sides)) and any(map(state_norm, sides)):
+            found.append(owner)
+    assert found == ["state.is_normalized"], found
 
 
 def test_runtime_imports_are_stdlib_or_numpy():

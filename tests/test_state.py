@@ -19,6 +19,8 @@ from hyperstate import (
     Subsystem,
     Window,
     cube_window,
+    degree_bipartite,
+    degree_multipartite,
     dimension_gate,
     inner,
     make_state,
@@ -27,6 +29,7 @@ from hyperstate import (
     pairing_eval,
     pairing_fn,
     paper_state,
+    repair_bipartite,
     schmidt_decompose,
     slice_family,
     support_test,
@@ -145,6 +148,41 @@ class TestMakeState:
         c = make_state((2, 2), {(0, 1): R2, (1, 0): -R2})
         assert a == b
         assert a != c
+
+
+class TestUnitRule:
+    """``is_normalized`` is the one unit-state rule that degree and repair apply."""
+
+    USERS = {
+        "degree_bipartite": degree_bipartite,
+        "degree_multipartite": lambda v: degree_multipartite(v, restarts=1),
+        "repair_bipartite": repair_bipartite,
+    }
+
+    @staticmethod
+    def bohm_off_by(excess):
+        """A bohm-like state with ``norm - 1`` equal to ``excess``."""
+        a = R2 * (1.0 + excess)
+        v = make_state((2, 2), {(0, 1): a, (1, 0): a})
+        assert norm(v) - 1.0 == pytest.approx(excess, rel=1e-4)
+        return v
+
+    @pytest.mark.parametrize("use", USERS.values(), ids=USERS.keys())
+    def test_just_inside_is_accepted(self, use):
+        v = self.bohm_off_by(2.5e-11)
+        assert v.is_normalized
+        use(v)
+
+    @pytest.mark.parametrize("use", USERS.values(), ids=USERS.keys())
+    def test_outside_is_refused(self, use):
+        v = self.bohm_off_by(4e-10)
+        assert not v.is_normalized
+        with pytest.raises(ValueError, match="unit states|must be normalized"):
+            use(v)
+
+    def test_repair_refuses_both_factors(self):
+        with pytest.raises(ValueError, match="subsystem"):
+            repair_bipartite(paper_state("bohm"), (0, 1))
 
 
 @given(small_dims().flatmap(lambda d: st.tuples(st.just(tuple(d)), sparse_entries(d))))

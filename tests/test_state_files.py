@@ -5,9 +5,16 @@ that ``save_state`` replaced; ``helpers.state_document`` rebuilds that
 writer's document so any state can be checked against the stdlib encoder.
 """
 
+import errno
 import json
 import math
+import os
 import pathlib
+import resource
+import signal
+import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,12 +22,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import state_document
-from hyperstate import make_state
+from hyperstate import make_state, paper_state
 from hyperstate.cli import run_cli
 from hyperstate.io import StateFileError, load_state, save_state
 
 TESTS = pathlib.Path(__file__).parent
 GOLDEN = TESTS / "golden"
+SRC = TESTS.parent / "src"
+FILE_LIMIT = 4096  # bytes, RLIMIT_FSIZE of the child in run_with_file_limit
 
 
 @pytest.mark.parametrize(
@@ -114,6 +123,89 @@ def test_failed_save_leaves_file_alone(tmp_path):
     with pytest.raises(ValueError):
         save_state(bad, path)
     assert path.read_bytes() == before
+
+
+def run_with_file_limit(args: list[str], cwd: pathlib.Path) -> subprocess.CompletedProcess:
+    """``python *args`` in a child that cannot grow a file past ``FILE_LIMIT``
+    bytes; SIGXFSZ is ignored, so such a write fails with EFBIG instead."""
+
+    def limit():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (FILE_LIMIT, FILE_LIMIT))
+
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, preexec_fn=limit, capture_output=True, text=True
+    )
+
+
+class TestReplacingSave:
+    """A save replaces its file in one step; one that fails partway leaves the old file."""
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "v.json"
+        save_state(paper_state("bohm"), path)
+        before = path.read_bytes()
+        script = (
+            "import sys\n"
+            "from hyperstate import make_state\n"
+            "from hyperstate.io import save_state\n"
+            "v = make_state((16, 16), {(i, j): 1.0 for i in range(16) for j in range(16)})\n"
+            "try:\n"
+            "    save_state(v, sys.argv[1])\n"
+            "except OSError as exc:\n"
+            "    print(exc)\n"
+            "else:\n"
+            "    sys.exit('saved past the file-size limit')\n"
+        )
+        proc = run_with_file_limit(["-c", script, str(path)], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert path.read_bytes() == before
+        assert load_state(path) == paper_state("bohm")
+        assert os.listdir(tmp_path) == ["v.json"]
+        assert proc.stdout == f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: {str(path)!r}\n"
+
+    def test_failed_cli_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        save_state(paper_state("bohm"), path)
+        before = path.read_bytes()
+        argv = ["construct", "method2", "--stages", "2", "--eps", "0.01,0.005", "--out", str(path)]
+        proc = run_with_file_limit(["-m", "hyperstate", *argv], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr == ""
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["out.json"]
+        rep = json.loads(proc.stdout)
+        assert set(rep) == {"argv", "command", "error", "timing_ms"}
+        assert rep["error"] == f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: {str(path)!r}"
+
+    def test_mode_and_symlink_kept(self, tmp_path):
+        real = tmp_path / "real.json"
+        save_state(paper_state("bohm"), real)
+        real.chmod(0o604)  # a mode no usual umask gives a new file
+        link = tmp_path / "link.json"
+        link.symlink_to(real.name)
+        save_state(paper_state("ghz"), link)
+        assert link.is_symlink()
+        assert load_state(real) == paper_state("ghz")
+        assert stat.S_IMODE(real.stat().st_mode) == 0o604
+        # a new file gets the mode that plain open() gives
+        (tmp_path / "plain").write_text("")
+        save_state(paper_state("ghz"), tmp_path / "new.json")
+        modes = {stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("plain", "new.json")}
+        assert len(modes) == 1
+        assert sorted(os.listdir(tmp_path)) == ["link.json", "new.json", "plain", "real.json"]
+
+    def test_error_names_the_given_path(self, tmp_path):
+        path = tmp_path / "missing" / "v.json"
+        with pytest.raises(FileNotFoundError) as info:
+            save_state(paper_state("bohm"), path)
+        assert info.value.filename == str(path)
+        with pytest.raises(IsADirectoryError) as info:
+            save_state(paper_state("bohm"), tmp_path)
+        assert info.value.filename == str(tmp_path)
+        assert os.listdir(tmp_path) == []
 
 
 class TestLoaderMessages:
