@@ -8,7 +8,7 @@ validation errors cite the offending field and raise
 
 from __future__ import annotations
 
-import contextlib
+import errno
 import json
 import math
 import os
@@ -112,20 +112,33 @@ def _write_document(path: str | Path, text: str) -> None:
     file beside the target, which ``os.replace`` then moves over it, so a
     failed write leaves an existing file as it was and no new file behind.
     A symlink is written through, an existing file keeps its permission
-    bits, and an ``OSError`` names ``path``.
+    bits, a file the caller may not write is refused as a truncating write
+    would refuse it, and an ``OSError`` names ``path``.  A target that is
+    not a regular file (a device such as ``/dev/null``, a FIFO) is written
+    in place, as ``open`` writes it, and so is never replaced.
     """
-    target = os.path.realpath(path) if os.path.islink(path) else path
-    temp = os.path.join(os.path.dirname(target), f".hyperstate-{os.urandom(6).hex()}.tmp")
-    made = False
+    temp = None
     try:
-        with open(temp, "x", encoding="utf-8") as out:
-            made = True
+        try:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            with open(path, "w", encoding="utf-8") as out:
+                out.write(text)
+            return
+        if mode is not None and not os.access(path, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+        target = os.path.realpath(path) if os.path.islink(path) else path
+        name = os.path.join(os.path.dirname(target), f".hyperstate-{os.urandom(6).hex()}.tmp")
+        with open(name, "x", encoding="utf-8") as out:
+            temp = name
             out.write(text)
-        with contextlib.suppress(FileNotFoundError):  # a new file keeps open's mode
-            os.chmod(temp, stat.S_IMODE(os.stat(target).st_mode))
+        if mode is not None:  # a new file keeps open's mode
+            os.chmod(temp, stat.S_IMODE(mode))
         os.replace(temp, target)
     except BaseException as exc:
-        if made:
+        if temp is not None:
             os.unlink(temp)
         if isinstance(exc, OSError):
             raise OSError(exc.errno, exc.strerror, str(Path(path))) from None
@@ -255,8 +268,9 @@ def save_state(v: StateTensor, path: str | Path) -> None:
 
     The file is what :func:`canonical_report_json` gives for the whole
     document, but the entries are rendered from the arrays through one
-    template instead of the stdlib's pure-Python indenting encoder.  The
-    file is replaced in one step, so a failed save leaves the old file.
+    template instead of the stdlib's pure-Python indenting encoder.  A
+    regular file is replaced in one step, so a failed save leaves the old
+    file.
     """
     header = {
         "format_version": FORMAT_VERSION,

@@ -231,10 +231,10 @@ def test_one_writer_for_files():
     found = {}
     for owner, node in _owned_nodes():
         if found_kind := kind(node):
-            found.setdefault(found_kind, []).append(owner)
+            found.setdefault(found_kind, set()).add(owner)
     assert found == {
-        "write-mode open": ["io._write_document"],
-        "replace": ["io._write_document"],
+        "write-mode open": {"io._write_document"},
+        "replace": {"io._write_document"},
     }, found
 
 

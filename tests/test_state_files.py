@@ -125,6 +125,20 @@ def test_failed_save_leaves_file_alone(tmp_path):
     assert path.read_bytes() == before
 
 
+def run_python(args: list[str], cwd: pathlib.Path, preexec_fn=None) -> subprocess.CompletedProcess:
+    """``python *args`` in a child that imports this checkout's package."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=cwd,
+        env=env,
+        preexec_fn=preexec_fn,
+        capture_output=True,
+        text=True,
+    )
+
+
 def run_with_file_limit(args: list[str], cwd: pathlib.Path) -> subprocess.CompletedProcess:
     """``python *args`` in a child that cannot grow a file past ``FILE_LIMIT``
     bytes; SIGXFSZ is ignored, so such a write fails with EFBIG instead."""
@@ -133,11 +147,7 @@ def run_with_file_limit(args: list[str], cwd: pathlib.Path) -> subprocess.Comple
         signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
         resource.setrlimit(resource.RLIMIT_FSIZE, (FILE_LIMIT, FILE_LIMIT))
 
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args], cwd=cwd, env=env, preexec_fn=limit, capture_output=True, text=True
-    )
+    return run_python(args, cwd, limit)
 
 
 class TestReplacingSave:
@@ -196,6 +206,47 @@ class TestReplacingSave:
         modes = {stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("plain", "new.json")}
         assert len(modes) == 1
         assert sorted(os.listdir(tmp_path)) == ["link.json", "new.json", "plain", "real.json"]
+
+    def test_write_protected_file_refused(self, tmp_path, monkeypatch):
+        path = tmp_path / "v.json"
+        save_state(paper_state("bohm"), path)
+        path.chmod(0o444)
+        before = path.read_bytes()
+        if os.geteuid() == 0:  # root may write any file; answer as for a user who may not
+            access = os.access
+            monkeypatch.setattr(os, "access", lambda p, m: m != os.W_OK and access(p, m))
+        with pytest.raises(PermissionError) as info:
+            save_state(paper_state("ghz"), path)
+        assert info.value.filename == str(path)
+        assert path.read_bytes() == before
+        assert stat.S_IMODE(path.stat().st_mode) == 0o444
+        assert os.listdir(tmp_path) == ["v.json"]
+
+    def test_fifo_written_in_place(self, tmp_path):
+        fifo = tmp_path / "v.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # lets the writer open it
+        try:
+            save_state(paper_state("bohm"), fifo)
+            got = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        save_state(paper_state("bohm"), tmp_path / "v.json")
+        assert got == (tmp_path / "v.json").read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["v.fifo", "v.json"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_cli_out_to_stdout(self, tmp_path):
+        argv = ["-m", "hyperstate", "construct", "method2", "--stages", "2", "--eps", "0.01,0.005"]
+        (tmp_path / "out").mkdir()
+        saved = run_python([*argv, "--out", "out/v.json"], tmp_path)
+        piped = run_python([*argv, "--out", "/dev/stdout"], tmp_path)  # stdout is a pipe
+        assert (saved.returncode, piped.returncode) == (0, 0), piped.stdout
+        state = (tmp_path / "out" / "v.json").read_text()
+        assert piped.stdout.startswith(state)
+        assert json.loads(piped.stdout[len(state) :])["command"] == "construct"
+        assert os.listdir(tmp_path) == ["out"]
 
     def test_error_names_the_given_path(self, tmp_path):
         path = tmp_path / "missing" / "v.json"
