@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .bilinear import schmidt_decompose, unfold
+from .bilinear import schmidt_decompose
 from .certify import HYPERENTANGLED, cube_window, hyperentanglement_test, window_certificate
 from .state import DROP_THRESHOLD, MultiIndex, StateTensor, Subsystem, make_state, norm
 from .state import _state_from_arrays
@@ -246,8 +246,15 @@ def method2_extend(v: StateTensor, params: ExtensionParams) -> StateTensor:
     standard-basis vectors (pairwise distinct directions, lexicographic key
     order), slices keyed by two small coordinates are extended by zeros, and
     everything else in the p'**3 cube stays zero.  The appended mass is
-    exactly ``epsilon``, split evenly over the three axes.
+    exactly ``epsilon``, split evenly over the three axes.  The result is not
+    normalized.
     """
+    return _extend(v, params)
+
+
+def _extend(v: StateTensor, params: ExtensionParams, last: bool = False) -> StateTensor:
+    """:func:`method2_extend`; as a build's ``last`` stage, also normalized and
+    with the ``window_sizes`` of every recorded stage."""
     p, m = params.p, params.m
     if v.nfactors != 3:
         raise ValueError(f"extension is defined for 3 factors, got {v.nfactors}")
@@ -276,37 +283,17 @@ def method2_extend(v: StateTensor, params: ExtensionParams) -> StateTensor:
     history.append({"p": p, "m": m, "epsilon": params.epsilon, "p_prime": pp})
     metadata["stage_history"] = history
     metadata.setdefault("construction", "seed_extend")
+    if last:
+        metadata["window_sizes"] = [rec["p"] for rec in history]
 
-    out = _state_from_arrays(
+    return _state_from_arrays(
         (pp, pp, pp),
         np.concatenate([v.indices, appended]),
         np.concatenate([v.amplitudes, np.full(len(appended), scale, dtype=np.complex128)]),
+        normalize=last,
         truncated_from_infinite=True,
         metadata=metadata,
     )
-    _check_extension(v, out, params)
-    return out
-
-
-def _check_extension(v: StateTensor, out: StateTensor, params: ExtensionParams) -> None:
-    """Structural postconditions, verified after every stage."""
-    p, m = params.p, params.m
-    new = (out.indices >= p).any(axis=1)
-    if not (
-        np.array_equal(out.indices[~new], v.indices)
-        and np.array_equal(out.amplitudes[~new], v.amplitudes)
-    ):
-        raise RuntimeError("extension altered the preserved p**3 block")
-    added, amps = out.indices[new], out.amplitudes[new]
-    if len(added) != 3 * (p * p - m * m) or ((added >= p).sum(axis=1) != 1).any():
-        raise RuntimeError("appended standard-basis pattern corrupted")
-    if ((added < m).sum(axis=1) >= 2).any():
-        raise RuntimeError("zero-pattern violated in the extension region")
-    new_mass = math.fsum((amps.real * amps.real + amps.imag * amps.imag).tolist())
-    if abs(new_mass - params.epsilon) > 1e-12 * max(1.0, params.epsilon):
-        raise RuntimeError(
-            f"appended mass {new_mass} differs from epsilon {params.epsilon}"
-        )
 
 
 def default_seed() -> StateTensor:
@@ -328,7 +315,11 @@ def method2_build(
 
     Each stage consumes the previous output with m set to the previous p, so
     every slice stabilizes after finitely many stages.  ``eps_schedule``
-    supplies one appended-mass budget per stage.
+    supplies one appended-mass budget per stage.  Every stage is built once,
+    as :func:`method2_extend` builds it; the last is normalized in that same
+    pass and records ``window_sizes``.  The appended layout, the mass and the
+    preserved block are not re-checked at run time: the test suite checks
+    them against an independent transcription of the layout.
     """
     if stages < 1:
         raise ValueError(f"need at least one stage, got {stages}")
@@ -349,19 +340,9 @@ def method2_build(
         raise ValueError(f"seed must be 2 x 2 x 2, got dims {v.dims}")
     if v.amplitude((0, 0, 0)) == 0j:
         raise ValueError("seed must have a nonzero amplitude at (0, 0, 0)")
-    for params in plan:
-        v = method2_extend(v, params)
-
-    metadata = dict(v.metadata)
-    metadata["window_sizes"] = [rec["p"] for rec in metadata.get("stage_history", [])]
-    return _state_from_arrays(
-        v.dims,
-        v.indices,
-        v.amplitudes,
-        normalize=True,
-        truncated_from_infinite=True,
-        metadata=metadata,
-    )
+    for k, params in enumerate(plan, 1):
+        v = _extend(v, params, last=k == stages)
+    return v
 
 
 def repair_bipartite(
@@ -415,11 +396,6 @@ def repair_bipartite(
             truncated_from_infinite=v.truncated_from_infinite,
             metadata=metadata,
         )
-
-        # Distance guarantee, checked on the dense coefficient matrices.
-        dist = float(np.linalg.norm(unfold(out, 0) - unfold(v, 0)))
-        if dist > delta:
-            raise RuntimeError(f"repair moved {dist}, beyond delta={delta}")
 
     verdict = hyperentanglement_test(out)
     if verdict.overall != HYPERENTANGLED:

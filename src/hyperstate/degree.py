@@ -13,7 +13,6 @@ norm rounds as ``np.linalg.norm`` rounds one vector.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -58,11 +57,6 @@ def degree_bipartite(
     sd = schmidt_decompose(v, subsystem)
     top = float(sd.coeffs[0])
     value = max(0.0, 1.0 - top)
-    # A unit state cannot be farther from the products than the flattest
-    # Schmidt spectrum allows.
-    bound = 1.0 - 1.0 / math.sqrt(sd.coeffs.size)
-    if value > bound + 1e-12:
-        raise RuntimeError(f"degree {value} exceeds the spectral bound {bound}")
     left = sd.left_vectors[0].copy()
     right = sd.right_vectors[0].copy()
     left.flags.writeable = False

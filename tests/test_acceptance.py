@@ -5,6 +5,7 @@ line (visible under ``pytest -s`` and in captured output on failure)."""
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import pathlib
@@ -15,6 +16,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import (
     bloch_grid_overlap,
@@ -35,6 +38,8 @@ from hyperstate import (
     dimension_gate,
     hyperentanglement_test,
     make_state,
+    method2_build,
+    norm,
     paper_state,
     repair_bipartite,
     schmidt_decompose,
@@ -217,6 +222,96 @@ def test_criterion_5_seed_and_extend():
             window_certificate(v, cube_window(v.dims, 0, 26)),
         )] == [676]
         assert time.perf_counter() - t0 < 60.0
+
+
+def extension_layout(p: int, m: int) -> np.ndarray:
+    """:func:`extension_positions` as an (n, 3) array, in the same order."""
+    x, y = (a.ravel() for a in np.meshgrid(np.arange(p), np.arange(p), indexing="ij"))
+    keep = ~((x < m) & (y < m))
+    x, y = x[keep], y[keep]
+    z = p + np.arange(x.size)
+    return np.stack([x, y, z, x, z, y, z, x, y], axis=1).reshape(-1, 3)
+
+
+def checked_chain(seed, eps):
+    """``method2_extend`` stage after stage from ``seed``, each against the
+    oracle: the preserved block, the appended layout, count and mass."""
+    v, p, m = seed, 2, 1
+    for e in eps:
+        out = method2_extend(v, ExtensionParams(p=p, m=m, epsilon=e))
+        layout = extension_layout(p, m)
+        if p < 100:  # the array layout is the tuple transcription
+            assert list(map(tuple, layout.tolist())) == extension_positions(p, m)
+        assert len(layout) == 3 * (p * p - m * m)
+        kept = (out.indices < p).all(axis=1)
+        assert np.array_equal(out.indices[kept], v.indices)
+        assert np.array_equal(out.amplitudes[kept], v.amplitudes)
+        # entries are kept in lexicographic index order
+        assert np.array_equal(out.indices[~kept], layout[np.lexsort(layout.T[::-1])])
+        amps = out.amplitudes[~kept]
+        assert np.abs(amps - math.sqrt(e / len(layout))).max() <= 1e-15
+        assert abs(math.fsum((amps.real ** 2 + amps.imag ** 2).tolist()) - e) <= 1e-12
+        v, p, m = out, out.dims[0], p
+    return v
+
+
+def check_build(built, chain, stages: int) -> None:
+    """``method2_build`` is the last ``method2_extend`` stage, normalized."""
+    assert built.dims == chain.dims
+    assert np.array_equal(built.indices, chain.indices)
+    a = chain.amplitudes
+    scale = math.sqrt(math.fsum((a.real ** 2 + a.imag ** 2).tolist()))
+    np.testing.assert_allclose(built.amplitudes, a / scale, rtol=2.0**-50, atol=0)
+    assert abs(norm(built) - 1.0) <= 1e-12
+    sizes = [rec["p"] for rec in chain.metadata["stage_history"]]
+    assert len(sizes) == stages
+    assert built.metadata == {**chain.metadata, "window_sizes": sizes}
+
+
+def test_criterion_5_stage4_in_memory():
+    """The stage-4 build (458330**3, nnz 1,374,985), stage by stage, in memory."""
+    with report(5):
+        t0 = time.perf_counter()
+        eps = (0.01, 0.005, 0.0025, 0.00125)
+        v = checked_chain(default_seed(), eps)
+        assert v.dims == (458330,) * 3
+        assert v.nnz == 1_374_985
+        check_build(method2_build(4, eps), v, 4)
+        assert time.perf_counter() - t0 < 30.0
+
+
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@given(
+    origin=st.tuples(st.floats(1e-6, 1.0), _UNIT),
+    rest=st.lists(st.tuples(_UNIT, _UNIT), min_size=7, max_size=7),
+)
+def test_criterion_5_random_seeds(origin, rest):
+    """Random 2 x 2 x 2 seeds meet the oracle at every stage.
+
+    The origin's real part is at least 1e-6 and every other part lies in
+    [-1, 1]; an origin negligible beside the rest is refused (next test).
+    """
+    with report(5):
+        amps = [complex(*origin)] + [complex(*z) for z in rest]
+        seed = make_state(
+            (2, 2, 2),
+            dict(zip(itertools.product(range(2), repeat=3), amps)),
+            truncated_from_infinite=True,
+        )
+        eps = (0.01, 0.005, 0.0025)
+        check_build(method2_build(3, eps, seed=seed), checked_chain(seed, eps), 3)
+
+
+def test_criterion_5_tiny_origin_refused_at_stage_2():
+    """A nonzero origin below the stage-2 window's rank cutoff is refused there."""
+    with report(5):
+        seed = make_state(
+            (2, 2, 2), {(0, 0, 0): 1e-14, (1, 1, 1): 1.0}, truncated_from_infinite=True
+        )
+        with pytest.raises(ValueError, match=r"window hypothesis fails on axis 0: rank 3 < 4"):
+            method2_build(2, (0.01, 0.005), seed=seed)
 
 
 def test_criterion_6_correlation_witness():

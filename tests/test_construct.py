@@ -359,10 +359,10 @@ class TestMethod2:
         class Built(Exception):
             pass
 
-        def extend(v, params):
+        def extend(v, params, last=False):
             raise Built
 
-        monkeypatch.setattr(construct, "method2_extend", extend)
+        monkeypatch.setattr(construct, "_extend", extend)
         with pytest.raises(ValueError, match=r"\(210066388901, 210066388901, 210066388901\)"):
             method2_build(5, (0.01,) * 5)
         with pytest.raises(ValueError, match=r"2\*\*63"):
@@ -371,6 +371,51 @@ class TestMethod2:
             method2_build(3, (0.01, 0.01, float("nan")))
         with pytest.raises(Built):  # stage 4 (458330**3) still starts building
             method2_build(4, (0.01,) * 4)
+
+    @pytest.mark.parametrize("stages", [1, 2, 3])
+    @pytest.mark.parametrize("custom", [False, True])
+    def test_build_is_one_pass(self, monkeypatch, stages, custom):
+        # bit for bit the chain of public stages normalized once, from one
+        # _state_from_arrays call per stage
+        from hyperstate import construct
+        from hyperstate.state import _state_from_arrays
+
+        seed = None
+        if custom:  # unnormalized, complex, with metadata of its own
+            seed = make_state(
+                (2, 2, 2),
+                {(0, 0, 0): 0.5 + 0.5j, (0, 1, 1): -0.25, (1, 0, 1): 0.75j, (1, 1, 1): 1.0},
+                truncated_from_infinite=True,
+                metadata={"source": "custom"},
+            )
+        eps = (0.01, 0.005, 0.0025)[:stages]
+        chain, p, m = default_seed() if seed is None else seed, 2, 1
+        for e in eps:
+            chain = method2_extend(chain, ExtensionParams(p, m, e))
+            p, m = chain.dims[0], p
+        metadata = dict(chain.metadata)
+        metadata["window_sizes"] = [rec["p"] for rec in metadata["stage_history"]]
+        old = _state_from_arrays(
+            chain.dims, chain.indices, chain.amplitudes, normalize=True,
+            truncated_from_infinite=True, metadata=metadata,
+        )
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return _state_from_arrays(*args, **kwargs)
+
+        monkeypatch.setattr(construct, "_state_from_arrays", counted)
+        built = method2_build(stages, eps, seed=seed)
+        assert len(calls) == stages
+        assert built.dims == old.dims
+        for field in ("indices", "amplitudes"):
+            a, b = getattr(built, field), getattr(old, field)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert (built._norm, built._scale) == (old._norm, old._scale)
+        assert built.truncated_from_infinite and old.truncated_from_infinite
+        assert list(built.metadata.items()) == list(old.metadata.items())
 
     def test_custom_seed(self):
         seed = make_state(
