@@ -356,8 +356,8 @@ def repair_bipartite(
     Zero Schmidt coefficients (cut at the rank threshold) are replaced by
     delta / (2 sqrt(#zeros)) and the state is renormalized; full-rank inputs
     are returned unchanged.  The output is within ``delta`` of the input in
-    norm, and :func:`hyperentanglement_test` accepts it: where it would not,
-    ``ValueError`` names the remedy, a larger ``delta`` or ``tol``.
+    norm, and :func:`hyperentanglement_test` accepts it: where either would
+    fail, ``ValueError`` names the remedy, a larger ``delta`` or another ``tol``.
     """
     part = Subsystem.coerce(subsystem)
     if v.nfactors != 2:
@@ -376,6 +376,14 @@ def repair_bipartite(
     coeffs = [float(c) if k < sd.rank else fill for k, c in enumerate(sd.coeffs)]
     out = v
     if nzeros:
+        # The output is coeffs / |coeffs| in the input's Schmidt basis, so its
+        # distance from the input needs no dense matrix.  A large tol cuts
+        # coefficients far above the fill, which can move it beyond delta.
+        dist = float(np.linalg.norm(sd.coeffs - np.divide(coeffs, np.linalg.norm(coeffs))))
+        if dist > delta:
+            raise ValueError(
+                f"repair would move the state {dist!r}, beyond delta={delta}; use a smaller tol"
+            )
         # Rows of mat run over the subsystem's factor, columns over the other;
         # transposed to (factor 0, factor 1) order when the subsystem is 1.
         d = v.dims[0]

@@ -291,7 +291,9 @@ def test_criterion_5_random_seeds(origin, rest):
     """Random 2 x 2 x 2 seeds meet the oracle at every stage.
 
     The origin's real part is at least 1e-6 and every other part lies in
-    [-1, 1]; an origin negligible beside the rest is refused (next test).
+    [-1, 1]: the seed check accepts any nonzero origin, but one negligible
+    beside the rest is refused at stage 2 (next test), so the strategy keeps
+    the origin's real part away from zero.
     """
     with report(5):
         amps = [complex(*origin)] + [complex(*z) for z in rest]
@@ -304,13 +306,17 @@ def test_criterion_5_random_seeds(origin, rest):
         check_build(method2_build(3, eps, seed=seed), checked_chain(seed, eps), 3)
 
 
-def test_criterion_5_tiny_origin_refused_at_stage_2():
-    """A nonzero origin below the stage-2 window's rank cutoff is refused there."""
+def test_criterion_5_tiny_origin_refused():
+    """A nonzero origin negligible beside the rest is refused, not built.
+
+    Today the refusal comes from the stage-2 window hypothesis, after stage 1
+    is built; a seed check that refused it up front would pass here too.
+    """
     with report(5):
         seed = make_state(
             (2, 2, 2), {(0, 0, 0): 1e-14, (1, 1, 1): 1.0}, truncated_from_infinite=True
         )
-        with pytest.raises(ValueError, match=r"window hypothesis fails on axis 0: rank 3 < 4"):
+        with pytest.raises(ValueError):
             method2_build(2, (0.01, 0.005), seed=seed)
 
 

@@ -467,6 +467,43 @@ class TestRepair:
         )
         assert dist <= 0.05
 
+    def test_large_tol_refused_beyond_delta(self):
+        # tol = 0.6 cuts the coefficients 0.5 and 0.33; their fill of about
+        # 0.035 would move the state about 0.57, so repair refuses
+        v = make_state((3, 3), {(0, 0): 0.8, (1, 1): 0.5, (2, 2): 0.33}, normalize=True)
+        with pytest.raises(ValueError, match=r"0\.57\d*, beyond delta=0\.1; use a smaller tol"):
+            repair_bipartite(v, delta=0.1, tol=0.6)
+        out = repair_bipartite(v, delta=0.9, tol=0.6)
+        assert np.linalg.norm(dense_tensor(out) - dense_tensor(v)) <= 0.9
+
+    @given(
+        st.integers(0, 2 ** 31 - 1),
+        st.integers(2, 6),
+        st.floats(0.0, 1.0),
+        st.sampled_from([0.05, 0.3]),
+    )
+    def test_any_tol_stays_within_delta(self, seed, d, cut, delta):
+        # a caller's tol may cut coefficients far above the fill: repair
+        # either stays within delta of the input or refuses, and refuses for
+        # distance only where the dense SVD oracle's distance passes delta
+        v = random_schmidt_state(np.random.default_rng(seed), d, d)
+        t = dense_tensor(v)
+        u, s, vh = np.linalg.svd(t)
+        tol = cut * s[0]
+        kept = schmidt_decompose(v, 0, tol).rank
+        c = s.copy()
+        c[kept:] = delta / (2.0 * math.sqrt(max(d - kept, 1)))
+        oracle = np.linalg.norm(c / np.linalg.norm(c) - s)
+        try:
+            out = repair_bipartite(v, delta=delta, tol=tol)
+        except ValueError as exc:
+            if "beyond delta" in str(exc):
+                assert oracle > delta - 1e-12
+            else:
+                assert "too small to certify" in str(exc)
+            return
+        assert np.linalg.norm(dense_tensor(out) - t) <= delta
+
     @given(st.integers(2, 10), st.sampled_from([0.1, 0.01]))
     def test_near_product_repair_keeps_degree_small(self, d, delta):
         # degree is 1-Lipschitz in the state, so repairing a product state

@@ -86,6 +86,14 @@ class TestBipartite:
         with pytest.raises(ValueError):
             degree_bipartite(make_state((2, 2), {(0, 0): 0.7}))
 
+    def test_flat_spectrum_just_under_unit_norm(self):
+        # admitted by the unit-norm tolerance, this state's degree lies
+        # 3.5e-11 above 1 - 1/sqrt(2), the bound for an exactly unit state
+        a = (1.0 - 5e-11) * R2
+        v = make_state((2, 2), {(0, 0): a, (1, 1): a})
+        assert v.is_normalized
+        assert degree_bipartite(v).value == pytest.approx(E_BOHM, abs=1e-10)
+
 
 class TestMultipartite:
     def test_product_state_is_degree_zero(self):
