@@ -241,25 +241,30 @@ class ExtensionParams:
 def method2_extend(v: StateTensor, params: ExtensionParams) -> StateTensor:
     """One extension stage of the seed-and-extend construction.
 
+    The input needs 3 factors, dims (p, p, p), a ``stage_history`` that is
+    empty or ends at p, and independent m-window slice vectors on each axis.
     The p**3 block is preserved verbatim.  Along each of the three axes, the
     slices keyed by pairs with a coordinate >= m are appended with scaled
     standard-basis vectors (pairwise distinct directions, lexicographic key
     order), slices keyed by two small coordinates are extended by zeros, and
-    everything else in the p'**3 cube stays zero.  The appended mass is
-    exactly ``epsilon``, split evenly over the three axes.  The result is not
-    normalized.
+    everything else in the p'**3 cube stays zero.  The appended mass is exactly
+    ``epsilon``, split evenly over the axes; the result is not normalized.
     """
     return _extend(v, params)
 
 
 def _extend(v: StateTensor, params: ExtensionParams, last: bool = False) -> StateTensor:
-    """:func:`method2_extend`; as a build's ``last`` stage, also normalized and
-    with the ``window_sizes`` of every recorded stage."""
+    """:func:`method2_extend`, and the only input check of a stage; as a
+    build's ``last`` stage, also normalized and with its ``window_sizes``."""
     p, m = params.p, params.m
     if v.nfactors != 3:
         raise ValueError(f"extension is defined for 3 factors, got {v.nfactors}")
     if v.dims != (p, p, p):
-        raise ValueError(f"state dims {v.dims} do not match params p={p}")
+        raise ValueError(f"state dims {v.dims} are not {(p, p, p)}")
+    metadata = v.metadata
+    history = metadata.setdefault("stage_history", [])
+    if history and history[-1]["p_prime"] != p:
+        raise ValueError(f"metadata records a stage ending at p={history[-1]['p_prime']}, not {p}")
     for axis in range(3):
         cert = window_certificate(v, cube_window(v.dims, axis, m))
         if not cert.passed:
@@ -278,10 +283,7 @@ def _extend(v: StateTensor, params: ExtensionParams, last: bool = False) -> Stat
     appended = np.concatenate([np.stack(cols, axis=1) for cols in slots])
     scale = math.sqrt(params.epsilon / len(appended))
 
-    metadata = dict(v.metadata)
-    history = list(metadata.get("stage_history", []))
     history.append({"p": p, "m": m, "epsilon": params.epsilon, "p_prime": pp})
-    metadata["stage_history"] = history
     metadata.setdefault("construction", "seed_extend")
     if last:
         metadata["window_sizes"] = [rec["p"] for rec in history]
@@ -315,11 +317,12 @@ def method2_build(
 
     Each stage consumes the previous output with m set to the previous p, so
     every slice stabilizes after finitely many stages.  ``eps_schedule``
-    supplies one appended-mass budget per stage.  Every stage is built once,
-    as :func:`method2_extend` builds it; the last is normalized in that same
-    pass and records ``window_sizes``.  The appended layout, the mass and the
-    preserved block are not re-checked at run time: the test suite checks
-    them against an independent transcription of the layout.
+    supplies one appended-mass budget per stage.  A seed is accepted exactly
+    when stage 1 accepts it.  Every stage is built once, as
+    :func:`method2_extend` builds it; the last is normalized in that same pass
+    and records ``window_sizes``.  The appended layout, the mass and the
+    preserved block are not re-checked at run time: the test suite checks them
+    against an independent transcription of the layout.
     """
     if stages < 1:
         raise ValueError(f"need at least one stage, got {stages}")
@@ -336,10 +339,6 @@ def method2_build(
         if p**3 >= 2**63:
             raise ValueError(f"{stages} stages give dims {(p,) * 3}: over 2**63 - 1 positions")
     v = default_seed() if seed is None else seed
-    if v.nfactors != 3 or v.dims != (2, 2, 2):
-        raise ValueError(f"seed must be 2 x 2 x 2, got dims {v.dims}")
-    if v.amplitude((0, 0, 0)) == 0j:
-        raise ValueError("seed must have a nonzero amplitude at (0, 0, 0)")
     for k, params in enumerate(plan, 1):
         v = _extend(v, params, last=k == stages)
     return v

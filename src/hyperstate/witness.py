@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .bilinear import rank_tolerance, unfold
-from .state import StateTensor, Subsystem, _check_dense, _ldexp
+from .state import DROP_THRESHOLD, UNIT_NORM_TOL, StateTensor, Subsystem, _check_dense, _ldexp
 
 __all__ = [
     "ORTHONORMALITY_TOL",
@@ -150,7 +150,7 @@ def steering_operator(
         u = np.asarray(embed, dtype=np.complex128).reshape(-1)
         if u.shape[0] != dim_s:
             raise ValueError(f"embed has dimension {u.shape[0]}, H_S has {dim_s}")
-        if abs(np.linalg.norm(u) - 1.0) > 1e-10:
+        if abs(np.linalg.norm(u) - 1.0) > UNIT_NORM_TOL:
             raise ValueError("embed vector must be a unit vector")
 
     # slices @ y = phi  <=>  A = outer(u, y) maps v_j to phi_j * u.
@@ -224,7 +224,7 @@ def correlation_witness(query: CorrelationQuery) -> WitnessResult:
 
     x, _, rank, _ = np.linalg.lstsq(m, w, rcond=rank_tolerance(max(m.shape), 1.0))
     nx = float(np.linalg.norm(x))
-    if nx <= 1e-300:
+    if nx <= DROP_THRESHOLD:
         raise ValueError(
             f"state is not cyclic for subsystem {part.indices} and the "
             "selected direction is unreachable"

@@ -30,6 +30,7 @@ from helpers import (
 from hyperstate import (
     CorrelationQuery,
     Subsystem,
+    certify_state,
     correlation_witness,
     cube_window,
     cyclicity_test,
@@ -281,21 +282,29 @@ def test_criterion_5_stage4_in_memory():
 
 
 _UNIT = st.floats(-1.0, 1.0)
+_AWAY = st.floats(1e-6, 1.0) | st.floats(-1.0, -1e-6)
+
+
+def _seven(real):
+    return st.lists(st.tuples(real, _UNIT), min_size=7, max_size=7)
 
 
 @given(
-    origin=st.tuples(st.floats(1e-6, 1.0), _UNIT),
-    rest=st.lists(st.tuples(_UNIT, _UNIT), min_size=7, max_size=7),
+    seed_amps=st.tuples(st.tuples(st.floats(1e-6, 1.0), _UNIT), _seven(_UNIT))
+    | st.tuples(st.just((0.0, 0.0)), _seven(_AWAY)),
 )
-def test_criterion_5_random_seeds(origin, rest):
+def test_criterion_5_random_seeds(seed_amps):
     """Random 2 x 2 x 2 seeds meet the oracle at every stage.
 
-    The origin's real part is at least 1e-6 and every other part lies in
-    [-1, 1]: the seed check accepts any nonzero origin, but one negligible
-    beside the rest is refused at stage 2 (next test), so the strategy keeps
-    the origin's real part away from zero.
+    A seed is accepted when every axis's (0, 0)-slice is nonzero, so two
+    kinds are drawn.  Either the origin's real part is at least 1e-6 and
+    every other part lies in [-1, 1], or the origin is exactly zero and every
+    other real part is at least 1e-6 in size.  A (0, 0)-slice negligible
+    beside the rest passes stage 1 but is refused at stage 2 (next test), so
+    both kinds keep it away from zero.
     """
     with report(5):
+        origin, rest = seed_amps
         amps = [complex(*origin)] + [complex(*z) for z in rest]
         seed = make_state(
             (2, 2, 2),
@@ -306,17 +315,28 @@ def test_criterion_5_random_seeds(origin, rest):
         check_build(method2_build(3, eps, seed=seed), checked_chain(seed, eps), 3)
 
 
+def test_criterion_5_zero_origin_seed():
+    """hardy3 has a zero origin but nonzero (0, 0)-slices: it seeds a build."""
+    with report(5):
+        seed = paper_state("hardy3")
+        eps = (0.01, 0.005, 0.0025)
+        built = method2_build(3, eps, seed)
+        check_build(built, checked_chain(seed, eps), 3)
+        assert certify_state(built, windows=True).positive
+
+
 def test_criterion_5_tiny_origin_refused():
     """A nonzero origin negligible beside the rest is refused, not built.
 
-    Today the refusal comes from the stage-2 window hypothesis, after stage 1
-    is built; a seed check that refused it up front would pass here too.
+    The refusal is the one stage rule, the window hypothesis, applied by
+    stage 2 after a 5**3 stage 1: the origin passes the 1-window, but is lost
+    beside the rest in the 2-window.
     """
     with report(5):
         seed = make_state(
             (2, 2, 2), {(0, 0, 0): 1e-14, (1, 1, 1): 1.0}, truncated_from_infinite=True
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^window hypothesis fails on axis 0: .* 2-window$"):
             method2_build(2, (0.01, 0.005), seed=seed)
 
 

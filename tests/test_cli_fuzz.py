@@ -81,7 +81,10 @@ FLAGS = {
             lists(pick("0.01", "0.005", "0.0025"), 1, 2),
             lists(pick("0", "-0.01", "1", "2", "0.01"), 0, 3) | pick("nan", "0.01,inf", "1e-400", DIGITS),
         ),
-        "--seed-file": (pick("ghz.json"), BAD_STATES | pick("bohm.json", "stage2.json")),
+        "--seed-file": (
+            pick("ghz.json", "hardy3.json"),
+            BAD_STATES | pick("bohm.json", "stage2.json", "record.json"),
+        ),
         "--out": OUT,
     },
     ("construct", "paper"): {"--name": NAMES, "--out": OUT},
@@ -173,6 +176,9 @@ def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("argv")
     save_state(paper_state("bohm"), root / "bohm.json")
     save_state(paper_state("ghz"), root / "ghz.json")  # a valid 2x2x2 --seed-file
+    save_state(paper_state("hardy3"), root / "hardy3.json")  # valid too, with a zero origin
+    record = {"stage_history": [{"p": 9, "m": 3, "epsilon": 0.5, "p_prime": 81}]}
+    save_state(make_state((2, 2, 2), {(0, 0, 0): 1.0}, metadata=record), root / "record.json")
     save_state(method2_build(2, (0.01, 0.005)), root / "stage2.json")  # has window sizes
     # 100 x 100, beyond the old 4096-dim cap, with one zero Schmidt coefficient to repair
     wide = {(k, 3 * k % 100): 1.0 / (k + 1) for k in range(99)}

@@ -347,10 +347,26 @@ class TestMethod2:
             method2_build(2, (0.01,))
         with pytest.raises(ValueError):
             method2_build(1, (-0.5,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"dims \(3, 3, 3\) are not \(2, 2, 2\)"):
             method2_build(1, (0.01,), seed=make_state((3, 3, 3), {(0, 0, 0): 1.0}))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^window hypothesis fails on axis 0: .* 1-window$"):
             method2_build(1, (0.01,), seed=make_state((2, 2, 2), {(1, 1, 1): 1.0}))
+        # a seed whose stage record ends elsewhere would record bogus window sizes
+        record = [{"p": 9, "m": 3, "epsilon": 0.5, "p_prime": 81}]
+        seed = make_state(
+            (2, 2, 2), {(0, 0, 0): 1.0}, metadata={"stage_history": record, "window_sizes": [9]}
+        )
+        with pytest.raises(ValueError, match="^metadata records a stage ending at p=81, not 2$"):
+            method2_build(2, (0.01, 0.005), seed=seed)
+
+    def test_stage_record_must_end_at_the_input(self):
+        v = method2_extend(default_seed(), ExtensionParams(2, 1, 0.01))  # record ends at 5
+        assert method2_extend(v, ExtensionParams(5, 2, 0.005)).dims == (26, 26, 26)
+        meta = v.metadata
+        meta["stage_history"][-1]["p_prime"] = 26
+        w = make_state(v.dims, dict(v.items()), metadata=meta)
+        with pytest.raises(ValueError, match="^metadata records a stage ending at p=26, not 5$"):
+            method2_extend(w, ExtensionParams(5, 2, 0.005))
 
     def test_impossible_stage_count_refused_before_building(self, monkeypatch):
         # stage 5 reaches p = 210066388901: its p**3 cube has no int64 positions

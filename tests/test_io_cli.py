@@ -194,6 +194,17 @@ class TestMetadataFields:
         assert code == 2
         assert "window_sizes[0]" in rep["error"]
 
+    def test_cli_refuses_a_record_that_does_not_end_at_the_seed(self, capsys, tmp_path):
+        seed = self.write(tmp_path, {"stage_history": [{**self.RECORD, "p_prime": 81}]})
+        out = tmp_path / "m2.json"
+        code, rep = run(
+            capsys, "construct", "method2", "--stages", "1", "--eps", "0.01",
+            "--seed-file", str(seed), "--out", str(out),
+        )
+        assert code == 2
+        assert rep["error"] == "metadata records a stage ending at p=81, not 2"
+        assert not out.exists()
+
 
 class TestProjectorFiles:
     def test_round_trip(self, tmp_path):

@@ -24,6 +24,7 @@ from hyperstate import (
     conditional_probability,
     correlation_witness,
     make_state,
+    schmidt_decompose,
     steering_operator,
 )
 
@@ -175,6 +176,18 @@ class TestSteering:
         # the same rank rule as cyclicity: no operator of norm ~1e14
         with pytest.raises(ValueError, match="rank 2 < 3"):
             steering_operator(near_deficient(), 0, np.array([0.0, 0.6, 0.8]))
+
+    @pytest.mark.parametrize("smallest", [1e-8, 1e-10])
+    def test_inaccurate_solve_is_refused(self, smallest):
+        # full rank under the singular-value rank rule, but the solve misses
+        # its target by more than 1e-9 (about 7e-9 and 5e-7 here)
+        rng = np.random.default_rng(0)
+        s = np.diag(np.geomspace(1.0, smallest, 8))
+        m = haar_unitary(rng, 8) @ s @ haar_unitary(rng, 8)
+        v = make_state((8, 8), {idx: complex(x) for idx, x in np.ndenumerate(m)}, normalize=True)
+        assert schmidt_decompose(v, 0).rank == 8
+        with pytest.raises(ValueError, match="^steering solve residual"):
+            steering_operator(v, 0, rand_unit(rng, 8))
 
     def test_refused_beyond_dense_budget(self):
         # refused before the 2**22 x 2 slice matrix (128 MiB) is built
