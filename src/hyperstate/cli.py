@@ -211,11 +211,8 @@ def _cmd_construct(args: argparse.Namespace) -> tuple[int, dict, dict]:
         eps = _parse_float_list(args.eps, "--eps")
         seed = load_state(args.seed_file) if args.seed_file else None
         v = method2_build(args.stages, eps, seed)
-        extra = {
-            "stages": args.stages,
-            "eps": eps,
-            "stage_history": v.metadata.get("stage_history", []),
-        }
+        history = v.metadata["stage_history"]  # every build records its stages
+        extra = {"stages": args.stages, "eps": eps, "stage_history": history}
     elif args.mode == "paper":
         v = paper_state(args.name)
         extra = {"name": args.name}
@@ -223,11 +220,8 @@ def _cmd_construct(args: argparse.Namespace) -> tuple[int, dict, dict]:
         source = _load_source(args)
         v = repair_bipartite(source, args.subsystem, args.delta, args.tol)
         tolerances["tol"] = args.tol
-        extra = {
-            "delta": args.delta,
-            "subsystem": args.subsystem,
-            "repair": v.metadata.get("repair"),
-        }
+        repair = v.metadata.get("repair")
+        extra = {"delta": args.delta, "subsystem": args.subsystem, "repair": repair}
 
     save_state(v, args.out)
     result = {

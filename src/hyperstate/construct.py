@@ -218,6 +218,8 @@ class ExtensionParams:
     epsilon: float
 
     def __post_init__(self) -> None:
+        for name in ("p", "m"):  # plain ints, as the stage record must hold them
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.p < 2:
             raise ValueError(f"p must be >= 2, got {self.p}")
         if not (1 <= self.m <= self.p):
@@ -226,6 +228,7 @@ class ExtensionParams:
             raise ValueError(f"need p >= m**2, got p={self.p}, m={self.m}")
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
             raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        object.__setattr__(self, "epsilon", float(self.epsilon))
         appended = 3 * (self.p * self.p - self.m * self.m)  # p > m, so never zero
         if math.sqrt(self.epsilon / appended) <= DROP_THRESHOLD:
             raise ValueError(

@@ -20,7 +20,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from .state import StateTensor, Subsystem, _state_from_arrays
+from .state import StateTensor, Subsystem, _is_finite_number, _state_from_arrays
 from .witness import Projector
 
 __all__ = [
@@ -143,35 +143,6 @@ def _write_document(path: str | Path, text: str) -> None:
         if isinstance(exc, OSError):
             raise OSError(exc.errno, exc.strerror, str(Path(path))) from None
         raise
-
-
-def _is_count(x: Any) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
-
-
-def _check_metadata(metadata: dict, where: str) -> None:
-    """Validate the metadata fields that constructions and the CLI read back."""
-
-    def need(ok: bool, field: str, rule: str, value: Any) -> None:
-        if not ok:
-            raise _fail(f"{where}: metadata.{field}", f"must be {rule}, got {value!r}")
-
-    history = metadata.get("stage_history", [])
-    need(isinstance(history, list), "stage_history", "a list of stage records", history)
-    for k, rec in enumerate(history):
-        need(isinstance(rec, dict), f"stage_history[{k}]", "an object", rec)
-        for key in ("p", "m", "p_prime", "epsilon"):
-            if key not in rec:
-                raise _fail(f"{where}: metadata.stage_history[{k}]", f"missing field {key!r}")
-        for key in ("p", "m", "p_prime"):
-            need(_is_count(rec[key]), f"stage_history[{k}].{key}", "an integer >= 1", rec[key])
-        eps = rec["epsilon"]
-        ok = _is_finite_number(eps) and eps > 0
-        need(ok, f"stage_history[{k}].epsilon", "a finite positive number", eps)
-    sizes = metadata.get("window_sizes", [])
-    need(isinstance(sizes, list), "window_sizes", "a list of integers >= 1", sizes)
-    for k, size in enumerate(sizes):
-        need(_is_count(size), f"window_sizes[{k}]", "an integer >= 1", size)
 
 
 def _name_first(where: str, oks: Iterable, problem: str) -> StateFileError:
@@ -316,14 +287,13 @@ def load_state(path: str | Path) -> StateTensor:
     metadata = obj.get("metadata", {})
     if not isinstance(metadata, dict):
         raise _fail(where, "field 'metadata' must be an object")
-    _check_metadata(metadata, where)
 
     rows = _index_column(raw_entries, where)
     amps = np.empty(len(rows), dtype=np.complex128)
     amps.real = _float_column(raw_entries, "re", where)
     amps.imag = _float_column(raw_entries, "im", where)
 
-    # _state_from_arrays checks index length, range and repeats, citing entries[k].
+    # _state_from_arrays checks metadata.<field>, then entries[k]: length, range, repeats.
     try:
         return _state_from_arrays(
             dims, rows, amps, truncated_from_infinite=truncated, metadata=metadata
@@ -342,15 +312,6 @@ def save_projector(p: Projector, path: str | Path) -> None:
         ],
     }
     _write_document(path, canonical_report_json(obj))
-
-
-def _is_finite_number(x: Any) -> bool:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:  # an integer beyond the float range
-        return False
 
 
 def load_projector(path: str | Path) -> Projector:

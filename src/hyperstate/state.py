@@ -113,6 +113,43 @@ class Subsystem:
         return iter(self.indices)
 
 
+def _is_count(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
+
+
+def _is_finite_number(x: object) -> bool:
+    try:  # a bool is no number here, and an integer beyond the float range is not finite
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _check_metadata(metadata: dict) -> None:
+    """Validate the metadata fields that constructions and the CLI read back."""
+
+    def need(ok: bool, field: str, rule: str, value: object) -> None:
+        if not ok:
+            raise ValueError(f"metadata.{field}: must be {rule}, got {value!r}")
+
+    history = metadata.get("stage_history", [])
+    need(isinstance(history, list), "stage_history", "a list of stage records", history)
+    for k, rec in enumerate(history):
+        field = f"stage_history[{k}]"
+        need(isinstance(rec, dict), field, "an object", rec)
+        for key in ("p", "m", "p_prime", "epsilon"):
+            if key not in rec:
+                raise ValueError(f"metadata.{field}: missing field {key!r}")
+        for key in ("p", "m", "p_prime"):
+            need(_is_count(rec[key]), f"{field}.{key}", "an integer >= 1", rec[key])
+        eps = rec["epsilon"]
+        ok = _is_finite_number(eps) and eps > 0
+        need(ok, f"{field}.epsilon", "a finite positive number", eps)
+    sizes = metadata.get("window_sizes", [])
+    need(isinstance(sizes, list), "window_sizes", "a list of integers >= 1", sizes)
+    for k, size in enumerate(sizes):
+        need(_is_count(size), f"window_sizes[{k}]", "an integer >= 1", size)
+
+
 def _ldexp(a: np.ndarray, e: int) -> np.ndarray:
     """The complex array ``a * 2**e``, exact part by part; ``a`` itself when ``e`` is 0."""
     if not e:
@@ -243,6 +280,9 @@ def make_state(
     truncated_from_infinite:
         Marks finite windows cut out of infinite-dimensional constructions;
         certification treats those dimensions differently.
+    metadata:
+        Free-form dict, deep-copied.  The two fields read back, ``stage_history``
+        and ``window_sizes``, are checked for every state, citing ``metadata.<field>``.
     """
     pairs = list(entries.items() if isinstance(entries, Mapping) else entries)
     rows = []
@@ -266,6 +306,8 @@ def _state_from_arrays(
     metadata: dict | None = None,
 ) -> StateTensor:
     """:func:`make_state` for index rows and an amplitude array."""
+    meta = copy.deepcopy(dict(metadata or {}))
+    _check_metadata(meta)
     dims_t = tuple(map(operator.index, dims))
     if len(dims_t) < 2:
         raise ValueError(f"need at least two tensor factors, got dims={dims_t}")
@@ -312,7 +354,6 @@ def _state_from_arrays(
         scale, n = _scale_and_norm(amps)
     # Copies over immutable bytes, whose writeable flag cannot be set back.
     idx, amps = (np.frombuffer(a.tobytes(), a.dtype).reshape(a.shape) for a in (idx, amps))
-    meta = copy.deepcopy(dict(metadata or {}))
     return StateTensor(dims_t, idx, amps, bool(truncated_from_infinite), meta, scale, n)
 
 

@@ -122,8 +122,9 @@ def steering_operator(
     """The read-only ``dim_S x dim_S`` array A on S with (A (x) I) v = embed (x) target.
 
     ``target`` on S' is normalised first.  Solves A v_j = target_j * embed
-    against the slice family; requires the family to have full rank under
-    the default rank rule (the cyclicity criterion), otherwise raises.
+    against the slice family, which must have full rank under the singular-value
+    rule (``lstsq``'s ``rcond``: :func:`schmidt_decompose`'s rank), otherwise it
+    raises; a near-singular family that rule admits can still fail the residual check.
     ``embed`` defaults to the first basis vector of H_S.  The slices come from
     :func:`unfold`, so a slice matrix beyond ``DENSE_BUDGET`` bytes is refused;
     so is an operator A beyond it, before the solve.

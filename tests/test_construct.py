@@ -33,7 +33,7 @@ from hyperstate import (
     support_test,
     window_certificate,
 )
-from hyperstate.io import load_state
+from hyperstate.io import load_state, save_state
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 R2 = 1.0 / math.sqrt(2.0)
@@ -358,6 +358,35 @@ class TestMethod2:
         )
         with pytest.raises(ValueError, match="^metadata records a stage ending at p=81, not 2$"):
             method2_build(2, (0.01, 0.005), seed=seed)
+
+    @pytest.mark.parametrize("history, field", [
+        ([{"p": 2}], r"^metadata\.stage_history\[0\]: missing field 'm'$"),
+        ("ab", r"^metadata\.stage_history: must be a list of stage records, got 'ab'$"),
+        ([5], r"^metadata\.stage_history\[0\]: must be an object, got 5$"),
+    ])
+    def test_bad_stage_records_are_refused(self, history, field):
+        # these once reached _extend unchecked: KeyError 'p_prime', or a TypeError
+        def seed():
+            return make_state((2, 2, 2), {(0, 0, 0): 1.0}, metadata={"stage_history": history})
+
+        with pytest.raises(ValueError, match=field):
+            method2_build(1, (0.01,), seed())
+        with pytest.raises(ValueError, match=field):
+            method2_extend(seed(), ExtensionParams(2, 1, 0.01))
+
+    def test_params_hold_plain_numbers(self, tmp_path):
+        # numpy scalars are accepted, and the stage record holds them as a
+        # state file does, so the state passes the metadata rule and saves
+        params = ExtensionParams(np.int64(2), np.int32(1), np.float32(0.25))
+        assert [type(x) for x in (params.p, params.m, params.epsilon)] == [int, int, float]
+        v = method2_extend(default_seed(), params)
+        assert v.metadata["stage_history"] == [
+            {"p": 2, "m": 1, "epsilon": 0.25, "p_prime": 5}
+        ]
+        save_state(v, tmp_path / "v.json")
+        assert load_state(tmp_path / "v.json") == v
+        with pytest.raises(TypeError):
+            ExtensionParams(2.5, 1, 0.01)
 
     def test_stage_record_must_end_at_the_input(self):
         v = method2_extend(default_seed(), ExtensionParams(2, 1, 0.01))  # record ends at 5

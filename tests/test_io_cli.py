@@ -135,8 +135,13 @@ class TestStateFiles:
             load_state(path)
 
 
+class Library(dict):
+    """Metadata handed to make_state, where a plain dict is written to a file."""
+
+
 class TestMetadataFields:
-    """stage_history and window_sizes are read back, so they are checked at load."""
+    """stage_history and window_sizes are read back, so the constructor checks
+    them for every state; a file's error cites its path, then the field."""
 
     RECORD = {"p": 2, "m": 1, "epsilon": 0.01, "p_prime": 5}
 
@@ -154,7 +159,7 @@ class TestMetadataFields:
         meta = {"stage_history": [self.RECORD], "window_sizes": [2]}
         assert load_state(self.write(tmp_path, meta)).metadata == meta
 
-    @pytest.mark.parametrize("metadata, field", [
+    BAD_FIELDS = [
         ({"stage_history": [{"m": 1, "epsilon": 0.01, "p_prime": 5}]},
          r"stage_history\[0\]: missing field 'p'"),
         ({"stage_history": [{**RECORD, "m": True}]}, r"stage_history\[0\]\.m: .*True"),
@@ -170,10 +175,35 @@ class TestMetadataFields:
         ({"window_sizes": 2}, r"metadata\.window_sizes: must be a list"),
         # an exact JSON integer beyond the float range, refused like a projector entry
         ({"stage_history": [{**RECORD, "epsilon": 10**400}]}, r"stage_history\[0\]\.epsilon: "),
-    ])
+    ]
+
+    @pytest.mark.parametrize(
+        "metadata, field", BAD_FIELDS + [(Library(meta), field) for meta, field in BAD_FIELDS]
+    )
     def test_bad_fields_cite_their_path(self, tmp_path, metadata, field):
-        with pytest.raises(StateFileError, match=field):
+        if isinstance(metadata, Library):
+            with pytest.raises(ValueError, match=field) as info:
+                make_state((2, 2, 2), {(0, 0, 0): 1.0}, metadata=metadata)
+            assert type(info.value) is ValueError
+            assert str(info.value).startswith("metadata.")
+            return
+        with pytest.raises(StateFileError, match=field) as info:
             load_state(self.write(tmp_path, metadata))
+        assert str(info.value).startswith(f"{tmp_path / 'v.json'}: metadata.")
+
+    def test_fault_order(self, tmp_path):
+        # the entry columns are parsed before the constructor, which checks
+        # the records before the index ranges
+        path = self.write(tmp_path, {"stage_history": [5]})
+        doc = json.loads(path.read_text())
+        doc["entries"][0]["re"] = "x"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(StateFileError, match=r": entries\[0\]: field 're' is not a number"):
+            load_state(path)
+        doc["entries"][0].update(re=1.0, index=[0, 0, 5])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(StateFileError, match=r": metadata\.stage_history\[0\]: must be an object"):
+            load_state(path)
 
     def test_overflowing_epsilon(self, tmp_path):
         path = self.write(tmp_path, {"stage_history": [self.RECORD]})

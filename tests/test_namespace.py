@@ -128,6 +128,21 @@ def test_one_hex_decoder():
     assert [stem for stem, _ in found] == ["io"], found
 
 
+def test_one_metadata_rule():
+    # state._check_metadata checks the stage records of every state as it is
+    # built, so io, which reads them from files, knows nothing of their schema
+    package = pathlib.Path(hyperstate.__file__).parent
+    found = [
+        path.stem
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "_check_metadata"
+    ]
+    assert found == ["state"], found
+    io_text = (package / "io.py").read_text()
+    assert "stage_history" not in io_text and "window_sizes" not in io_text
+
+
 def test_one_place_builds_a_state():
     # state._state_from_arrays computes each record's scale and norm and makes
     # its arrays immutable, so it is the one caller of StateTensor(...)

@@ -149,6 +149,12 @@ class TestMakeState:
         assert a == b
         assert a != c
 
+    def test_equality_with_a_non_state(self):
+        v = make_state((2, 2), {(0, 0): 1.0})
+        assert v.__eq__(1) is NotImplemented  # so Python falls back to identity
+        assert (v == 1) is False
+        assert v != "v"
+
 
 class TestUnitRule:
     """``is_normalized`` is the one unit-state rule that degree and repair apply."""
