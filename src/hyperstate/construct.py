@@ -241,24 +241,21 @@ class ExtensionParams:
         return self.p * self.p + self.p - self.m * self.m
 
 
-def method2_extend(v: StateTensor, params: ExtensionParams) -> StateTensor:
+def method2_extend(
+    v: StateTensor, params: ExtensionParams, *, normalize: bool = False
+) -> StateTensor:
     """One extension stage of the seed-and-extend construction.
 
-    The input needs 3 factors, dims (p, p, p), a ``stage_history`` that is
-    empty or ends at p, and independent m-window slice vectors on each axis.
-    The p**3 block is preserved verbatim.  Along each of the three axes, the
-    slices keyed by pairs with a coordinate >= m are appended with scaled
-    standard-basis vectors (pairwise distinct directions, lexicographic key
-    order), slices keyed by two small coordinates are extended by zeros, and
-    everything else in the p'**3 cube stays zero.  The appended mass is exactly
-    ``epsilon``, split evenly over the axes; the result is not normalized.
+    A stage's only input checks: 3 factors, dims (p, p, p), a ``stage_history``
+    that is empty or ends at p, and independent m-window slice vectors on each
+    axis.  The p**3 block is preserved verbatim.  Along each axis, the slices
+    keyed by pairs with a coordinate >= m are appended with scaled standard-basis
+    vectors (pairwise distinct directions, lexicographic key order), the others
+    are extended by zeros, and the rest of the p'**3 cube stays zero.  The
+    appended mass is exactly ``epsilon``, split evenly over the axes.  The stage
+    is recorded in ``stage_history``, and ``window_sizes`` lists every record's
+    p.  As in :func:`make_state`, only ``normalize=True`` normalizes the result.
     """
-    return _extend(v, params)
-
-
-def _extend(v: StateTensor, params: ExtensionParams, last: bool = False) -> StateTensor:
-    """:func:`method2_extend`, and the only input check of a stage; as a
-    build's ``last`` stage, also normalized and with its ``window_sizes``."""
     p, m = params.p, params.m
     if v.nfactors != 3:
         raise ValueError(f"extension is defined for 3 factors, got {v.nfactors}")
@@ -288,14 +285,13 @@ def _extend(v: StateTensor, params: ExtensionParams, last: bool = False) -> Stat
 
     history.append({"p": p, "m": m, "epsilon": params.epsilon, "p_prime": pp})
     metadata.setdefault("construction", "seed_extend")
-    if last:
-        metadata["window_sizes"] = [rec["p"] for rec in history]
+    metadata["window_sizes"] = [rec["p"] for rec in history]
 
     return _state_from_arrays(
         (pp, pp, pp),
         np.concatenate([v.indices, appended]),
         np.concatenate([v.amplitudes, np.full(len(appended), scale, dtype=np.complex128)]),
-        normalize=last,
+        normalize=normalize,
         truncated_from_infinite=True,
         metadata=metadata,
     )
@@ -321,12 +317,12 @@ def method2_build(
     Each stage consumes the previous output with m set to the previous p, so
     every slice stabilizes after finitely many stages.  ``eps_schedule``
     supplies one appended-mass budget per stage.  A seed is accepted exactly
-    when stage 1 accepts it.  Every stage is built once, as
-    :func:`method2_extend` builds it; the last is normalized in that same pass
-    and records ``window_sizes``.  The appended layout, the mass and the
-    preserved block are not re-checked at run time: the test suite checks them
-    against an independent transcription of the layout.
+    when stage 1 accepts it.  Every stage is one :func:`method2_extend` call,
+    and only the last normalizes, in that same pass.  The appended layout, the
+    mass and the preserved block are not re-checked at run time: the test
+    suite checks them against an independent transcription of the layout.
     """
+    stages = operator.index(stages)
     if stages < 1:
         raise ValueError(f"need at least one stage, got {stages}")
     eps = [float(e) for e in eps_schedule]
@@ -343,7 +339,7 @@ def method2_build(
             raise ValueError(f"{stages} stages give dims {(p,) * 3}: over 2**63 - 1 positions")
     v = default_seed() if seed is None else seed
     for k, params in enumerate(plan, 1):
-        v = _extend(v, params, last=k == stages)
+        v = method2_extend(v, params, normalize=k == stages)
     return v
 
 

@@ -235,7 +235,7 @@ def _entry_template(nfactors: int) -> str:
 
 
 def save_state(v: StateTensor, path: str | Path) -> None:
-    """Write ``v``; non-finite metadata numbers raise ValueError first.
+    """Write ``v``; metadata that JSON cannot encode raises ValueError first.
 
     The file is what :func:`canonical_report_json` gives for the whole
     document, but the entries are rendered from the arrays through one
@@ -350,4 +350,7 @@ def load_projector(path: str | Path) -> Projector:
 
 def canonical_report_json(report: dict) -> str:
     """Deterministic rendering of every CLI report and every written file."""
-    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    try:
+        return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except TypeError as exc:  # a value or key JSON cannot encode, such as np.int64
+        raise ValueError(f"cannot render as JSON: {exc}") from None

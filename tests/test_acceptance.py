@@ -266,7 +266,8 @@ def check_build(built, chain, stages: int) -> None:
     assert abs(norm(built) - 1.0) <= 1e-12
     sizes = [rec["p"] for rec in chain.metadata["stage_history"]]
     assert len(sizes) == stages
-    assert built.metadata == {**chain.metadata, "window_sizes": sizes}
+    assert built.metadata["window_sizes"] == sizes
+    assert built.metadata == chain.metadata
 
 
 def test_criterion_5_stage4_in_memory():

@@ -15,6 +15,7 @@ from hyperstate import (
     PAPER_STATE_NAMES,
     ExtensionParams,
     PairingFn,
+    certify_state,
     cube_window,
     default_seed,
     degree_bipartite,
@@ -347,6 +348,9 @@ class TestMethod2:
             method2_build(2, (0.01,))
         with pytest.raises(ValueError):
             method2_build(1, (-0.5,))
+        with pytest.raises(TypeError):  # a stage count is an integer, as p and m are
+            method2_build(2.0, (0.01, 0.005))
+        assert method2_build(np.int64(2), (0.01, 0.005)).dims == (26, 26, 26)
         with pytest.raises(ValueError, match=r"dims \(3, 3, 3\) are not \(2, 2, 2\)"):
             method2_build(1, (0.01,), seed=make_state((3, 3, 3), {(0, 0, 0): 1.0}))
         with pytest.raises(ValueError, match="^window hypothesis fails on axis 0: .* 1-window$"):
@@ -365,7 +369,7 @@ class TestMethod2:
         ([5], r"^metadata\.stage_history\[0\]: must be an object, got 5$"),
     ])
     def test_bad_stage_records_are_refused(self, history, field):
-        # these once reached _extend unchecked: KeyError 'p_prime', or a TypeError
+        # these once reached the stage body unchecked: KeyError 'p_prime', or a TypeError
         def seed():
             return make_state((2, 2, 2), {(0, 0, 0): 1.0}, metadata={"stage_history": history})
 
@@ -404,10 +408,10 @@ class TestMethod2:
         class Built(Exception):
             pass
 
-        def extend(v, params, last=False):
+        def extend(v, params, *, normalize=False):
             raise Built
 
-        monkeypatch.setattr(construct, "_extend", extend)
+        monkeypatch.setattr(construct, "method2_extend", extend)
         with pytest.raises(ValueError, match=r"\(210066388901, 210066388901, 210066388901\)"):
             method2_build(5, (0.01,) * 5)
         with pytest.raises(ValueError, match=r"2\*\*63"):
@@ -438,11 +442,10 @@ class TestMethod2:
         for e in eps:
             chain = method2_extend(chain, ExtensionParams(p, m, e))
             p, m = chain.dims[0], p
-        metadata = dict(chain.metadata)
-        metadata["window_sizes"] = [rec["p"] for rec in metadata["stage_history"]]
+        assert chain.metadata["window_sizes"] == [2, 5, 26][:stages]
         old = _state_from_arrays(
             chain.dims, chain.indices, chain.amplitudes, normalize=True,
-            truncated_from_infinite=True, metadata=metadata,
+            truncated_from_infinite=True, metadata=chain.metadata,
         )
 
         calls = []
@@ -461,6 +464,42 @@ class TestMethod2:
         assert (built._norm, built._scale) == (old._norm, old._scale)
         assert built.truncated_from_infinite and old.truncated_from_infinite
         assert list(built.metadata.items()) == list(old.metadata.items())
+
+    @pytest.mark.parametrize("stages", [1, 2, 3])
+    def test_build_goes_through_the_public_stage(self, monkeypatch, stages):
+        # wrapped as a tracer wraps it: every stage is a method2_extend call
+        from hyperstate import construct
+
+        public, flags = construct.method2_extend, []
+
+        def traced(v, params, **kwargs):
+            flags.append(kwargs.get("normalize", False))
+            return public(v, params, **kwargs)
+
+        monkeypatch.setattr(construct, "method2_extend", traced)
+        method2_build(stages, (0.01, 0.005, 0.0025)[:stages])
+        assert flags == [False] * (stages - 1) + [True]
+
+    def test_normalized_stage_is_a_one_stage_build(self):
+        v = method2_extend(default_seed(), ExtensionParams(2, 1, 0.01), normalize=True)
+        built = method2_build(1, (0.01,))
+        for field in ("indices", "amplitudes"):
+            a, b = getattr(v, field), getattr(built, field)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert (v._norm, v._scale) == (built._norm, built._scale)
+        assert list(v.metadata.items()) == list(built.metadata.items())
+
+    def test_every_stage_records_its_windows(self, tmp_path):
+        from hyperstate.cli import run_cli
+
+        v = method2_extend(default_seed(), ExtensionParams(2, 1, 0.01))
+        w = method2_extend(v, ExtensionParams(5, 2, 0.005))
+        assert v.metadata["window_sizes"] == [2]
+        assert w.metadata["window_sizes"] == [2, 5]
+        assert not w.is_normalized
+        assert certify_state(w, windows=True).positive
+        save_state(w, tmp_path / "w.json")
+        assert run_cli(["certify", "--state", str(tmp_path / "w.json"), "--windows", "full"]) == 0
 
     def test_custom_seed(self):
         seed = make_state(

@@ -287,7 +287,8 @@ class TestProjectorFiles:
 
 
 class TestNonFiniteJson:
-    """NaN/Infinity are not JSON: loaders cite the field, savers refuse them."""
+    """NaN/Infinity are not JSON: loaders cite the field, savers refuse them,
+    as they refuse every value JSON cannot encode."""
 
     def test_state_loader_cites_field(self, tmp_path):
         path = tmp_path / "v.json"
@@ -315,6 +316,20 @@ class TestNonFiniteJson:
         with pytest.raises(ValueError):
             save_state(v, path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("metadata", [
+        {"x": float("nan")},
+        {"x": np.int64(1)},  # json.dumps raises TypeError on these two
+        {1: 2, "a": 3},  # keys that cannot be sorted
+    ])
+    def test_save_refusal_keeps_the_old_file(self, tmp_path, metadata):
+        path = tmp_path / "v.json"
+        save_state(make_state((2, 2), {(0, 0): 1.0}), path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="JSON"):
+            save_state(make_state((2, 2), {(0, 0): 1.0}, metadata=metadata), path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["v.json"]
 
     def test_cli_exits_two_with_a_json_report(self, capsys, tmp_path):
         out = tmp_path / "m2.json"
@@ -777,7 +792,7 @@ class TestCliAnalysis:
     def test_impossible_stage_count_exits_two(self, capsys, tmp_path, monkeypatch):
         from hyperstate import construct
 
-        def extend(v, params):
+        def extend(v, params, *, normalize=False):
             raise AssertionError("method2_extend must not run")
 
         monkeypatch.setattr(construct, "method2_extend", extend)
