@@ -3,7 +3,8 @@
 The package namespace is the union of the submodules' ``__all__`` lists.
 Submodules are imported lazily, on first access to one of their names, so the
 command line can apply the HYPERSTATE_THREADS cap to the environment before
-the linear algebra backend loads.
+the linear algebra backend loads.  A name, once resolved, is stored in the
+package namespace, so later lookups skip the search.
 """
 
 from importlib import import_module
@@ -24,7 +25,8 @@ def __getattr__(name: str) -> Any:
         for sub in _SUBMODULES:
             module = import_module(f".{sub}", __name__)
             if name in module.__all__:
-                return getattr(module, name)
+                value = globals()[name] = getattr(module, name)
+                return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .state import StateTensor, Subsystem, _check_dense, _ldexp, _positions
+from .state import StateTensor, Subsystem, _check_dense, _ldexp, _memo, _positions
 
 __all__ = [
     "RANK_SAFETY",
@@ -126,7 +126,8 @@ class SchmidtDecomposition:
     ``coeffs`` holds all ``min(dim H_S, dim H_S')`` values in nonincreasing
     order, including numerical zeros; those zeros are what bipartite repair
     replaces.  ``left_vectors[k]`` lives in H_S, ``right_vectors[k]`` in
-    H_S', each row-stacked and orthonormal.  All three arrays are read-only.
+    H_S', each row-stacked and orthonormal.  All three arrays are read-only,
+    and every decomposition of one state across one split shares them.
     """
 
     subsystem: Subsystem
@@ -143,13 +144,16 @@ def schmidt_decompose(
     tol: float | None = None,
 ) -> SchmidtDecomposition:
     """Full Schmidt decomposition from one reduced SVD of the unfolding; its
-    ``rank_report`` is the rank rule on ``coeffs``, cut by ``tol`` if given."""
+    ``rank_report`` is the rank rule on ``coeffs``, cut by ``tol`` if given.
+
+    The SVD is made once per state and split and kept on ``v`` while the
+    state's memo has room (see ``state._memo``); ``tol`` is applied on each call.
+    """
     part = Subsystem.coerce(subsystem)
-    m = unfold(v, part)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    for arr in (u, s, vh):
-        arr.flags.writeable = False
-    report = _rank_report(s, max(m.shape), tol)
+    u, s, vh = _memo(
+        v, ("svd", part), lambda: np.linalg.svd(unfold(v, part), full_matrices=False)
+    )
+    report = _rank_report(s, max(u.shape[0], vh.shape[1]), tol)
     return SchmidtDecomposition(
         subsystem=part,
         coeffs=s,

@@ -31,7 +31,7 @@ import numpy as np
 
 from .bilinear import RankReport, _cutoff, _rank_report, numerical_rank, rank_tolerance
 from .bilinear import reduced_density
-from .state import StateTensor, Subsystem, _check_dense, _DenseBudgetError, _ldexp
+from .state import StateTensor, Subsystem, _check_dense, _DenseBudgetError, _ldexp, _memo
 
 __all__ = [
     "Feasibility",
@@ -131,11 +131,17 @@ def cyclicity_test(
     ``tol`` (>= 0) cuts the eigenvalues of :func:`reduced_density` on the
     complement (squared Schmidt weights; of the scaled state when its peak is
     beyond ``2**+-200``); ``None`` uses the default policy, scaled to the largest one.
+    The density and its spectrum are made once per state and split and kept on
+    ``v`` while the state's memo has room (see ``state._memo``).
     """
     part = Subsystem.coerce(subsystem)
     comp = part.complement(v.nfactors)  # checks the subsystem
-    rho = reduced_density(v, comp)
-    eig = np.linalg.eigvalsh(rho)[::-1]  # nonincreasing
+
+    def density() -> tuple[np.ndarray, np.ndarray]:
+        rho = reduced_density(v, comp)
+        return rho, np.linalg.eigvalsh(rho)[::-1]  # nonincreasing
+
+    rho, eig = _memo(v, ("density", comp), density)
     report = _rank_report(eig, eig.size, tol)
     passed = report.rank == eig.size
     return CyclicityResult(

@@ -234,8 +234,24 @@ def _entry_template(nfactors: int) -> str:
     return "    " + text.replace("\n", "\n    ")
 
 
+def _check_round_trip(x: Any, where: str) -> None:
+    """Refuse what JSON would load back as something else, naming its field:
+    a key that is no string, or a tuple, which loads back as a list."""
+    if isinstance(x, tuple):
+        raise ValueError(f"{where}: tuple {x!r} would load back from JSON as a list")
+    if isinstance(x, list):
+        for k, item in enumerate(x):
+            _check_round_trip(item, f"{where}[{k}]")
+    elif isinstance(x, dict):
+        for key, item in x.items():
+            if not isinstance(key, str):
+                raise ValueError(f"{where}: key {key!r} would load back from JSON as a string")
+            _check_round_trip(item, f"{where}.{key}")
+
+
 def save_state(v: StateTensor, path: str | Path) -> None:
-    """Write ``v``; metadata that JSON cannot encode raises ValueError first.
+    """Write ``v``; metadata that JSON cannot encode, or would load back as
+    something else (a key that is no string, a tuple), raises ValueError first.
 
     The file is what :func:`canonical_report_json` gives for the whole
     document, but the entries are rendered from the arrays through one
@@ -243,12 +259,14 @@ def save_state(v: StateTensor, path: str | Path) -> None:
     regular file is replaced in one step, so a failed save leaves the old
     file.
     """
+    metadata = v.metadata
+    _check_round_trip(metadata, "metadata")
     header = {
         "format_version": FORMAT_VERSION,
         "dims": list(v.dims),
         "truncated_from_infinite": v.truncated_from_infinite,
         "entries": [],
-        "metadata": v.metadata,
+        "metadata": metadata,
     }
     text = canonical_report_json(header)
     if v.nnz:

@@ -6,7 +6,9 @@ strictly increasing lexicographic order) and their complex amplitudes;
 absent indices are exact zeros.  Every layer reads these arrays directly.
 Reductions run in a fixed order or exactly (the norm uses ``math.fsum``), so
 results do not depend on insertion order or on how work is split across
-threads.
+threads.  A state also keeps the dense decompositions later layers ask of it
+(:func:`_memo`), one per split and ``DENSE_BUDGET`` bytes in all, so each
+that fits is computed once in its lifetime.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import copy
 import math
 import numbers
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -199,6 +201,9 @@ class StateTensor:
     _metadata: dict
     _scale: int  # from _scale_and_norm; dense products scale by 2**-_scale
     _norm: float
+    # key -> immutable arrays, filled by _memo within DENSE_BUDGET; copies,
+    # pickles and == ignore it
+    _memos: dict = field(default_factory=dict, init=False)
 
     @property
     def nfactors(self) -> int:
@@ -352,9 +357,37 @@ def _state_from_arrays(
         amps = np.empty_like(amps)
         amps.real, amps.imag = (re + im * 0.0) / n, (im - re * 0.0) / n
         scale, n = _scale_and_norm(amps)
-    # Copies over immutable bytes, whose writeable flag cannot be set back.
-    idx, amps = (np.frombuffer(a.tobytes(), a.dtype).reshape(a.shape) for a in (idx, amps))
+    idx, amps = _immutable(idx), _immutable(amps)
     return StateTensor(dims_t, idx, amps, bool(truncated_from_infinite), meta, scale, n)
+
+
+def _immutable(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` over immutable bytes, whose writeable flag cannot be set back."""
+    return np.frombuffer(a.tobytes(), a.dtype).reshape(a.shape)
+
+
+def _memo(
+    v: StateTensor, key: tuple, compute: Callable[[], tuple[np.ndarray, ...]]
+) -> tuple[np.ndarray, ...]:
+    """The arrays ``compute()`` gives, computed on the first call for ``key`` and kept on ``v``.
+
+    ``key`` names a split, never a threshold, so each state holds at most one
+    entry per split it was asked about.  The arrays are :func:`_immutable`
+    copies, so no caller can change what a later call returns; a ``compute``
+    that raises keeps nothing.  A state keeps at most ``DENSE_BUDGET`` bytes
+    in all: an entry that would go past it is returned read-only and not kept.
+    """
+    found = v._memos.get(key)
+    if found is not None:
+        return found
+    arrays = compute()
+    kept = sum(a.nbytes for entry in v._memos.values() for a in entry)
+    if kept + sum(a.nbytes for a in arrays) > DENSE_BUDGET:
+        for a in arrays:
+            a.flags.writeable = False
+        return tuple(arrays)
+    found = v._memos[key] = tuple(map(_immutable, arrays))
+    return found
 
 
 def norm(v: StateTensor) -> float:

@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -12,16 +15,21 @@ from hyperstate import (
     PAPER_STATE_NAMES,
     RankReport,
     Subsystem,
+    certify_state,
     cyclicity_test,
+    degree_bipartite,
+    hyperentanglement_test,
     make_state,
     norm,
     numerical_rank,
     paper_state,
     rank_tolerance,
     reduced_density,
+    repair_bipartite,
     schmidt_decompose,
     unfold,
 )
+from hyperstate import state as hs_state
 
 R2 = 1.0 / math.sqrt(2.0)
 R3 = 1.0 / math.sqrt(3.0)
@@ -95,8 +103,11 @@ class TestOneRankRule:
             calls.append(kwargs)
             return svd(*args, **kwargs)
 
+        # a fresh rebuild, so neither an SVD kept by an earlier test nor this
+        # counting one is shared with the catalog state
+        v = copy.copy(paper_state("hardy3"))
         monkeypatch.setattr(np.linalg, "svd", counting)
-        schmidt_decompose(paper_state("hardy3"), 0)
+        schmidt_decompose(v, 0)
         assert calls == [{"full_matrices": False}]  # no larger than the unfolding
 
     @pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan"), True, "0.1", 1j, float("inf")])
@@ -241,3 +252,123 @@ class TestReducedDensity:
         rho = reduced_density(v, (0, 2))
         assert rho.shape == (10, 10)
         assert np.flatnonzero(rho).tolist() == [9 * 10 + 9]
+
+
+def _bits(x):
+    """``x`` in a form whose ``==`` is bit for bit: arrays by dtype, shape and
+    bytes, floats by their hex, dataclasses field by field."""
+    if isinstance(x, np.ndarray):
+        return (x.dtype.str, x.shape, x.tobytes())
+    if isinstance(x, float):
+        return x.hex()
+    if dataclasses.is_dataclass(x):
+        return tuple((f.name, _bits(getattr(x, f.name))) for f in dataclasses.fields(x))
+    return x
+
+
+def _splits(n):
+    return [sel for k in range(1, n) for sel in itertools.combinations(range(n), k)]
+
+
+class TestStateMemo:
+    """A state keeps each split's Schmidt SVD and density spectrum; ``tol`` is per call."""
+
+    TOLS = (None, 0.0, 1e6)
+
+    def check_against_fresh(self, v, rng):
+        calls = [
+            (kernel, sel, tol)
+            for kernel in (schmidt_decompose, cyclicity_test)
+            for sel in _splits(v.nfactors)
+            for tol in self.TOLS
+        ]
+        rng.shuffle(calls)
+        for kernel, sel, tol in calls:
+            got = kernel(v, sel, tol)
+            assert _bits(got) == _bits(kernel(copy.copy(v), sel, tol)), (kernel, sel, tol)
+        assert len(v._memos) == 2 * len(_splits(v.nfactors))
+
+    def test_corpus_equals_a_fresh_copy(self, corpus):
+        rng = np.random.default_rng(5)
+        for v in corpus.values():
+            self.check_against_fresh(v, rng)
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 4))
+    def test_random_states_equal_a_fresh_copy(self, seed, n):
+        rng = np.random.default_rng(seed)
+        v = random_state(rng, tuple(int(d) for d in rng.integers(2, 4, n)))
+        self.check_against_fresh(v, rng)
+
+    def test_one_entry_per_split_for_any_tol(self):
+        v = copy.copy(paper_state("hardy3"))
+        for tol in np.geomspace(1e-15, 10.0, 50).tolist():
+            for sel in _splits(3):
+                schmidt_decompose(v, sel, tol)
+                cyclicity_test(v, sel, tol)
+        keys = {("svd", Subsystem(sel)) for sel in _splits(3)}
+        keys |= {("density", Subsystem(sel)) for sel in _splits(3)}
+        assert set(v._memos) == keys
+
+    def test_repeat_calls_compute_nothing(self, monkeypatch):
+        # fresh rebuilds: no patched kernel runs on a shared catalog state
+        def refuse(*args, **kwargs):
+            raise AssertionError("kernel called")
+
+        full = copy.copy(paper_state("bohm"))
+        failing = copy.copy(paper_state("spin1_two_term"))
+        for v in (full, failing):
+            hyperentanglement_test(v)
+            schmidt_decompose(v, 0)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        for v in (full, failing):
+            for tol in self.TOLS:
+                hyperentanglement_test(v, tol)
+                schmidt_decompose(v, 0, tol)
+                cyclicity_test(v, 1, tol)
+            certify_state(v)
+            degree_bipartite(v, 0)
+        assert repair_bipartite(full, 0, 0.1) is full  # full rank: returned unchanged
+
+    def test_kept_arrays_cannot_be_made_writeable(self):
+        v = copy.copy(paper_state("spin1_two_term"))
+        for _ in range(2):  # the call that computes, then the one that reuses
+            sd = schmidt_decompose(v, 0)
+            check = cyclicity_test(v, 0)
+            assert not check.passed
+            for arr in (sd.coeffs, sd.left_vectors, sd.right_vectors, check._density):
+                with pytest.raises(ValueError):
+                    arr.flags.writeable = True
+        assert cyclicity_test(v, 0).witness is not None
+
+    def test_budget_refusal_keeps_nothing(self):
+        v = make_state((2, 2**21 + 1), {(0, 0): 1.0, (1, 2**21): 1.0})
+        for kernel in (schmidt_decompose, cyclicity_test):
+            for sel in (0, 1):
+                with pytest.raises(ValueError, match="budget"):
+                    kernel(v, sel)
+        assert v._memos == {}
+
+    def test_kept_bytes_stay_within_the_budget(self, monkeypatch):
+        # Each complement density of a 4x4x4 state is 16x16: 4096 + 128 bytes
+        # with its spectrum.  A budget of 9000 keeps two of the three.
+        monkeypatch.setattr(hs_state, "DENSE_BUDGET", 9000)
+        v = random_state(np.random.default_rng(11), (4, 4, 4))
+        eigvalsh, calls = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+        for _ in range(2):
+            res = hyperentanglement_test(v)
+            for sel, check in enumerate(res.checks):
+                assert _bits(check) == _bits(cyclicity_test(copy.copy(v), sel))
+                assert not check._density.flags.writeable
+        kept = [a.nbytes for entry in v._memos.values() for a in entry]
+        assert len(v._memos) == 2 and sum(kept) <= 9000
+        assert len(calls) == 3 + 1 + 3 * 2  # the unkept density is made on each call
+
+    def test_copies_start_empty_and_compare_equal(self):
+        v = copy.copy(paper_state("hardy2"))
+        hyperentanglement_test(v)
+        schmidt_decompose(v, 0)
+        assert len(v._memos) == 3
+        for w in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            assert w == v and w._memos == {}

@@ -1,3 +1,4 @@
+import copy
 import math
 import sys
 
@@ -208,8 +209,10 @@ class TestHyperentanglementTest:
         def refuse(*args, **kwargs):
             raise AssertionError("eigh called")
 
+        # fresh rebuilds, so every density is computed under the patch
+        fresh = {name: copy.copy(v) for name, v in corpus.items()}
         monkeypatch.setattr(np.linalg, "eigh", refuse)
-        verdicts = {name: hyperentanglement_test(v) for name, v in corpus.items()}
+        verdicts = {name: hyperentanglement_test(v) for name, v in fresh.items()}
         verdict = verdicts["spin1_two_term"]
         assert verdict.failing == (0, 1)
         with pytest.raises(AssertionError, match="eigh called"):

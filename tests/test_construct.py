@@ -680,7 +680,10 @@ class TestCatalog:
                 arr.flags.writeable = True
             with pytest.raises(ValueError):
                 arr[0] = 0
-        fields = ("dims", "indices", "amplitudes", "truncated_from_infinite", "_metadata", "_scale", "_norm")
+        fields = (
+            "dims", "indices", "amplitudes", "truncated_from_infinite", "_metadata", "_scale",
+            "_norm", "_memos",
+        )
         for name in fields:
             with pytest.raises(AttributeError):
                 setattr(v, name, 3.0)

@@ -321,6 +321,8 @@ class TestNonFiniteJson:
         {"x": float("nan")},
         {"x": np.int64(1)},  # json.dumps raises TypeError on these two
         {1: 2, "a": 3},  # keys that cannot be sorted
+        {1: 2, 3: (1, 2)},  # these two would load back as {"1": 2, "3": [1, 2]}
+        {"a": [1, {"b": (1, 2)}]},
     ])
     def test_save_refusal_keeps_the_old_file(self, tmp_path, metadata):
         path = tmp_path / "v.json"
@@ -330,6 +332,19 @@ class TestNonFiniteJson:
             save_state(make_state((2, 2), {(0, 0): 1.0}, metadata=metadata), path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["v.json"]
+
+    @pytest.mark.parametrize("metadata, field", [
+        ({"a": 1, 3: (1, 2)}, "metadata: key 3 "),
+        ({"a": [1, {"b": (1, 2)}]}, r"metadata\.a\[1\]\.b: tuple \(1, 2\)"),
+    ])
+    def test_save_names_metadata_that_would_load_back_otherwise(self, tmp_path, metadata, field):
+        path = tmp_path / "v.json"
+        with pytest.raises(ValueError, match=field):
+            save_state(make_state((2, 2), {(0, 0): 1.0}, metadata=metadata), path)
+        assert not path.exists()
+        kept = {"a": [1, {"b": [1, 2]}], "c": None}  # what JSON gives back as it was
+        save_state(make_state((2, 2), {(0, 0): 1.0}, metadata=kept), path)
+        assert load_state(path).metadata == kept
 
     def test_cli_exits_two_with_a_json_report(self, capsys, tmp_path):
         out = tmp_path / "m2.json"

@@ -48,6 +48,18 @@ def test_import_and_dunder_probe_load_no_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_a_resolved_name_is_stored_in_the_package():
+    # later lookups are plain attribute reads, with no submodule search
+    script = (
+        "import hyperstate\n"
+        "assert 'load_state' not in vars(hyperstate)\n"
+        "f = hyperstate.load_state\n"
+        "assert vars(hyperstate)['load_state'] is f is hyperstate.io.load_state\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def _choices(parser: argparse.ArgumentParser):
     """(option, choices) for every option of every subcommand that has choices."""
     for action in parser._actions:
@@ -126,6 +138,40 @@ def test_one_hex_decoder():
         if isinstance(node, ast.Attribute) and ast.unparse(node) == "float.fromhex"
     ]
     assert [stem for stem, _ in found] == ["io"], found
+
+
+def test_spectral_kernels_run_once_per_split():
+    # a state keeps its Schmidt SVD and its density spectrum (state._memo), so
+    # the one eigvalsh and bilinear's one reduced SVD run only inside a
+    # computation, a lambda or a named function, passed to _memo
+    found = []
+    for path in sorted(pathlib.Path(hyperstate.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        computations = [
+            node.args[2]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "_memo"
+        ]
+        named = {c.id for c in computations if isinstance(c, ast.Name)}
+        computations += [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name in named
+        ]
+        memoized = {id(node) for c in computations for node in ast.walk(c)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = ast.unparse(node.func)
+            reduced = any(
+                kw.arg == "full_matrices" and getattr(kw.value, "value", None) is False
+                for kw in node.keywords
+            )
+            if func == "np.linalg.eigvalsh" or (func.endswith("svd") and reduced):
+                found.append((path.stem, func, id(node) in memoized))
+    eigvalsh = [f for f in found if f[1] == "np.linalg.eigvalsh"]
+    svd = [f for f in found if f[0] == "bilinear" and f[1] != "np.linalg.eigvalsh"]
+    assert eigvalsh == [("certify", "np.linalg.eigvalsh", True)], found
+    assert svd == [("bilinear", "np.linalg.svd", True)], found
 
 
 def test_one_metadata_rule():
