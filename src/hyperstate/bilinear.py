@@ -138,21 +138,29 @@ class SchmidtDecomposition:
     rank_report: RankReport
 
 
+def _kept_svd(v: StateTensor, part: Subsystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The reduced SVD of ``unfold(v, part) * 2**-v._scale``, kept on ``v`` (see ``_memo``)."""
+    return _memo(
+        v,
+        ("svd", part),
+        lambda: np.linalg.svd(_ldexp(unfold(v, part), -v._scale), full_matrices=False),
+    )
+
+
 def schmidt_decompose(
     v: StateTensor,
     subsystem: Subsystem | int | Iterable[int],
     tol: float | None = None,
 ) -> SchmidtDecomposition:
-    """Full Schmidt decomposition from one reduced SVD of the unfolding; its
-    ``rank_report`` is the rank rule on ``coeffs``, cut by ``tol`` if given.
-
-    The SVD is made once per state and split and kept on ``v`` while the
-    state's memo has room (see ``state._memo``); ``tol`` is applied on each call.
+    """Full Schmidt decomposition from the kept SVD of the unfolding (:func:`_kept_svd`),
+    its ``coeffs`` scaled back by ``2**v._scale``; its ``rank_report`` is the rank rule on
+    ``coeffs``, cut by ``tol`` if given on each call.
     """
     part = Subsystem.coerce(subsystem)
-    u, s, vh = _memo(
-        v, ("svd", part), lambda: np.linalg.svd(unfold(v, part), full_matrices=False)
-    )
+    u, s, vh = _kept_svd(v, part)
+    with np.errstate(over="ignore"):  # a coefficient beyond the float range is inf
+        s = np.ldexp(s, v._scale) if v._scale else s
+    s.flags.writeable = False
     report = _rank_report(s, max(u.shape[0], vh.shape[1]), tol)
     return SchmidtDecomposition(
         subsystem=part,

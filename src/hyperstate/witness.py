@@ -3,9 +3,9 @@
 The operational content of maximal correlation: for a state cyclic on S, any
 yes-no question P' on the complement can be answered with certainty by a
 rank-1 question P on S, conditioning on which drives the conditional
-probability of P' to 1.  The witness construction solves the slice linear
-system through the unfolding's (pseudo)inverse.  Its least-squares solves
-apply the package's one rank rule with the default cutoff (LAPACK ``rcond``).
+probability of P' to 1.  Both constructions read the rank from
+:func:`~hyperstate.certify.cyclicity_test` and solve the slice linear system
+through the (pseudo)inverse given by the state's kept Schmidt SVD of the split.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .bilinear import rank_tolerance, unfold
+from .bilinear import _kept_svd, _rank_report, unfold
+from .certify import cyclicity_test
 from .state import DROP_THRESHOLD, UNIT_NORM_TOL, StateTensor, Subsystem, _check_dense, _ldexp
 
 __all__ = [
@@ -75,10 +76,10 @@ class Projector:
 
 def _split(v: StateTensor, part: Subsystem, pp: Projector) -> np.ndarray:
     """The unfolding of ``v`` for (part | pp), checked, then scaled as
-    :func:`~hyperstate.bilinear.reduced_density` scales it.
+    :func:`~hyperstate.bilinear.reduced_density` and the kept SVD scale it.
 
-    Only ratios, directions and relative cutoffs are read off it, and the
-    exact power-of-two scaling changes none of them.
+    Only ratios and directions are read off it, and the exact power-of-two
+    scaling changes none of them.
     """
     comp = part.complement(v.nfactors)  # checks the subsystem
     if pp.subsystem != comp:
@@ -87,6 +88,18 @@ def _split(v: StateTensor, part: Subsystem, pp: Projector) -> np.ndarray:
     if pp.dim != m.shape[0]:
         raise ValueError(f"P' dimension {pp.dim} does not match complement dimension {m.shape[0]}")
     return _ldexp(m, -v._scale)
+
+
+def _cyclicity(v: StateTensor, part: Subsystem, s: np.ndarray, n_keys: int) -> tuple[bool, int]:
+    """``cyclicity_test(v, part)``'s verdict and rank, given the kept SVD's values ``s``.
+
+    A split with more complement keys than ``dim_S`` is never cyclic; its rank is
+    the same rule on ``s**2``, so the larger complement density is never formed.
+    """
+    if n_keys > s.size:
+        return False, _rank_report(s * s, n_keys).rank
+    check = cyclicity_test(v, part)
+    return check.passed, check.rank
 
 
 def conditional_probability(v: StateTensor, p: Projector, p_prime: Projector) -> float:
@@ -122,9 +135,9 @@ def steering_operator(
     """The read-only ``dim_S x dim_S`` array A on S with (A (x) I) v = embed (x) target.
 
     ``target`` on S' is normalised first.  Solves A v_j = target_j * embed
-    against the slice family, which must have full rank under the singular-value
-    rule (``lstsq``'s ``rcond``: :func:`schmidt_decompose`'s rank), otherwise it
-    raises; a near-singular family that rule admits can still fail the residual check.
+    against the slice family through the kept Schmidt SVD; it raises unless the
+    state is cyclic for S (:func:`~hyperstate.certify.cyclicity_test`, see
+    :func:`_cyclicity`) and the solve meets its target within 1e-9.
     ``embed`` defaults to the first basis vector of H_S.  The slices come from
     :func:`unfold`, so a slice matrix beyond ``DENSE_BUDGET`` bytes is refused;
     so is an operator A beyond it, before the solve.
@@ -154,15 +167,17 @@ def steering_operator(
         if abs(np.linalg.norm(u) - 1.0) > UNIT_NORM_TOL:
             raise ValueError("embed vector must be a unit vector")
 
-    # slices @ y = phi  <=>  A = outer(u, y) maps v_j to phi_j * u.
-    y, _, rank, _ = np.linalg.lstsq(slices, phi, rcond=rank_tolerance(max(n_keys, dim_s), 1.0))
-    if rank < n_keys:
+    left, s, vh = _kept_svd(v, part)
+    passed, rank = _cyclicity(v, part, s, n_keys)
+    if not passed:
         raise ValueError(
             f"state is not cyclic for subsystem {part.indices}: "
             f"slice family has rank {rank} < {n_keys}"
         )
+    # slices @ y = phi  <=>  A = outer(u, y) maps v_j to phi_j * u; y is in true units.
+    y = _ldexp(vh.conj().T @ ((left.conj().T @ phi) / s), -v._scale)
     residual = float(np.linalg.norm(slices @ y - phi))
-    if residual > 1e-9:
+    if residual > 1e-9:  # a self-check; just above the cyclicity cutoff a solve can miss
         raise ValueError(f"steering solve residual {residual} exceeds 1e-9")
 
     a = np.outer(u, y)
@@ -189,9 +204,9 @@ class CorrelationQuery:
 class WitnessResult:
     """A rank-1 conditioning projector and the probability it achieves.
 
-    ``warning`` is set when the slice family was rank-deficient under the
-    default rank rule (so the pseudoinverse route was only best-effort) or
-    the achieved probability missed the 1 - epsilon goal; ``achieved`` is
+    ``warning`` is set when :func:`~hyperstate.certify.cyclicity_test` finds
+    the state not cyclic for S (so the pseudoinverse route was only best-effort)
+    or the achieved probability missed the 1 - epsilon goal; ``achieved`` is
     always the honest value of :func:`conditional_probability` for the
     returned projectors.
     """
@@ -206,9 +221,9 @@ def correlation_witness(query: CorrelationQuery) -> WitnessResult:
     """Construct a rank-1 P on S making P' on S' near-certain.
 
     Picks the unit vector w in range(P') best represented in the state's
-    slices, pulls it back through the unfolding's least-squares inverse and
-    projects onto the resulting direction.  For a cyclic state this achieves
-    probability 1 up to roundoff.
+    slices, pulls it back through the pseudoinverse of the kept SVD cut to the
+    ``cyclicity_test`` rank and projects onto the resulting direction.  For a
+    cyclic state this achieves probability 1 up to roundoff.
     """
     v = query.state
     part = query.subsystem
@@ -223,7 +238,9 @@ def correlation_witness(query: CorrelationQuery) -> WitnessResult:
     bu, _, _ = np.linalg.svd(compressed, full_matrices=False)
     w = pp.basis.T @ bu[:, 0]
 
-    x, _, rank, _ = np.linalg.lstsq(m, w, rcond=rank_tolerance(max(m.shape), 1.0))
+    left, s, vh = _kept_svd(v, part)  # of m itself: the same 2**-_scale
+    passed, r = _cyclicity(v, part, s, m.shape[0])
+    x = vh[:r].conj().T @ ((left[:, :r].conj().T @ w) / s[:r])
     nx = float(np.linalg.norm(x))
     if nx <= DROP_THRESHOLD:
         raise ValueError(
@@ -234,6 +251,6 @@ def correlation_witness(query: CorrelationQuery) -> WitnessResult:
     p = Projector(subsystem=part, basis=direction[None, :])
 
     achieved = _conditional(m, p, pp)  # p is on part, with m's column count
-    warning = int(rank) < m.shape[0] or achieved < 1.0 - query.epsilon
+    warning = not passed or achieved < 1.0 - query.epsilon
     w.flags.writeable = False
     return WitnessResult(projector=p, achieved=achieved, warning=warning, target=w)

@@ -143,7 +143,9 @@ def test_one_hex_decoder():
 def test_spectral_kernels_run_once_per_split():
     # a state keeps its Schmidt SVD and its density spectrum (state._memo), so
     # the one eigvalsh and bilinear's one reduced SVD run only inside a
-    # computation, a lambda or a named function, passed to _memo
+    # computation, a lambda or a named function, passed to _memo; witness and
+    # steering solve from that SVD, so no lstsq is left and witness.py's one SVD
+    # is of the rank(P') x dim_S matrix `compressed`, which decides no rank
     found = []
     for path in sorted(pathlib.Path(hyperstate.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -168,10 +170,14 @@ def test_spectral_kernels_run_once_per_split():
             )
             if func == "np.linalg.eigvalsh" or (func.endswith("svd") and reduced):
                 found.append((path.stem, func, id(node) in memoized))
+            if func == "np.linalg.svd" and path.stem == "witness":
+                assert [ast.unparse(arg) for arg in node.args] == ["compressed"], func
+            assert not func.endswith("lstsq"), (path.stem, func)
     eigvalsh = [f for f in found if f[1] == "np.linalg.eigvalsh"]
     svd = [f for f in found if f[0] == "bilinear" and f[1] != "np.linalg.eigvalsh"]
     assert eigvalsh == [("certify", "np.linalg.eigvalsh", True)], found
     assert svd == [("bilinear", "np.linalg.svd", True)], found
+    assert [f for f in found if f[0] == "witness"] == [("witness", "np.linalg.svd", False)], found
 
 
 def test_one_metadata_rule():

@@ -23,6 +23,7 @@ from hyperstate import (
     Subsystem,
     conditional_probability,
     correlation_witness,
+    cyclicity_test,
     make_state,
     schmidt_decompose,
     steering_operator,
@@ -34,8 +35,8 @@ R2 = 1.0 / math.sqrt(2.0)
 def near_deficient():
     """3x3 state with Schmidt coefficients proportional to (1, 1, 1e-14).
 
-    The third coefficient lies below the rank cutoff (about 4e-14 here) but
-    above numpy's default least-squares cutoff (about 7e-16).
+    The third coefficient (about 7e-15) is nonzero but lies below the Schmidt
+    rank cutoff (about 3e-14), and its square far below the cyclicity cutoff.
     """
     return make_state((3, 3), {(0, 0): 1.0, (1, 1): 1.0, (2, 2): 1e-14}, normalize=True)
 
@@ -179,15 +180,37 @@ class TestSteering:
 
     @pytest.mark.parametrize("smallest", [1e-8, 1e-10])
     def test_inaccurate_solve_is_refused(self, smallest):
-        # full rank under the singular-value rank rule, but the solve misses
-        # its target by more than 1e-9 (about 7e-9 and 5e-7 here)
+        # full rank under the singular-value rank rule, but not cyclic under the
+        # squared-spectrum rule certify applies: steering refuses it at that gate,
+        # before a solve that would miss its target by more than 1e-9
         rng = np.random.default_rng(0)
         s = np.diag(np.geomspace(1.0, smallest, 8))
         m = haar_unitary(rng, 8) @ s @ haar_unitary(rng, 8)
         v = make_state((8, 8), {idx: complex(x) for idx, x in np.ndenumerate(m)}, normalize=True)
         assert schmidt_decompose(v, 0).rank == 8
-        with pytest.raises(ValueError, match="^steering solve residual"):
+        assert not cyclicity_test(v, 0).passed
+        with pytest.raises(ValueError, match="^state is not cyclic"):
             steering_operator(v, 0, rand_unit(rng, 8))
+        pp = rank1(1, rand_unit(rng, 8))
+        assert correlation_witness(CorrelationQuery(state=v, subsystem=(0,), p_prime=pp)).warning
+
+    def test_residual_self_check_refuses_a_cyclic_state(self):
+        # Schmidt coefficients (1, 1.77e-7): cyclic, with the smallest squared one
+        # just above the 2.84e-14 cutoff, yet the solve misses its target by about
+        # 1.9e-9, so the self-check still refuses a state certify accepts
+        amps = {
+            (0, 0): ("-0x1.3338b7c4034ebp-3", "-0x1.d76af0f1aa391p-4"),
+            (0, 1): ("-0x1.9a4a6fc91d53ep-2", "-0x1.9c17bb01f4356p-2"),
+            (1, 0): ("0x1.091f0f9ea4505p-6", "-0x1.029b807ba3db7p-2"),
+            (1, 1): ("0x1.30e4b09beaa6ap-3", "-0x1.7d9f0389658c7p-1"),
+        }
+        v = make_state(
+            (2, 2),
+            {i: complex(float.fromhex(re), float.fromhex(im)) for i, (re, im) in amps.items()},
+        )
+        assert cyclicity_test(v, 0).passed
+        with pytest.raises(ValueError, match="^steering solve residual"):
+            steering_operator(v, 0, np.array([1.0, 0.0]))
 
     def test_refused_beyond_dense_budget(self):
         # refused before the 2**22 x 2 slice matrix (128 MiB) is built
@@ -269,6 +292,26 @@ class TestCorrelationWitness:
         assert res.warning
         assert res.achieved == pytest.approx(0.36, abs=1e-12)
 
+    def test_unbalanced_split_never_forms_the_complement_density(self):
+        # dim S = 46 < dim S' = 2116: never cyclic.  The 2116 x 2116 density is
+        # beyond DENSE_BUDGET while the 2116 x 46 unfolding is not, so steering
+        # refuses with its rank message and the witness warns, as for any split
+        # that is not cyclic, without asking cyclicity_test
+        d = 46
+        rng = np.random.default_rng(3)
+        c = rng.uniform(0.5, 1.0, d)
+        v = make_state((d, d, d), {(i, i, i): c[i] for i in range(d)}, normalize=True)
+        with pytest.raises(ValueError, match="2116x2116.*budget"):
+            cyclicity_test(v, 0)
+        refusal = r"^state is not cyclic for subsystem \(0,\): slice family has rank 46 < 2116$"
+        with pytest.raises(ValueError, match=refusal):
+            steering_operator(v, 0, rand_unit(rng, d * d))
+        pp = rank1((1, 2), np.eye(d * d)[7 * d + 7])  # P' = |7, 7>
+        got = correlation_witness(CorrelationQuery(state=v, subsystem=(0,), p_prime=pp))
+        assert got.warning
+        assert got.achieved == conditional_probability(v, got.projector, pp)
+        assert got.achieved == pytest.approx(1.0, abs=1e-12)
+
     def test_annihilating_projector_raises(self, corpus):
         v = corpus["spin1_two_term"]
         with pytest.raises(ValueError, match="annihilates"):
@@ -325,3 +368,22 @@ def test_witness_is_scale_invariant(k):
     assert (got.achieved, got.warning) == (base.achieved, base.warning) == (1.0, False)
     probe = rank1(0, [1.0, 1.0])
     assert conditional_probability(scaled_state(v, k), probe, pp) == conditional_probability(v, probe, pp)
+
+
+@pytest.mark.parametrize("k", (-560, -500, 530, 600))
+def test_kept_svd_is_scale_free(k):
+    # peak 0.75: the kept SVD is of the k = 0 unfolding exactly, and only coeffs carry 2**k
+    rng = np.random.default_rng(11)
+    m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    m *= 0.75 / np.abs(m.view(np.float64)).max()
+    v = make_state((3, 3), {idx: complex(x) for idx, x in np.ndenumerate(m)})
+    w = scaled_state(v, k)
+    base, got = schmidt_decompose(v, 0), schmidt_decompose(w, 0)
+    for a, b in ((got.left_vectors, base.left_vectors), (got.right_vectors, base.right_vectors)):
+        assert a.tobytes() == b.tobytes()  # bit for bit
+    np.testing.assert_array_equal(got.coeffs, np.ldexp(base.coeffs, k))
+    target = rand_unit(rng, 3)
+    t_out = np.einsum("ai,ij->aj", steering_operator(w, 0, target), dense_tensor(w))
+    expect = np.zeros((3, 3), dtype=np.complex128)
+    expect[0, :] = target
+    np.testing.assert_allclose(t_out, expect, atol=1e-10)
