@@ -9,6 +9,7 @@ bytes, and large truncated constructions are probed through slice windows.
 Every rank decision counts the values of a spectrum strictly above one cutoff,
 ``tol`` (finite, >= 0) or :func:`rank_tolerance`: ``_rank_report`` applies it
 to the spectrum its caller already has (singular values, density eigenvalues).
+``_cyclicity`` is the cyclicity rule, and ``_pull_back`` its gate and solve.
 """
 
 from __future__ import annotations
@@ -41,9 +42,10 @@ def rank_tolerance(largest_side: int, spectrum_max: float) -> float:
     """Default cutoff: ``largest_side * spectrum_max * 2**-52 * RANK_SAFETY``.
 
     Used for singular values and, with squared quantities, for density
-    eigenvalues; callers pass the relevant spectrum maximum.
+    eigenvalues; callers pass the relevant spectrum maximum.  The factor before it
+    is exact, so the cutoff is rounded once: finite near the float range, too.
     """
-    return largest_side * spectrum_max * 2.0**-52 * RANK_SAFETY
+    return largest_side * RANK_SAFETY * 2.0**-52 * spectrum_max
 
 
 @dataclass(frozen=True)
@@ -188,3 +190,30 @@ def reduced_density(v: StateTensor, subsystem: Subsystem | int | Iterable[int]) 
     rho = (rho + rho.conj().T) / 2.0
     rho.flags.writeable = False
     return rho
+
+
+def _cyclicity(
+    v: StateTensor, part: Subsystem, tol: float | None = None
+) -> tuple[RankReport, np.ndarray, np.ndarray]:
+    """The cyclicity rule: the rank rule on the nonincreasing spectrum of the density
+    on S', returned with that density and spectrum, both kept on ``v`` (``_memo``).
+    """
+    comp = part.complement(v.nfactors)  # checks the subsystem
+
+    def density() -> tuple[np.ndarray, np.ndarray]:
+        rho = reduced_density(v, comp)
+        return rho, np.linalg.eigvalsh(rho)[::-1]  # nonincreasing
+
+    rho, eig = _memo(v, ("density", comp), density)
+    return _rank_report(eig, eig.size, tol), rho, eig
+
+
+def _pull_back(v: StateTensor, part: Subsystem, rhs: np.ndarray) -> tuple[bool, int, np.ndarray]:
+    """Whether ``v`` is cyclic for ``part`` (default cutoff), the rank r, and ``rhs`` on
+    S' pulled back through the first r terms of the kept SVD of the scaled unfolding.
+    """
+    left, s, vh = _kept_svd(v, part)
+    n_keys = left.shape[0]
+    tall = n_keys > s.size  # more keys than dim_S: never cyclic; rule on s**2, no density
+    r = (_rank_report(s * s, n_keys) if tall else _cyclicity(v, part)[0]).rank
+    return r == n_keys, r, vh[:r].conj().T @ ((left[:, :r].conj().T @ rhs) / s[:r])

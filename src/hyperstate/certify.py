@@ -29,9 +29,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bilinear import RankReport, _cutoff, _rank_report, numerical_rank, rank_tolerance
-from .bilinear import reduced_density
-from .state import StateTensor, Subsystem, _check_dense, _DenseBudgetError, _ldexp, _memo
+from .bilinear import RankReport, _cutoff, _cyclicity, numerical_rank, rank_tolerance
+from .state import StateTensor, Subsystem, _check_dense, _DenseBudgetError, _ldexp
 
 __all__ = [
     "Feasibility",
@@ -126,7 +125,8 @@ def cyclicity_test(
     subsystem: Subsystem | int | Iterable[int],
     tol: float | None = None,
 ) -> CyclicityResult:
-    """Test whether ``v`` is cyclic for ``subsystem``.
+    """Test whether ``v`` is cyclic for ``subsystem``: the result of the rule
+    ``bilinear._cyclicity`` applies, the one steering and the witness read too.
 
     ``tol`` (>= 0) cuts the eigenvalues of :func:`reduced_density` on the
     complement (squared Schmidt weights; of the scaled state when its peak is
@@ -135,14 +135,7 @@ def cyclicity_test(
     ``v`` while the state's memo has room (see ``state._memo``).
     """
     part = Subsystem.coerce(subsystem)
-    comp = part.complement(v.nfactors)  # checks the subsystem
-
-    def density() -> tuple[np.ndarray, np.ndarray]:
-        rho = reduced_density(v, comp)
-        return rho, np.linalg.eigvalsh(rho)[::-1]  # nonincreasing
-
-    rho, eig = _memo(v, ("density", comp), density)
-    report = _rank_report(eig, eig.size, tol)
+    report, rho, eig = _cyclicity(v, part, tol)
     passed = report.rank == eig.size
     return CyclicityResult(
         subsystem=part,

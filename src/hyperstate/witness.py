@@ -3,9 +3,9 @@
 The operational content of maximal correlation: for a state cyclic on S, any
 yes-no question P' on the complement can be answered with certainty by a
 rank-1 question P on S, conditioning on which drives the conditional
-probability of P' to 1.  Both constructions read the rank from
-:func:`~hyperstate.certify.cyclicity_test` and solve the slice linear system
-through the (pseudo)inverse given by the state's kept Schmidt SVD of the split.
+probability of P' to 1.  Both constructions take the gate, the rank and the
+solve from ``bilinear._pull_back``: the rule :func:`~hyperstate.certify.cyclicity_test`
+applies, and the (pseudo)inverse given by the state's kept Schmidt SVD of the split.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .bilinear import _kept_svd, _rank_report, unfold
-from .certify import cyclicity_test
+from .bilinear import _pull_back, unfold
 from .state import DROP_THRESHOLD, UNIT_NORM_TOL, StateTensor, Subsystem, _check_dense, _ldexp
 
 __all__ = [
@@ -75,8 +74,8 @@ class Projector:
 
 
 def _split(v: StateTensor, part: Subsystem, pp: Projector) -> np.ndarray:
-    """The unfolding of ``v`` for (part | pp), checked, then scaled as
-    :func:`~hyperstate.bilinear.reduced_density` and the kept SVD scale it.
+    """The unfolding of ``v`` for (part | pp), checked, then scaled as the kept SVD
+    and the complement density of ``bilinear`` are scaled.
 
     Only ratios and directions are read off it, and the exact power-of-two
     scaling changes none of them.
@@ -88,18 +87,6 @@ def _split(v: StateTensor, part: Subsystem, pp: Projector) -> np.ndarray:
     if pp.dim != m.shape[0]:
         raise ValueError(f"P' dimension {pp.dim} does not match complement dimension {m.shape[0]}")
     return _ldexp(m, -v._scale)
-
-
-def _cyclicity(v: StateTensor, part: Subsystem, s: np.ndarray, n_keys: int) -> tuple[bool, int]:
-    """``cyclicity_test(v, part)``'s verdict and rank, given the kept SVD's values ``s``.
-
-    A split with more complement keys than ``dim_S`` is never cyclic; its rank is
-    the same rule on ``s**2``, so the larger complement density is never formed.
-    """
-    if n_keys > s.size:
-        return False, _rank_report(s * s, n_keys).rank
-    check = cyclicity_test(v, part)
-    return check.passed, check.rank
 
 
 def conditional_probability(v: StateTensor, p: Projector, p_prime: Projector) -> float:
@@ -136,8 +123,8 @@ def steering_operator(
 
     ``target`` on S' is normalised first.  Solves A v_j = target_j * embed
     against the slice family through the kept Schmidt SVD; it raises unless the
-    state is cyclic for S (:func:`~hyperstate.certify.cyclicity_test`, see
-    :func:`_cyclicity`) and the solve meets its target within 1e-9.
+    state is cyclic for S (:func:`~hyperstate.certify.cyclicity_test`'s rule) and
+    the solve meets its target within 1e-9.  ``target`` and ``embed`` must be finite.
     ``embed`` defaults to the first basis vector of H_S.  The slices come from
     :func:`unfold`, so a slice matrix beyond ``DENSE_BUDGET`` bytes is refused;
     so is an operator A beyond it, before the solve.
@@ -152,6 +139,8 @@ def steering_operator(
         raise ValueError(
             f"target has dimension {phi.shape[0]}, complement has {n_keys}"
         )
+    if not np.isfinite(phi).all():
+        raise ValueError("target vector must be finite")
     nphi = float(np.linalg.norm(phi))
     if nphi == 0.0:
         raise ValueError("target vector must be nonzero")
@@ -164,18 +153,17 @@ def steering_operator(
         u = np.asarray(embed, dtype=np.complex128).reshape(-1)
         if u.shape[0] != dim_s:
             raise ValueError(f"embed has dimension {u.shape[0]}, H_S has {dim_s}")
-        if abs(np.linalg.norm(u) - 1.0) > UNIT_NORM_TOL:
+        if not abs(np.linalg.norm(u) - 1.0) <= UNIT_NORM_TOL:  # NaN is refused too
             raise ValueError("embed vector must be a unit vector")
 
-    left, s, vh = _kept_svd(v, part)
-    passed, rank = _cyclicity(v, part, s, n_keys)
+    passed, rank, y = _pull_back(v, part, phi)
     if not passed:
         raise ValueError(
             f"state is not cyclic for subsystem {part.indices}: "
             f"slice family has rank {rank} < {n_keys}"
         )
     # slices @ y = phi  <=>  A = outer(u, y) maps v_j to phi_j * u; y is in true units.
-    y = _ldexp(vh.conj().T @ ((left.conj().T @ phi) / s), -v._scale)
+    y = _ldexp(y, -v._scale)
     residual = float(np.linalg.norm(slices @ y - phi))
     if residual > 1e-9:  # a self-check; just above the cyclicity cutoff a solve can miss
         raise ValueError(f"steering solve residual {residual} exceeds 1e-9")
@@ -238,9 +226,7 @@ def correlation_witness(query: CorrelationQuery) -> WitnessResult:
     bu, _, _ = np.linalg.svd(compressed, full_matrices=False)
     w = pp.basis.T @ bu[:, 0]
 
-    left, s, vh = _kept_svd(v, part)  # of m itself: the same 2**-_scale
-    passed, r = _cyclicity(v, part, s, m.shape[0])
-    x = vh[:r].conj().T @ ((left[:, :r].conj().T @ w) / s[:r])
+    passed, _, x = _pull_back(v, part, w)  # through the SVD of m itself: the same 2**-_scale
     nx = float(np.linalg.norm(x))
     if nx <= DROP_THRESHOLD:
         raise ValueError(

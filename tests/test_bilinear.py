@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,6 +45,24 @@ class TestRankPolicy:
         assert rank_tolerance(4, 1.0) == 4 * 2.0 ** -52 * 64
         assert rank_tolerance(3, 2.0) == 2.0 * rank_tolerance(3, 1.0)
         assert rank_tolerance(10, 0.0) == 0.0
+
+    @given(st.integers(1, 2**40), st.floats(0.0, 2.0**1000))
+    def test_tolerance_is_the_product_rounded_once(self, side, spectrum_max):
+        cutoff = rank_tolerance(side, spectrum_max)
+        assert cutoff == float(Fraction(side * 64, 2**52) * Fraction(spectrum_max))
+        # the same bits as the plain left-to-right product wherever that one is
+        # rounded once: its intermediates stay normal floats
+        plain = side * spectrum_max * 2.0**-52 * 64
+        if spectrum_max >= 2.0**-970 and math.isfinite(plain):
+            assert cutoff == plain
+
+    def test_tolerance_stays_finite_near_the_float_range(self):
+        # side * spectrum_max overflows here; the Schmidt rank stays 2
+        v = make_state((2, 2), {(0, 0): 1e308, (1, 1): 1.5e308})
+        rep = schmidt_decompose(v, 0).rank_report
+        assert (rep.rank, rep.min_kept, rep.max_dropped) == (2, 1e308, 0.0)
+        assert rep.threshold == 2 * (1.5e308 * 2.0**-52) * 64 == pytest.approx(4.263e294, rel=1e-3)
+        assert cyclicity_test(v, 0).passed
 
     def test_exact_ranks(self):
         m = np.diag([1.0, 1e-2, 0.0])

@@ -560,6 +560,16 @@ class TestCliConstructAndCertify:
         assert code == 0
         assert rep["result"]["sum_sq"] == pytest.approx(math.ldexp(1.0, -800), rel=1e-12)
 
+    def test_schmidt_where_the_plain_cutoff_overflows(self, capsys, tmp_path):
+        # the library now cuts this state at a finite threshold (test_bilinear), but
+        # any spectrum maximum that overflows side * max also overflows sum_sq,
+        # so the command refuses the state rather than print a rank report
+        path = tmp_path / "huge.json"
+        save_state(make_state((2, 2), {(0, 0): 1e308, (1, 1): 1.5e308}), path)
+        code, out, err = masked_run(capsys, ["schmidt", "--state", str(path), "--split", "0"])
+        assert (code, err) == (2, "")
+        assert json.loads(out)["error"] == "sum_sq of the Schmidt coefficients lies beyond the float range"
+
     def test_certify_windows_without_recorded_sizes(self, capsys):
         path = GOLDEN / "state_method1_3_3_37.json"
         code, rep = run(capsys, "certify", "--state", str(path), "--windows", "full")

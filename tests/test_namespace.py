@@ -175,9 +175,34 @@ def test_spectral_kernels_run_once_per_split():
             assert not func.endswith("lstsq"), (path.stem, func)
     eigvalsh = [f for f in found if f[1] == "np.linalg.eigvalsh"]
     svd = [f for f in found if f[0] == "bilinear" and f[1] != "np.linalg.eigvalsh"]
-    assert eigvalsh == [("certify", "np.linalg.eigvalsh", True)], found
+    assert eigvalsh == [("bilinear", "np.linalg.eigvalsh", True)], found
     assert svd == [("bilinear", "np.linalg.svd", True)], found
     assert [f for f in found if f[0] == "witness"] == [("witness", "np.linalg.svd", False)], found
+
+
+def test_one_home_for_the_cyclicity_rule():
+    # bilinear keeps every spectrum (the one _memo caller) and pulls a vector
+    # back through the kept SVD in one place; witness reads the rule from there
+    calls, pull_backs = [], []
+    for owner, node in _owned_nodes():
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "_memo":
+            calls.append(owner.split(".")[0])
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            if ast.unparse(node.right) == "s[:r]":
+                pull_backs.append(owner)
+    assert set(calls) == {"bilinear"}, calls
+    assert pull_backs == ["bilinear._pull_back"], pull_backs
+    tree = ast.parse(pathlib.Path(SUBMODULES["witness"].__file__).read_text())
+    imported = {
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not {name for module, name in imported if module == "certify"}, imported
+    assert not {"_rank_report", "_kept_svd"} & {name for _, name in imported}, imported
+    names = {getattr(node, "id", None) for node in ast.walk(tree)}
+    assert not {"_rank_report", "_kept_svd", "cyclicity_test"} & names, names
 
 
 def test_one_metadata_rule():

@@ -1,3 +1,4 @@
+import copy
 import math
 import re
 import tracemalloc
@@ -172,6 +173,11 @@ class TestSteering:
             steering_operator(bohm, 0, np.ones(2), embed=np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             steering_operator(bohm, 0, np.ones(2), embed=np.ones(3))
+        for bad in ([math.nan, 1.0], [math.inf, 1.0]):
+            with pytest.raises(ValueError, match="target vector must be finite"):
+                steering_operator(bohm, 0, np.array(bad))
+        with pytest.raises(ValueError, match="embed vector must be a unit vector"):
+            steering_operator(bohm, 0, np.ones(2), embed=np.array([math.nan, 0.0]))
 
     def test_near_deficient_state_is_refused(self):
         # the same rank rule as cyclicity: no operator of norm ~1e14
@@ -338,20 +344,48 @@ class TestCorrelationWitness:
                 res = correlation_witness(CorrelationQuery(state=v, subsystem=(k,), p_prime=pp))
                 assert res.achieved == conditional_probability(v, res.projector, pp)
 
-    def test_one_unfolding_per_witness(self, corpus, monkeypatch):
+    def test_unreachable_direction_on_a_non_cyclic_state_is_refused(self):
+        # cyclicity rank 3 of 4: the 2e-7 direction is cut, and P' asks for exactly it
+        v = make_state((4, 4), {(0, 0): 1, (1, 1): 2e-7, (2, 2): 1, (3, 3): 1}, normalize=True)
+        assert cyclicity_test(v, 0).rank == 3
+        pp = rank1(1, [0.0, 1.0, 0.0, 0.0])
+        with pytest.raises(
+            ValueError,
+            match=re.escape(
+                "state is not cyclic for subsystem (0,) and the selected direction is unreachable"
+            ),
+        ):
+            correlation_witness(CorrelationQuery(state=v, subsystem=(0,), p_prime=pp))
+
+    def test_fresh_calls_unfold_three_times_and_repeats_once(self, corpus, monkeypatch):
+        # witness and steering each unfold the split once; on a fresh state the
+        # kept SVD and the complement density unfold it once more each, and a
+        # repeat call reads both from the state's memo
+        import hyperstate.bilinear as bilinear
         import hyperstate.witness as witness
 
         calls = []
-        unfold = witness.unfold
+        for module in (witness, bilinear):
+            unfold = module.unfold
 
-        def counting(*args):
-            calls.append(args)
-            return unfold(*args)
+            def counting(*args, unfold=unfold, name=module.__name__):
+                calls.append(name)
+                return unfold(*args)
 
-        monkeypatch.setattr(witness, "unfold", counting)
+            monkeypatch.setattr(module, "unfold", counting)
         pp = rank1(1, rand_unit(np.random.default_rng(5), 2))
-        correlation_witness(CorrelationQuery(state=corpus["hardy2"], subsystem=(0,), p_prime=pp))
-        assert len(calls) == 1
+        runs = (
+            lambda v: correlation_witness(CorrelationQuery(state=v, subsystem=(0,), p_prime=pp)),
+            lambda v: steering_operator(v, 0, np.array([1.0, 0.0])),
+        )
+        for run in runs:
+            v = copy.copy(corpus["hardy2"])
+            run(v)
+            assert calls == ["hyperstate.witness", "hyperstate.bilinear", "hyperstate.bilinear"]
+            calls.clear()
+            run(v)
+            assert calls == ["hyperstate.witness"]
+            calls.clear()
 
 
 @pytest.mark.parametrize("k", (-560, -530, -500, 0, 500, 530, 600))
