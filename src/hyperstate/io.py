@@ -20,7 +20,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from .state import StateTensor, Subsystem, _is_finite_number, _state_from_arrays
+from .state import StateTensor, Subsystem, _is_finite_number, _json_nodes, _state_from_arrays
 from .witness import Projector
 
 __all__ = [
@@ -45,36 +45,16 @@ def _fail(where: str, problem: str) -> "StateFileError":
     return StateFileError(f"{where}: {problem}")
 
 
-class _NonFinite:
-    """Placeholder for a ``NaN``/``Infinity`` token, located after parsing."""
-
-    def __init__(self, token: str):
-        self.token = token
-
-
-def _find_nonfinite(obj: Any, path: str) -> tuple[str, str] | None:
-    """Field path and token of the first :class:`_NonFinite` in ``obj``."""
-    if isinstance(obj, _NonFinite):
-        return path, obj.token
-    if isinstance(obj, dict):
-        children = ((f"{path}.{k}" if path else k, x) for k, x in obj.items())
-    elif isinstance(obj, list):
-        children = ((f"{path}[{k}]", x) for k, x in enumerate(obj))
-    else:
-        return None
-    for sub, child in children:
-        found = _find_nonfinite(child, sub)
-        if found is not None:
-            return found
-    return None
+class _NonFinite(str):
+    """A ``NaN``/``Infinity`` token as parsed, located afterwards."""
 
 
 def _read_document(path: str | Path) -> tuple[dict, str]:
     """The top-level object of the file at ``path`` and the name errors cite.
 
     The one reader of state and projector files: it reads, parses (naming a
-    non-finite token by its field), refuses a top level that is not an
-    object and checks ``format_version``, in that order.
+    non-finite token by its field, through ``state._json_nodes``), refuses a
+    top level that is not an object and checks ``format_version``, in order.
     """
     path = Path(path)
     where = str(path)
@@ -83,18 +63,15 @@ def _read_document(path: str | Path) -> tuple[dict, str]:
     except (OSError, UnicodeDecodeError) as exc:
         raise _fail(where, f"cannot read file ({exc})") from None
     tokens: list[str] = []
-
-    def constant(token: str) -> _NonFinite:
-        tokens.append(token)
-        return _NonFinite(token)
-
     try:
-        obj = json.loads(text, parse_constant=constant)
+        obj = json.loads(text, parse_constant=lambda t: tokens.append(t) or _NonFinite(t))
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise _fail(where, f"invalid JSON ({exc})") from None
-    if tokens:  # walk the tree only when a constant was seen
-        field, token = _find_nonfinite(obj, "")
-        raise _fail(f"{where}: {field or 'top level'}", f"non-finite number {token} is not allowed")
+    if tokens:  # walk the tree only when the parser met a token
+        for field, x in _json_nodes(obj, ""):
+            if isinstance(x, _NonFinite):
+                problem = f"non-finite number {x} is not allowed"
+                raise _fail(f"{where}: {field or 'top level'}", problem)
     if not isinstance(obj, dict):
         raise _fail(where, "top level must be a JSON object")
     version = obj.get("format_version")
@@ -234,24 +211,8 @@ def _entry_template(nfactors: int) -> str:
     return "    " + text.replace("\n", "\n    ")
 
 
-def _check_round_trip(x: Any, where: str) -> None:
-    """Refuse what JSON would load back as something else, naming its field:
-    a key that is no string, or a tuple, which loads back as a list."""
-    if isinstance(x, tuple):
-        raise ValueError(f"{where}: tuple {x!r} would load back from JSON as a list")
-    if isinstance(x, list):
-        for k, item in enumerate(x):
-            _check_round_trip(item, f"{where}[{k}]")
-    elif isinstance(x, dict):
-        for key, item in x.items():
-            if not isinstance(key, str):
-                raise ValueError(f"{where}: key {key!r} would load back from JSON as a string")
-            _check_round_trip(item, f"{where}.{key}")
-
-
 def save_state(v: StateTensor, path: str | Path) -> None:
-    """Write ``v``; metadata that JSON cannot encode, or would load back as
-    something else (a key that is no string, a tuple), raises ValueError first.
+    """Write ``v``: its metadata is JSON by construction, so only the write can fail.
 
     The file is what :func:`canonical_report_json` gives for the whole
     document, but the entries are rendered from the arrays through one
@@ -259,14 +220,12 @@ def save_state(v: StateTensor, path: str | Path) -> None:
     regular file is replaced in one step, so a failed save leaves the old
     file.
     """
-    metadata = v.metadata
-    _check_round_trip(metadata, "metadata")
     header = {
         "format_version": FORMAT_VERSION,
         "dims": list(v.dims),
         "truncated_from_infinite": v.truncated_from_infinite,
         "entries": [],
-        "metadata": metadata,
+        "metadata": v.metadata,
     }
     text = canonical_report_json(header)
     if v.nnz:

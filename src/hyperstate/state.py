@@ -126,8 +126,40 @@ def _is_finite_number(x: object) -> bool:
         return False
 
 
+def _json_nodes(x: object, path: str, open_ids: tuple = ()) -> Iterator[tuple[str, object]]:
+    """``(path, node)`` for ``x`` and all inside its dicts and lists, depth first,
+    parents first: the one JSON tree walker.  A dict or list inside itself raises
+    ``ValueError`` where it recurs; one shared twice is walked twice, as written."""
+    if isinstance(x, (dict, list)) and id(x) in open_ids:
+        raise ValueError(f"{path}: {type(x).__name__} inside itself cannot be written as JSON")
+    yield path, x
+    if isinstance(x, (dict, list)):
+        is_dict, open_ids = isinstance(x, dict), (*open_ids, id(x))
+        for k, item in x.items() if is_dict else enumerate(x):
+            sub = (f"{path}.{k}" if path else k) if is_dict else f"{path}[{k}]"
+            yield from _json_nodes(item, sub, open_ids)
+
+
+def _json_problem(x: object) -> str | None:
+    """Why ``json.dumps(x, allow_nan=False)`` would refuse the node ``x`` or
+    ``json.loads`` give it back changed; float and int subclasses pass."""
+    if isinstance(x, dict):
+        keys = [k for k in x if not isinstance(k, str)]
+        return f"key {keys[0]!r} would load back from JSON as a string" if keys else None
+    if isinstance(x, tuple):
+        return f"tuple {x!r} would load back from JSON as a list"
+    if isinstance(x, float) and not math.isfinite(x):
+        return f"non-finite number {x!r} is not JSON"
+    if not isinstance(x, (list, str, int, float, type(None))):
+        return f"{x!r} ({type(x).__name__}) is not a JSON value"
+    if isinstance(x, int):
+        int.__repr__(x)  # what json.dumps writes; past the digit limit, ValueError
+    return None
+
+
 def _check_metadata(metadata: dict) -> None:
-    """Validate the metadata fields that constructions and the CLI read back."""
+    """Validate the metadata fields that constructions and the CLI read back, then
+    refuse, citing ``metadata.<field>``, what JSON would not give back as it is."""
 
     def need(ok: bool, field: str, rule: str, value: object) -> None:
         if not ok:
@@ -150,6 +182,13 @@ def _check_metadata(metadata: dict) -> None:
     need(isinstance(sizes, list), "window_sizes", "a list of integers >= 1", sizes)
     for k, size in enumerate(sizes):
         need(_is_count(size), f"window_sizes[{k}]", "an integer >= 1", size)
+    for path, x in _json_nodes(metadata, "metadata"):
+        try:
+            problem = _json_problem(x)
+        except ValueError:  # an integer, or the repr of one, past sys.get_int_max_str_digits()
+            problem = "integer too long to write as JSON"
+        if problem:
+            raise ValueError(f"{path}: {problem}")
 
 
 def _ldexp(a: np.ndarray, e: int) -> np.ndarray:
@@ -286,8 +325,9 @@ def make_state(
         Marks finite windows cut out of infinite-dimensional constructions;
         certification treats those dimensions differently.
     metadata:
-        Free-form dict, deep-copied.  The two fields read back, ``stage_history``
-        and ``window_sizes``, are checked for every state, citing ``metadata.<field>``.
+        Dict of JSON values (see README *Library*), deep-copied.  The two
+        fields read back, ``stage_history`` and ``window_sizes``, are checked
+        first; any error cites ``metadata.<field>``.
     """
     pairs = list(entries.items() if isinstance(entries, Mapping) else entries)
     rows = []
@@ -311,7 +351,8 @@ def _state_from_arrays(
     metadata: dict | None = None,
 ) -> StateTensor:
     """:func:`make_state` for index rows and an amplitude array."""
-    meta = copy.deepcopy(dict(metadata or {}))
+    meta: dict = {}  # the copy stands for the caller's dict, so a cycle through it is kept
+    meta.update(copy.deepcopy(dict(metadata or {}), {id(metadata): meta}))
     _check_metadata(meta)
     dims_t = tuple(map(operator.index, dims))
     if len(dims_t) < 2:

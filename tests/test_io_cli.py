@@ -287,8 +287,8 @@ class TestProjectorFiles:
 
 
 class TestNonFiniteJson:
-    """NaN/Infinity are not JSON: loaders cite the field, savers refuse them,
-    as they refuse every value JSON cannot encode."""
+    """NaN/Infinity are not JSON: loaders cite the field, and the constructor
+    refuses them, as it refuses every value JSON cannot encode."""
 
     def test_state_loader_cites_field(self, tmp_path):
         path = tmp_path / "v.json"
@@ -310,12 +310,9 @@ class TestNonFiniteJson:
         with pytest.raises(StateFileError, match=r"vectors\[0\]\.im\[1\]: .*-Infinity"):
             load_projector(path)
 
-    def test_save_refuses_nonfinite_metadata(self, tmp_path):
-        v = make_state((2, 2), {(0, 0): 1.0}, metadata={"x": float("nan")})
-        path = tmp_path / "v.json"
-        with pytest.raises(ValueError):
-            save_state(v, path)
-        assert not path.exists()
+    def test_nonfinite_metadata_refused_when_built(self):
+        with pytest.raises(ValueError, match=r"^metadata\.x: non-finite number nan is not JSON$"):
+            make_state((2, 2), {(0, 0): 1.0}, metadata={"x": float("nan")})
 
     @pytest.mark.parametrize("metadata", [
         {"x": float("nan")},
@@ -325,11 +322,13 @@ class TestNonFiniteJson:
         {"a": [1, {"b": (1, 2)}]},
     ])
     def test_save_refusal_keeps_the_old_file(self, tmp_path, metadata):
+        # the constructor refuses the metadata, so no save of it can begin
         path = tmp_path / "v.json"
         save_state(make_state((2, 2), {(0, 0): 1.0}), path)
         before = path.read_bytes()
-        with pytest.raises(ValueError, match="JSON"):
-            save_state(make_state((2, 2), {(0, 0): 1.0}, metadata=metadata), path)
+        with pytest.raises(ValueError, match="JSON") as info:
+            make_state((2, 2), {(0, 0): 1.0}, metadata=metadata)
+        assert str(info.value).startswith("metadata")
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["v.json"]
 
@@ -338,13 +337,56 @@ class TestNonFiniteJson:
         ({"a": [1, {"b": (1, 2)}]}, r"metadata\.a\[1\]\.b: tuple \(1, 2\)"),
     ])
     def test_save_names_metadata_that_would_load_back_otherwise(self, tmp_path, metadata, field):
-        path = tmp_path / "v.json"
         with pytest.raises(ValueError, match=field):
-            save_state(make_state((2, 2), {(0, 0): 1.0}, metadata=metadata), path)
-        assert not path.exists()
+            make_state((2, 2), {(0, 0): 1.0}, metadata=metadata)
+        path = tmp_path / "v.json"
         kept = {"a": [1, {"b": [1, 2]}], "c": None}  # what JSON gives back as it was
         save_state(make_state((2, 2), {(0, 0): 1.0}, metadata=kept), path)
         assert load_state(path).metadata == kept
+
+    def test_token_a_duplicate_key_replaced_is_gone(self, tmp_path):
+        # the parser keeps a repeated key's last value, so no token is left to name
+        path = tmp_path / "v.json"
+        path.write_text(
+            '{"format_version": "1.0", "dims": [2, 2],'
+            ' "entries": [{"index": [0, 0], "re": 1, "im": 0}], "metadata": {"a": NaN, "a": 1}}'
+        )
+        assert load_state(path).metadata == {"a": 1}
+
+    OVERFLOWING = [  # a number beyond the float range parses as inf
+        ('{"w": 1e999}', r"metadata\.w"),
+        ('{"note": {"weight": -1e999}}', r"metadata\.note\.weight"),
+        ('{"xs": [1, 1e999]}', r"metadata\.xs\[1\]"),
+    ]
+
+    def write_overflowing(self, tmp_path, metadata):
+        path = tmp_path / "seed.json"
+        path.write_text(
+            '{"format_version": "1.0", "dims": [2, 2, 2],'
+            ' "entries": [{"index": [0, 0, 0], "re": 1, "im": 0}], "metadata": %s}' % metadata
+        )
+        return path
+
+    @pytest.mark.parametrize("metadata, field", OVERFLOWING)
+    def test_loader_refuses_metadata_beyond_the_float_range(self, tmp_path, metadata, field):
+        path = self.write_overflowing(tmp_path, metadata)
+        problem = "non-finite number -?inf is not JSON"
+        with pytest.raises(StateFileError, match=rf"^{re.escape(str(path))}: {field}: {problem}$"):
+            load_state(path)
+
+    @pytest.mark.parametrize("metadata, field", OVERFLOWING)
+    def test_cli_names_metadata_beyond_the_float_range(self, capsys, tmp_path, metadata, field):
+        path = self.write_overflowing(tmp_path, metadata)
+        out = tmp_path / "m2.json"
+        for argv in (
+            ["certify", "--state", str(path)],
+            ["construct", "method2", "--stages", "1", "--eps", "0.01",
+             "--seed-file", str(path), "--out", str(out)],
+        ):
+            code, rep = run(capsys, *argv)
+            assert code == 2
+            assert re.search(rf"^{re.escape(str(path))}: {field}: ", rep["error"]), rep
+        assert not out.exists()
 
     def test_cli_exits_two_with_a_json_report(self, capsys, tmp_path):
         out = tmp_path / "m2.json"
@@ -359,6 +401,31 @@ class TestNonFiniteJson:
         code, rep = run(capsys, "certify", "--paper", "bohm", "--tol", "nan")
         assert code == 2
         assert set(rep) == {"argv", "command", "error", "timing_ms"}
+
+
+class TestMetadataIsJson:
+    """Metadata JSON could not write, or would give back as something else, is
+    refused by its path when the state is built, so every state saves."""
+
+    def test_cycle_is_refused_by_its_path(self):
+        m = {"a": []}
+        m["a"].append(m)
+        with pytest.raises(ValueError, match=r"^metadata\.a\[0\]: dict inside itself .*JSON"):
+            make_state((2, 2), {(0, 0): 1.0}, metadata=m)
+
+    def test_shared_value_is_no_cycle(self, tmp_path):
+        shared = {"c": [1]}
+        v = make_state((2, 2), {(0, 0): 1.0}, metadata={"a": [shared, shared], "b": shared})
+        save_state(v, tmp_path / "v.json")
+        want = {"a": [{"c": [1]}, {"c": [1]}], "b": {"c": [1]}}
+        assert load_state(tmp_path / "v.json").metadata == v.metadata == want
+
+    def test_overlong_integer_is_refused_by_its_path(self):
+        digits = sys.get_int_max_str_digits()
+        fits = {"n": [-(10**digits - 1)]}  # as many digits as json.dumps writes
+        assert make_state((2, 2), {(0, 0): 1.0}, metadata=fits).metadata == fits
+        with pytest.raises(ValueError, match=r"^metadata\.n\[0\]: integer too long .*JSON"):
+            make_state((2, 2), {(0, 0): 1.0}, metadata={"n": [10**digits]})
 
 
 class TestOverlongIntegers:

@@ -111,21 +111,25 @@ def test_every_benchmark_name_is_bound():
 
 
 def test_io_states_one_json_layout():
-    # every written document renders through canonical_report_json, the only
-    # json.dumps call in io.py that lays text out with indent=
-    source = pathlib.Path(SUBMODULES["io"].__file__).read_text()
+    # every written document renders through canonical_report_json; the one
+    # other json.dumps that lays text out with indent= is run_cli's error
+    # report, which must render whatever argv a library caller passes
     owners = {}
-    for func in ast.walk(ast.parse(source)):
-        if isinstance(func, ast.FunctionDef):
-            for node in ast.walk(func):
-                if (
-                    isinstance(node, ast.Call)
-                    and ast.unparse(node.func) == "json.dumps"
-                    and any(kw.arg == "indent" for kw in node.keywords)
-                ):
-                    owners.setdefault(func.name, []).append(node.lineno)
-    assert list(owners) == ["canonical_report_json"], owners
-    assert len(owners["canonical_report_json"]) == 1, owners
+    for path in sorted(pathlib.Path(hyperstate.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    if (
+                        isinstance(node, ast.Call)
+                        and ast.unparse(node.func) == "json.dumps"
+                        and any(kw.arg == "indent" for kw in node.keywords)
+                    ):
+                        keywords = {kw.arg: ast.unparse(kw.value) for kw in node.keywords}
+                        owners.setdefault(f"{path.stem}.{func.name}", []).append(keywords)
+    assert owners == {
+        "cli.run_cli": [{"indent": "2", "sort_keys": "True", "default": "str"}],
+        "io.canonical_report_json": [{"indent": "2", "sort_keys": "True", "allow_nan": "False"}],
+    }, owners
 
 
 def test_one_hex_decoder():
@@ -218,6 +222,33 @@ def test_one_metadata_rule():
     assert found == ["state"], found
     io_text = (package / "io.py").read_text()
     assert "stage_history" not in io_text and "window_sizes" not in io_text
+    # every state's metadata is JSON by construction, so io checks none of it,
+    # and the package has one walker of JSON trees, the one recursive function
+    assert "_check_round_trip" not in io_text and "_find_nonfinite" not in io_text
+    recursive = []
+    for path in sorted(package.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, ast.FunctionDef) and any(
+                isinstance(node, ast.Call) and ast.unparse(node.func) == func.name
+                for node in ast.walk(func)
+            ):
+                recursive.append(f"{path.stem}.{func.name}")
+    assert recursive == ["state._json_nodes"], recursive
+    walker_users = [
+        f"{path.stem}.{func.name}"
+        for path in sorted(package.glob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text()))
+        if isinstance(func, ast.FunctionDef)
+        and func.name != "_json_nodes"
+        and "_json_nodes(" in ast.unparse(func)
+    ]
+    assert walker_users == ["io._read_document", "state._check_metadata"], walker_users
+    save = next(
+        func for func in ast.walk(ast.parse(io_text))
+        if isinstance(func, ast.FunctionDef) and func.name == "save_state"
+    )
+    calls = {ast.unparse(node.func) for node in ast.walk(save) if isinstance(node, ast.Call)}
+    assert not any("check" in name for name in calls), calls
 
 
 def test_one_place_builds_a_state():

@@ -115,14 +115,70 @@ def test_writer_matches_stdlib_encoder(tmp_path_factory, v):
     assert np.array_equal(w.amplitudes.view(np.uint64), v.amplitudes.view(np.uint64))
 
 
-def test_failed_save_leaves_file_alone(tmp_path):
-    path = tmp_path / "v.json"
-    save_state(make_state((2, 2), {(0, 1): 1.0}), path)
-    before = path.read_bytes()
-    bad = make_state((2, 2), {(1, 0): 1.0}, metadata={"x": [1.0, math.nan]})
-    with pytest.raises(ValueError):
-        save_state(bad, path)
-    assert path.read_bytes() == before
+def mostly(common, rare):
+    """``common`` in nine draws of ten and ``rare`` in the tenth, so that most
+    drawn trees hold no fault or one."""
+    return st.integers(0, 9).flatmap(lambda k: rare if k == 0 else common)
+
+
+DIGITS = sys.get_int_max_str_digits()
+any_scalar = mostly(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.integers(DIGITS - 3, DIGITS - 1).map(lambda k: -(10**k)),  # up to the limit
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, -0.0]),
+        st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+        st.text(max_size=4),
+    ),
+    st.one_of(
+        st.integers(DIGITS, DIGITS + 2).map(lambda k: 10**k),  # past the limit
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.floats().map(np.float64),
+        st.integers(-3, 3).map(np.int64),
+        st.booleans().map(np.bool_),
+        st.fractions(max_denominator=5),
+    ),
+)
+any_key = mostly(
+    st.text(max_size=4), st.one_of(st.integers(-3, 3), st.booleans(), st.none(), st.floats())
+)
+any_metadata = st.dictionaries(
+    any_key,
+    st.recursive(
+        any_scalar,
+        lambda inner: mostly(
+            st.lists(inner, max_size=3) | st.dictionaries(any_key, inner, max_size=3),
+            st.lists(inner, max_size=3).map(tuple),
+        ),
+        max_leaves=6,
+    ),
+    max_size=3,
+)
+
+
+def json_gives_back(m) -> bool:
+    """The oracle: the stdlib encoder writes ``m`` and its decoder reads back ``m``."""
+    try:
+        return json.loads(json.dumps(m, allow_nan=False, sort_keys=True)) == m
+    except (TypeError, ValueError):
+        return False
+
+
+@given(m=any_metadata)
+def test_metadata_builds_exactly_when_json_gives_it_back(tmp_path_factory, m):
+    try:
+        v = make_state((2, 2), {(0, 0): 1.0}, metadata=m)
+    except ValueError as exc:
+        assert not json_gives_back(m), exc
+        assert str(exc).startswith("metadata") and "JSON" in str(exc), exc
+        return
+    assert json_gives_back(m)
+    path = tmp_path_factory.mktemp("meta") / "v.json"
+    save_state(v, path)
+    assert load_state(path).metadata == v.metadata == m
 
 
 def run_python(args: list[str], cwd: pathlib.Path, preexec_fn=None) -> subprocess.CompletedProcess:
