@@ -344,9 +344,9 @@ def recorded_windows(v: StateTensor) -> list[Window]:
 class StateVerdict:
     """The combined verdict of :func:`certify_state`.
 
-    ``dense`` is None when the cyclicity checks would exceed ``DENSE_BUDGET``;
-    ``feasibility`` is then the dimension gate alone.  ``windows`` holds the
-    certificates of :func:`recorded_windows` when they were asked for.
+    ``dense`` is None when the cyclicity checks would exceed ``DENSE_BUDGET`` (with infeasible
+    dims or windows asked for); ``feasibility`` is then the dimension gate alone.  ``windows``
+    holds the certificates of :func:`recorded_windows` when they were asked for.
     ``positive`` means hyperentangled, or a truncation whose every window passed.
     """
 
@@ -357,12 +357,15 @@ class StateVerdict:
 
 
 def certify_state(v: StateTensor, tol: float | None = None, windows: bool = False) -> StateVerdict:
-    """Dense test where it fits, plus the recorded windows if ``windows``."""
+    """Dense test where it fits, plus the recorded windows if ``windows``; without them,
+    feasible dims whose cyclicity checks exceed ``DENSE_BUDGET`` are refused."""
     try:
         dense = hyperentanglement_test(v, tol)
         feas = dense.feasibility
-    except _DenseBudgetError:  # cyclicity not evaluated beyond the budget
+    except _DenseBudgetError as exc:  # cyclicity not evaluated beyond the budget
         dense, feas = None, dimension_gate(v.dims, v.truncated_from_infinite)
+        if feas.feasible and not windows:
+            raise _DenseBudgetError(f"{exc}; certify recorded windows (--windows full)") from None
     certs = tuple(window_certificate(v, w, tol) for w in recorded_windows(v)) if windows else None
     positive = (dense is not None and dense.overall == HYPERENTANGLED) or (
         v.truncated_from_infinite and certs is not None and all(c.passed for c in certs)

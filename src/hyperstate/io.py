@@ -67,6 +67,8 @@ def _read_document(path: str | Path) -> tuple[dict, str]:
         obj = json.loads(text, parse_constant=lambda t: tokens.append(t) or _NonFinite(t))
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise _fail(where, f"invalid JSON ({exc})") from None
+    except RecursionError:
+        raise _fail(where, "invalid JSON (nested too deeply)") from None
     if tokens:  # walk the tree only when the parser met a token
         for field, x in _json_nodes(obj, ""):
             if isinstance(x, _NonFinite):

@@ -158,11 +158,18 @@ def _json_problem(x: object) -> str | None:
 
 
 def _check_metadata(metadata: dict) -> None:
-    """Validate the metadata fields that constructions and the CLI read back, then
-    refuse, citing ``metadata.<field>``, what JSON would not give back as it is."""
+    """Refuse, citing ``metadata.<field>``, what JSON would not give back as it is,
+    then validate the fields that constructions and the CLI read back."""
+    for path, x in _json_nodes(metadata, "metadata"):
+        try:
+            problem = _json_problem(x)
+        except ValueError:  # an integer, or the repr of one, past sys.get_int_max_str_digits()
+            problem = "integer too long to write as JSON"
+        if problem:
+            raise ValueError(f"{path}: {problem}")
 
     def need(ok: bool, field: str, rule: str, value: object) -> None:
-        if not ok:
+        if not ok:  # value's repr is within the digit limit: the walk above refused any other
             raise ValueError(f"metadata.{field}: must be {rule}, got {value!r}")
 
     history = metadata.get("stage_history", [])
@@ -182,13 +189,6 @@ def _check_metadata(metadata: dict) -> None:
     need(isinstance(sizes, list), "window_sizes", "a list of integers >= 1", sizes)
     for k, size in enumerate(sizes):
         need(_is_count(size), f"window_sizes[{k}]", "an integer >= 1", size)
-    for path, x in _json_nodes(metadata, "metadata"):
-        try:
-            problem = _json_problem(x)
-        except ValueError:  # an integer, or the repr of one, past sys.get_int_max_str_digits()
-            problem = "integer too long to write as JSON"
-        if problem:
-            raise ValueError(f"{path}: {problem}")
 
 
 def _ldexp(a: np.ndarray, e: int) -> np.ndarray:
@@ -352,8 +352,11 @@ def _state_from_arrays(
 ) -> StateTensor:
     """:func:`make_state` for index rows and an amplitude array."""
     meta: dict = {}  # the copy stands for the caller's dict, so a cycle through it is kept
-    meta.update(copy.deepcopy(dict(metadata or {}), {id(metadata): meta}))
-    _check_metadata(meta)
+    try:
+        meta.update(copy.deepcopy(dict(metadata or {}), {id(metadata): meta}))
+        _check_metadata(meta)
+    except RecursionError:
+        raise ValueError("metadata: nested too deeply to copy and check") from None
     dims_t = tuple(map(operator.index, dims))
     if len(dims_t) < 2:
         raise ValueError(f"need at least two tensor factors, got dims={dims_t}")

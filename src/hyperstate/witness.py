@@ -10,6 +10,7 @@ applies, and the (pseudo)inverse given by the state's kept Schmidt SVD of the sp
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -122,23 +123,21 @@ def steering_operator(
     """The read-only ``dim_S x dim_S`` array A on S with (A (x) I) v = embed (x) target.
 
     ``target`` on S' is normalised first.  Solves A v_j = target_j * embed
-    against the slice family through the kept Schmidt SVD; it raises unless the
-    state is cyclic for S (:func:`~hyperstate.certify.cyclicity_test`'s rule) and
-    the solve meets its target within 1e-9.  ``target`` and ``embed`` must be finite.
-    ``embed`` defaults to the first basis vector of H_S.  The slices come from
-    :func:`unfold`, so a slice matrix beyond ``DENSE_BUDGET`` bytes is refused;
-    so is an operator A beyond it, before the solve.
+    against the slice family through the kept Schmidt SVD, and refuses exactly the
+    states that are not cyclic for S (:func:`~hyperstate.certify.cyclicity_test`'s
+    rule).  ``target`` and ``embed`` must be finite.  ``embed`` defaults to the
+    first basis vector of H_S.  An ``n_keys x dim_S`` slice matrix beyond
+    ``DENSE_BUDGET`` bytes is refused, then an operator A beyond it, before the solve.
     """
     part = Subsystem.coerce(subsystem)
-    slices = unfold(v, part)  # (n_keys, dim_S)
-    n_keys, dim_s = slices.shape
+    comp = part.complement(v.nfactors)  # checks the subsystem
+    n_keys, dim_s = (math.prod(v.dims[k] for k in s) for s in (comp, part))
+    _check_dense(n_keys, dim_s)  # the slice matrix the kept SVD decomposes
     _check_dense(dim_s, dim_s)  # the returned operator
 
     phi = np.asarray(target, dtype=np.complex128).reshape(-1)
     if phi.shape[0] != n_keys:
-        raise ValueError(
-            f"target has dimension {phi.shape[0]}, complement has {n_keys}"
-        )
+        raise ValueError(f"target has dimension {phi.shape[0]}, complement has {n_keys}")
     if not np.isfinite(phi).all():
         raise ValueError("target vector must be finite")
     nphi = float(np.linalg.norm(phi))
@@ -146,15 +145,11 @@ def steering_operator(
         raise ValueError("target vector must be nonzero")
     phi = phi / nphi
 
-    if embed is None:
-        u = np.zeros(dim_s, dtype=np.complex128)
-        u[0] = 1.0
-    else:
-        u = np.asarray(embed, dtype=np.complex128).reshape(-1)
-        if u.shape[0] != dim_s:
-            raise ValueError(f"embed has dimension {u.shape[0]}, H_S has {dim_s}")
-        if not abs(np.linalg.norm(u) - 1.0) <= UNIT_NORM_TOL:  # NaN is refused too
-            raise ValueError("embed vector must be a unit vector")
+    u = np.asarray(np.eye(1, dim_s)[0] if embed is None else embed, dtype=np.complex128).reshape(-1)
+    if u.shape[0] != dim_s:
+        raise ValueError(f"embed has dimension {u.shape[0]}, H_S has {dim_s}")
+    if not abs(np.linalg.norm(u) - 1.0) <= UNIT_NORM_TOL:  # NaN is refused too
+        raise ValueError("embed vector must be a unit vector")
 
     passed, rank, y = _pull_back(v, part, phi)
     if not passed:
@@ -163,12 +158,7 @@ def steering_operator(
             f"slice family has rank {rank} < {n_keys}"
         )
     # slices @ y = phi  <=>  A = outer(u, y) maps v_j to phi_j * u; y is in true units.
-    y = _ldexp(y, -v._scale)
-    residual = float(np.linalg.norm(slices @ y - phi))
-    if residual > 1e-9:  # a self-check; just above the cyclicity cutoff a solve can miss
-        raise ValueError(f"steering solve residual {residual} exceeds 1e-9")
-
-    a = np.outer(u, y)
+    a = np.outer(u, _ldexp(y, -v._scale))
     a.flags.writeable = False
     return a
 

@@ -191,6 +191,16 @@ class TestMetadataFields:
             load_state(self.write(tmp_path, metadata))
         assert str(info.value).startswith(f"{tmp_path / 'v.json'}: metadata.")
 
+    def test_overlong_integer_in_a_field_is_named(self):
+        # 10**5000 has no repr within Python's digit limit, so the field checks,
+        # which show the value they refuse, never see it
+        too_long = r": integer too long to write as JSON$"
+        record = {**self.RECORD, "epsilon": 10**5000}
+        with pytest.raises(ValueError, match=r"^metadata\.stage_history\[0\]\.epsilon" + too_long):
+            make_state((2, 2, 2), {(0, 0, 0): 1.0}, metadata={"stage_history": [record]})
+        with pytest.raises(ValueError, match=r"^metadata\.window_sizes" + too_long):
+            make_state((2, 2, 2), {(0, 0, 0): 1.0}, metadata={"window_sizes": (10**5000,)})
+
     def test_fault_order(self, tmp_path):
         # the entry columns are parsed before the constructor, which checks
         # the records before the index ranges
@@ -420,6 +430,24 @@ class TestMetadataIsJson:
         want = {"a": [{"c": [1]}, {"c": [1]}], "b": {"c": [1]}}
         assert load_state(tmp_path / "v.json").metadata == v.metadata == want
 
+    @pytest.mark.parametrize(
+        "depth, problem",
+        [(900, "metadata: nested too deeply to copy and check"), (5000, "invalid JSON (nested too deeply)")],
+    )
+    def test_deep_nesting_is_refused(self, tmp_path, depth, problem):
+        # the JSON parser gives up at the deeper nesting, the constructor's copy at both
+        nested = 1
+        for _ in range(depth):
+            nested = [nested]
+        with pytest.raises(ValueError, match=r"^metadata: nested too deeply to copy and check$"):
+            make_state((2, 2), {(0, 0): 1.0}, metadata={"m": nested})
+        path = tmp_path / "v.json"
+        doc = '{"format_version": "1.0", "dims": [2, 2], "entries": [], "metadata": {"m": %s}}'
+        path.write_text(doc % ("[" * depth + "1" + "]" * depth))
+        with pytest.raises(StateFileError) as info:
+            load_state(path)
+        assert str(info.value) == f"{path}: {problem}"
+
     def test_overlong_integer_is_refused_by_its_path(self):
         digits = sys.get_int_max_str_digits()
         fits = {"n": [-(10**digits - 1)]}  # as many digits as json.dumps writes
@@ -529,6 +557,11 @@ class TestCanonicalReports:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             canonical_report_json({"x": float("nan")})
+
+    def test_value_the_encoder_refuses_is_a_value_error(self):
+        with pytest.raises(ValueError, match="^cannot render as JSON: .*int64") as info:
+            canonical_report_json({"x": np.int64(1)})
+        assert type(info.value) is ValueError
 
 
 class TestCliConstructAndCertify:
@@ -654,12 +687,24 @@ class TestCliConstructAndCertify:
         assert rep["result"]["overall"] == "infeasible_dims"
         assert [c["rank"] for c in rep["result"]["subsystems"]] == [4, 4, 4]
 
-        code, rep = run(capsys, "certify", "--state", over_budget)
+        # feasible dims past the budget: no verdict was computed, so none is printed
+        diagonal = tmp_path / "diagonal.json"
+        save_state(make_state((2049, 2049), {(k, k): 1.0 for k in range(2049)}, normalize=True), diagonal)
+        for path in (over_budget, str(diagonal)):
+            code, rep = run(capsys, "certify", "--state", path)
+            assert code == 2
+            assert set(rep) == {"argv", "command", "error", "timing_ms"}
+            assert re.search(r"dense 2049x2049 matrix .* budget.*--windows full", rep["error"])
+
+        # infeasible dims are a verdict without the checks
+        unequal = tmp_path / "unequal.json"
+        save_state(make_state((2049, 2050), {(k, k): 1.0 for k in range(3)}, normalize=True), unequal)
+        code, rep = run(capsys, "certify", "--state", str(unequal))
         assert code == 1
         res = rep["result"]
         assert res["dense_evaluated"] is False
         assert res["overall"] is None and res["subsystems"] is None and res["failing"] is None
-        assert (res["feasible"], res["reason"]) == (True, "ok")
+        assert (res["feasible"], res["reason"]) == (False, "unequal_dims")
 
         code, rep = run(capsys, "certify", "--state", over_budget, "--windows", "full")
         assert code == 2  # no window sizes on record
@@ -749,14 +794,25 @@ class TestCertifyPrintsLibraryVerdict:
         verdict = self.check(capsys, ["--state", str(path)], load_state(path), windows=True)
         assert verdict.positive and len(verdict.windows) == 3 * stages
         assert (verdict.dense is None) is (stages == 3)  # 677**2-wide densities
+        if stages == 3:  # without the windows, nothing decides it
+            code, rep = run(capsys, "certify", "--state", str(path))
+            assert code == 2 and re.search(r"budget.*--windows full", rep["error"])
 
     def test_method1_golden(self, capsys):
         path = GOLDEN / "state_method1_3_3_37.json"
         verdict = self.check(capsys, ["--state", str(path)], load_state(path))
         assert not verdict.positive and verdict.feasibility.reason == "unequal_dims"
 
-    def test_beyond_dense_budget(self, capsys, over_budget):
-        verdict = self.check(capsys, ["--state", over_budget], load_state(over_budget))
+    def test_beyond_dense_budget(self, capsys, tmp_path, over_budget):
+        # feasible dims: certify refuses as certify_state does, with its message
+        with pytest.raises(ValueError, match="2049x2049.*budget") as info:
+            certify_state(load_state(over_budget))
+        code, rep = run(capsys, "certify", "--state", over_budget)
+        assert (code, rep["error"]) == (2, str(info.value))
+        # infeasible dims: the verdict, without the checks
+        path = tmp_path / "unequal.json"
+        save_state(make_state((2049, 2050), {(k, k): 1.0 for k in range(3)}, normalize=True), path)
+        verdict = self.check(capsys, ["--state", str(path)], load_state(path))
         assert verdict.dense is None and not verdict.positive
 
     def test_passing_windows_need_a_truncation(self, capsys, tmp_path):

@@ -186,16 +186,20 @@ def test_spectral_kernels_run_once_per_split():
 
 def test_one_home_for_the_cyclicity_rule():
     # bilinear keeps every spectrum (the one _memo caller) and pulls a vector
-    # back through the kept SVD in one place; witness reads the rule from there
-    calls, pull_backs = [], []
+    # back through the kept SVD in one place; witness reads the rule from there,
+    # and unfolds a split only for the probabilities P and P' are read off
+    calls, pull_backs, unfolds = [], [], []
     for owner, node in _owned_nodes():
         if isinstance(node, ast.Call) and ast.unparse(node.func) == "_memo":
             calls.append(owner.split(".")[0])
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "unfold":
+            unfolds.append(owner)
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
             if ast.unparse(node.right) == "s[:r]":
                 pull_backs.append(owner)
     assert set(calls) == {"bilinear"}, calls
     assert pull_backs == ["bilinear._pull_back"], pull_backs
+    assert [o for o in unfolds if o.startswith("witness")] == ["witness._split"], unfolds
     tree = ast.parse(pathlib.Path(SUBMODULES["witness"].__file__).read_text())
     imported = {
         (node.module, alias.name)

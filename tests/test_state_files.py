@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hyperstate.io
 from helpers import state_document
 from hyperstate import make_state, paper_state
 from hyperstate.cli import run_cli
@@ -276,6 +277,50 @@ class TestReplacingSave:
         assert info.value.filename == str(path)
         assert path.read_bytes() == before
         assert stat.S_IMODE(path.stat().st_mode) == 0o444
+        assert os.listdir(tmp_path) == ["v.json"]
+
+    def test_failed_replace_removes_the_new_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "v.json"
+        save_state(paper_state("bohm"), path)
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), src)
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError) as info:
+            save_state(paper_state("ghz"), path)
+        assert (info.value.errno, info.value.filename) == (errno.EXDEV, str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["v.json"]
+
+    def test_interrupted_write_removes_the_new_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "v.json"
+        save_state(paper_state("bohm"), path)
+        before = path.read_bytes()
+        interrupt = KeyboardInterrupt("mid-write")
+
+        class HalfWritten:
+            """A file that takes half of the text, then is interrupted."""
+
+            def __init__(self, name, mode, encoding):
+                self.file = open(name, mode, encoding=encoding)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.file.close()
+
+            def write(self, text):
+                self.file.write(text[: len(text) // 2])
+                raise interrupt
+
+        monkeypatch.setattr(hyperstate.io, "open", HalfWritten, raising=False)
+        with pytest.raises(KeyboardInterrupt) as info:
+            save_state(paper_state("ghz"), path)
+        assert info.value is interrupt
+        assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["v.json"]
 
     def test_fifo_written_in_place(self, tmp_path):
