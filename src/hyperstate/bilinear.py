@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .state import StateTensor, Subsystem, _check_dense, _ldexp, _memo, _positions
+from .state import StateTensor, Subsystem, _check_dense, _immutable, _ldexp, _memo, _positions
 
 __all__ = [
     "RANK_SAFETY",
@@ -161,8 +161,7 @@ def schmidt_decompose(
     part = Subsystem.coerce(subsystem)
     u, s, vh = _kept_svd(v, part)
     with np.errstate(over="ignore"):  # a coefficient beyond the float range is inf
-        s = np.ldexp(s, v._scale) if v._scale else s
-    s.flags.writeable = False
+        s = _immutable(np.ldexp(s, v._scale)) if v._scale else s
     report = _rank_report(s, max(u.shape[0], vh.shape[1]), tol)
     return SchmidtDecomposition(
         subsystem=part,
@@ -187,9 +186,7 @@ def reduced_density(v: StateTensor, subsystem: Subsystem | int | Iterable[int]) 
     _check_dense(kept_rows.shape[0], kept_rows.shape[0])
     kept_rows = _ldexp(kept_rows, -v._scale)
     rho = kept_rows @ kept_rows.conj().T
-    rho = (rho + rho.conj().T) / 2.0
-    rho.flags.writeable = False
-    return rho
+    return _immutable((rho + rho.conj().T) / 2.0)
 
 
 def _cyclicity(

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bilinear import RankReport, _cutoff, _cyclicity, numerical_rank, rank_tolerance
-from .state import StateTensor, Subsystem, _check_dense, _DenseBudgetError, _ldexp
+from .state import StateTensor, Subsystem, _check_dense, _DenseBudgetError, _immutable, _ldexp
 
 __all__ = [
     "Feasibility",
@@ -107,9 +107,7 @@ class CyclicityResult:
         if self._density is None:
             return None
         _, vecs = np.linalg.eigh(self._density)
-        witness = vecs[:, 0].copy()  # eigenvector of the smallest eigenvalue
-        witness.flags.writeable = False
-        return witness
+        return _immutable(vecs[:, 0])  # eigenvector of the smallest eigenvalue
 
     @property
     def rank(self) -> int:

@@ -19,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .bilinear import _check_tol, schmidt_decompose
-from .state import StateTensor, Subsystem, _check_dense, norm
+from .state import StateTensor, Subsystem, _check_dense, _immutable, norm
 
 __all__ = ["DegreeResult", "degree_bipartite", "degree_multipartite"]
 
@@ -56,15 +56,10 @@ def degree_bipartite(
         raise ValueError(f"degree is defined for unit states, norm is {norm(v)!r}")
     sd = schmidt_decompose(v, subsystem)
     top = float(sd.coeffs[0])
-    value = max(0.0, 1.0 - top)
-    left = sd.left_vectors[0].copy()
-    right = sd.right_vectors[0].copy()
-    left.flags.writeable = False
-    right.flags.writeable = False
     return DegreeResult(
-        value=value,
+        value=max(0.0, 1.0 - top),
         overlap=top,
-        best_product=(left, right),
+        best_product=(_immutable(sd.left_vectors[0]), _immutable(sd.right_vectors[0])),
         converged=True,
         restarts_used=0,
         sweeps=0,
@@ -199,12 +194,10 @@ def degree_multipartite(
         top = int(np.argmax(overlap))  # the first of equal maxima, as in restart order
         if overlap[top] > best_overlap:
             best_overlap = float(overlap[top])
-            best_factors = [f[top].copy() for f in factors]
+            best_factors = [_immutable(f[top]) for f in factors]
             best_converged = bool(converged[top])
             best_sweeps = int(sweeps[top])
 
-    for f in best_factors:
-        f.flags.writeable = False
     return DegreeResult(
         value=max(0.0, 1.0 - best_overlap),
         overlap=best_overlap,

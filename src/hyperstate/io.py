@@ -69,11 +69,14 @@ def _read_document(path: str | Path) -> tuple[dict, str]:
         raise _fail(where, f"invalid JSON ({exc})") from None
     except RecursionError:
         raise _fail(where, "invalid JSON (nested too deeply)") from None
-    if tokens:  # walk the tree only when the parser met a token
-        for field, x in _json_nodes(obj, ""):
+    if tokens:  # walk the tree only when the parser met a token, at any depth it parsed
+
+        def refuse(field: str, x: object) -> None:
             if isinstance(x, _NonFinite):
                 problem = f"non-finite number {x} is not allowed"
                 raise _fail(f"{where}: {field or 'top level'}", problem)
+
+        _json_nodes(obj, "", refuse, depth=math.inf)
     if not isinstance(obj, dict):
         raise _fail(where, "top level must be a JSON object")
     version = obj.get("format_version")

@@ -13,7 +13,6 @@ that fits is computed once in its lifetime.
 
 from __future__ import annotations
 
-import copy
 import math
 import numbers
 import operator
@@ -44,6 +43,8 @@ DROP_THRESHOLD = 1e-300
 UNIT_NORM_TOL = 1e-10
 # Largest dense complex matrix any layer makes from a state, in bytes.
 DENSE_BUDGET = 64 * 2**20
+# Levels of dicts and lists metadata may hold, itself the first, whatever the caller's stack.
+_METADATA_DEPTH = 64
 
 
 class _DenseBudgetError(ValueError):
@@ -126,47 +127,62 @@ def _is_finite_number(x: object) -> bool:
         return False
 
 
-def _json_nodes(x: object, path: str, open_ids: tuple = ()) -> Iterator[tuple[str, object]]:
-    """``(path, node)`` for ``x`` and all inside its dicts and lists, depth first,
-    parents first: the one JSON tree walker.  A dict or list inside itself raises
-    ``ValueError`` where it recurs; one shared twice is walked twice, as written."""
-    if isinstance(x, (dict, list)) and id(x) in open_ids:
-        raise ValueError(f"{path}: {type(x).__name__} inside itself cannot be written as JSON")
-    yield path, x
-    if isinstance(x, (dict, list)):
-        is_dict, open_ids = isinstance(x, dict), (*open_ids, id(x))
-        for k, item in x.items() if is_dict else enumerate(x):
-            sub = (f"{path}.{k}" if path else k) if is_dict else f"{path}[{k}]"
-            yield from _json_nodes(item, sub, open_ids)
+def _json_nodes(
+    x: object, path: str, visit: Callable | None = None, depth: float = _METADATA_DEPTH
+) -> object:
+    """A copy of ``x`` with new plain dicts and lists, made after ``visit(path, node)`` for
+    ``x`` and each node inside, depth first, parents first: the one JSON tree walker and
+    copier, with a stack of its own.  ``ValueError`` is raised where a dict or list recurs
+    inside itself or lies more than ``depth`` levels deep, ``x`` the first."""
+    top: list = [None]
+    stack = [(top, 0, path, x, ())]
+    while stack:
+        out, key, at, x, opened = stack.pop()
+        if visit is not None:
+            visit(at, x)
+        if not isinstance(x, (dict, list)):
+            out[key] = x
+            continue
+        if id(x) in opened:
+            raise ValueError(f"{at}: {type(x).__name__} inside itself cannot be written as JSON")
+        if len(opened) >= depth:
+            raise ValueError(f"{path}: nested too deeply to copy and check")
+        opened = (*opened, id(x))
+        if isinstance(x, dict):
+            out[key] = sub = {}
+            stack += [(sub, k, f"{at}.{k}" if at else k, y, opened) for k, y in reversed(x.items())]
+        else:
+            out[key] = sub = [None] * len(x)
+            stack += [(sub, k, f"{at}[{k}]", x[k], opened) for k in reversed(range(len(x)))]
+    return top[0]
 
 
-def _json_problem(x: object) -> str | None:
-    """Why ``json.dumps(x, allow_nan=False)`` would refuse the node ``x`` or
-    ``json.loads`` give it back changed; float and int subclasses pass."""
-    if isinstance(x, dict):
-        keys = [k for k in x if not isinstance(k, str)]
-        return f"key {keys[0]!r} would load back from JSON as a string" if keys else None
-    if isinstance(x, tuple):
-        return f"tuple {x!r} would load back from JSON as a list"
-    if isinstance(x, float) and not math.isfinite(x):
-        return f"non-finite number {x!r} is not JSON"
-    if not isinstance(x, (list, str, int, float, type(None))):
-        return f"{x!r} ({type(x).__name__}) is not a JSON value"
-    if isinstance(x, int):
-        int.__repr__(x)  # what json.dumps writes; past the digit limit, ValueError
-    return None
+def _refuse_non_json(path: str, x: object) -> None:
+    """Refuse, citing ``path``, the node ``x`` if ``json.dumps(x, allow_nan=False)``
+    would refuse it or ``json.loads`` give it back changed; float and int subclasses pass."""
+    problem = None
+    try:
+        if isinstance(x, dict):
+            keys = [k for k in x if not isinstance(k, str)]
+            problem = keys and f"key {keys[0]!r} would load back from JSON as a string"
+        elif isinstance(x, tuple):
+            problem = f"tuple {x!r} would load back from JSON as a list"
+        elif isinstance(x, float) and not math.isfinite(x):
+            problem = f"non-finite number {x!r} is not JSON"
+        elif not isinstance(x, (list, str, int, float, type(None))):
+            problem = f"{x!r} ({type(x).__name__}) is not a JSON value"
+        elif isinstance(x, int):
+            int.__repr__(x)  # what json.dumps writes; past the digit limit, ValueError
+    except ValueError:  # an integer, or the repr of one, past sys.get_int_max_str_digits()
+        problem = "integer too long to write as JSON"
+    if problem:
+        raise ValueError(f"{path}: {problem}")
 
 
-def _check_metadata(metadata: dict) -> None:
-    """Refuse, citing ``metadata.<field>``, what JSON would not give back as it is,
-    then validate the fields that constructions and the CLI read back."""
-    for path, x in _json_nodes(metadata, "metadata"):
-        try:
-            problem = _json_problem(x)
-        except ValueError:  # an integer, or the repr of one, past sys.get_int_max_str_digits()
-            problem = "integer too long to write as JSON"
-        if problem:
-            raise ValueError(f"{path}: {problem}")
+def _check_metadata(metadata: dict) -> dict:
+    """The :func:`_json_nodes` copy of ``metadata``, refusing by ``metadata.<field>`` what JSON
+    would not give back as it is, then the fields that constructions and the CLI read back."""
+    metadata = _json_nodes(metadata, "metadata", _refuse_non_json)
 
     def need(ok: bool, field: str, rule: str, value: object) -> None:
         if not ok:  # value's repr is within the digit limit: the walk above refused any other
@@ -189,6 +205,7 @@ def _check_metadata(metadata: dict) -> None:
     need(isinstance(sizes, list), "window_sizes", "a list of integers >= 1", sizes)
     for k, size in enumerate(sizes):
         need(_is_count(size), f"window_sizes[{k}]", "an integer >= 1", size)
+    return metadata
 
 
 def _ldexp(a: np.ndarray, e: int) -> np.ndarray:
@@ -255,7 +272,7 @@ class StateTensor:
     @property
     def metadata(self) -> dict:
         """A deep copy: editing it never changes the state."""
-        return copy.deepcopy(self._metadata)
+        return _json_nodes(self._metadata, "metadata")
 
     @property
     def is_normalized(self) -> bool:
@@ -325,9 +342,9 @@ def make_state(
         Marks finite windows cut out of infinite-dimensional constructions;
         certification treats those dimensions differently.
     metadata:
-        Dict of JSON values (see README *Library*), deep-copied.  The two
-        fields read back, ``stage_history`` and ``window_sizes``, are checked
-        first; any error cites ``metadata.<field>``.
+        Dict of JSON values at most 64 levels deep, itself the first (see
+        README *Library*); copied.  The fields read back, ``stage_history``
+        and ``window_sizes``, are checked first; errors cite ``metadata.<field>``.
     """
     pairs = list(entries.items() if isinstance(entries, Mapping) else entries)
     rows = []
@@ -351,12 +368,7 @@ def _state_from_arrays(
     metadata: dict | None = None,
 ) -> StateTensor:
     """:func:`make_state` for index rows and an amplitude array."""
-    meta: dict = {}  # the copy stands for the caller's dict, so a cycle through it is kept
-    try:
-        meta.update(copy.deepcopy(dict(metadata or {}), {id(metadata): meta}))
-        _check_metadata(meta)
-    except RecursionError:
-        raise ValueError("metadata: nested too deeply to copy and check") from None
+    meta = _check_metadata(metadata if isinstance(metadata, dict) else dict(metadata or {}))
     dims_t = tuple(map(operator.index, dims))
     if len(dims_t) < 2:
         raise ValueError(f"need at least two tensor factors, got dims={dims_t}")

@@ -18,6 +18,7 @@ import numpy as np
 
 from .bilinear import _pull_back, unfold
 from .state import DROP_THRESHOLD, UNIT_NORM_TOL, StateTensor, Subsystem, _check_dense, _ldexp
+from .state import _immutable
 
 __all__ = [
     "ORTHONORMALITY_TOL",
@@ -61,8 +62,7 @@ class Projector:
             gram = basis.conj() @ basis.T
         if not (np.abs(gram - np.eye(basis.shape[0])) <= ORTHONORMALITY_TOL).all():
             raise ValueError("projector range vectors are not orthonormal")
-        basis.flags.writeable = False
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis", _immutable(basis))
         object.__setattr__(self, "subsystem", Subsystem.coerce(self.subsystem))
 
     @property
@@ -158,9 +158,7 @@ def steering_operator(
             f"slice family has rank {rank} < {n_keys}"
         )
     # slices @ y = phi  <=>  A = outer(u, y) maps v_j to phi_j * u; y is in true units.
-    a = np.outer(u, _ldexp(y, -v._scale))
-    a.flags.writeable = False
-    return a
+    return _immutable(np.outer(u, _ldexp(y, -v._scale)))
 
 
 @dataclass(frozen=True)
@@ -228,5 +226,4 @@ def correlation_witness(query: CorrelationQuery) -> WitnessResult:
 
     achieved = _conditional(m, p, pp)  # p is on part, with m's column count
     warning = not passed or achieved < 1.0 - query.epsilon
-    w.flags.writeable = False
-    return WitnessResult(projector=p, achieved=achieved, warning=warning, target=w)
+    return WitnessResult(projector=p, achieved=achieved, warning=warning, target=_immutable(w))

@@ -24,6 +24,7 @@ from hyperstate.io import (
     save_projector,
     save_state,
 )
+from hyperstate.state import _METADATA_DEPTH
 
 R2 = 1.0 / math.sqrt(2.0)
 NONFINITE_SEED = pathlib.Path(__file__).parent / "fixtures" / "nonfinite_seed.json"
@@ -35,6 +36,14 @@ def run(capsys, *argv):
     code = run_cli(list(argv))
     out = capsys.readouterr().out
     return code, (json.loads(out) if out else None)
+
+
+def nested_metadata(levels):
+    """Metadata ``levels`` dicts and lists deep, itself the first."""
+    inner = 1
+    for _ in range(levels - 1):
+        inner = [inner]
+    return {"m": inner}
 
 
 def masked_run(capsys, argv):
@@ -447,6 +456,52 @@ class TestMetadataIsJson:
         with pytest.raises(StateFileError) as info:
             load_state(path)
         assert str(info.value) == f"{path}: {problem}"
+
+    def test_metadata_at_the_cap_loads_back_from_any_caller(self, tmp_path):
+        # the cap, not what is left of the caller's stack, decides: what builds and
+        # saves at the top of a script loads back in the CLI and from a deep stack
+        v = make_state((2, 2), {(0, 0): R2, (1, 1): R2}, metadata=nested_metadata(_METADATA_DEPTH))
+        path = tmp_path / "v.json"
+        save_state(v, path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyperstate", "certify", "--state", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stdout
+        assert "error" not in json.loads(proc.stdout)
+
+        def on_deep_stack(frames, call):
+            return call() if frames == 0 else on_deep_stack(frames - 1, call)
+
+        w = on_deep_stack(300, lambda: load_state(path))
+        assert w.metadata == v.metadata == nested_metadata(_METADATA_DEPTH)
+        on_deep_stack(300, lambda: save_state(w, tmp_path / "w.json"))
+        assert (tmp_path / "w.json").read_text() == path.read_text()
+
+    def test_one_level_past_the_cap_is_refused_alike(self, capsys, tmp_path):
+        too_deep = nested_metadata(_METADATA_DEPTH + 1)
+        problem = "metadata: nested too deeply to copy and check"
+        with pytest.raises(ValueError, match=rf"^{problem}$"):
+            make_state((2, 2), {(0, 0): 1.0}, metadata=too_deep)
+        path = tmp_path / "v.json"
+        doc = {"format_version": "1.0", "dims": [2, 2], "entries": [], "metadata": too_deep}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(StateFileError) as info:
+            load_state(path)
+        assert str(info.value) == f"{path}: {problem}"
+        code, rep = run(capsys, "certify", "--state", str(path))
+        assert code == 2 and rep["error"] == f"{path}: {problem}"
+
+    def test_nonfinite_token_is_named_at_any_depth_the_parser_reads(self, tmp_path):
+        # the file's walk for NaN/Infinity has no cap: the parser's own limit bounds it
+        path = tmp_path / "v.json"
+        doc = '{"format_version": "1.0", "dims": [2, 2], "entries": [], "metadata": {"m": %s}}'
+        path.write_text(doc % ("[" * 900 + "NaN" + "]" * 900))
+        with pytest.raises(StateFileError) as info:
+            load_state(path)
+        field = "metadata.m" + "[0]" * 900
+        assert str(info.value) == f"{path}: {field}: non-finite number NaN is not allowed"
 
     def test_overlong_integer_is_refused_by_its_path(self):
         digits = sys.get_int_max_str_digits()

@@ -15,10 +15,14 @@ from hypothesis import strategies as st
 from helpers import dense_tensor, random_state, scaled_state
 from hyperstate import (
     DROP_THRESHOLD,
+    CorrelationQuery,
+    Projector,
     StateTensor,
     Subsystem,
     Window,
+    correlation_witness,
     cube_window,
+    cyclicity_test,
     degree_bipartite,
     degree_multipartite,
     dimension_gate,
@@ -29,9 +33,11 @@ from hyperstate import (
     pairing_eval,
     pairing_fn,
     paper_state,
+    reduced_density,
     repair_bipartite,
     schmidt_decompose,
     slice_family,
+    steering_operator,
     support_test,
     unfold,
 )
@@ -295,6 +301,29 @@ def test_slices_are_readonly():
     assert not any(vec.flags.writeable for vec in fam.values())
     with pytest.raises(ValueError):
         fam[(1,)][0] = 0.0
+
+
+HANDED_OUT = {
+    "Projector.basis": lambda: Projector((0,), [[1.0, 0.0]]).basis,
+    "steering_operator": lambda: steering_operator(paper_state("bohm"), 0, [1.0, 0.0]),
+    "WitnessResult.target": lambda: correlation_witness(
+        CorrelationQuery(paper_state("hardy2"), (0,), Projector((1,), [[1.0, 0.0]]))
+    ).target,
+    "degree_bipartite left": lambda: degree_bipartite(paper_state("bohm"), 0).best_product[0],
+    "degree_bipartite right": lambda: degree_bipartite(paper_state("bohm"), 0).best_product[1],
+    "degree_multipartite": lambda: degree_multipartite(paper_state("ghz"), restarts=2).best_product[0],
+    "reduced_density": lambda: reduced_density(paper_state("hardy2"), 0),
+    "scaled coeffs": lambda: schmidt_decompose(scaled_state(paper_state("hardy2"), 300), 0).coeffs,
+    "CyclicityResult.witness": lambda: cyclicity_test(paper_state("spin1_two_term"), 0).witness,
+}
+
+
+@pytest.mark.parametrize("name", HANDED_OUT)
+def test_handed_out_arrays_cannot_be_made_writeable(name):
+    # each lies over immutable bytes (state._immutable), so its flag cannot be set back
+    arr = HANDED_OUT[name]()
+    with pytest.raises(ValueError):
+        arr.flags.writeable = True
 
 
 def test_repr_mentions_shape():
