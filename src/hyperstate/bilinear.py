@@ -128,8 +128,8 @@ class SchmidtDecomposition:
     ``coeffs`` holds all ``min(dim H_S, dim H_S')`` values in nonincreasing
     order, including numerical zeros; those zeros are what bipartite repair
     replaces.  ``left_vectors[k]`` lives in H_S, ``right_vectors[k]`` in
-    H_S', each row-stacked and orthonormal.  All three arrays are read-only,
-    and every decomposition of one state across one split shares them.
+    H_S', each row-stacked and orthonormal.  All three arrays are read-only, and the
+    decompositions of one state across one split share them while it keeps them (``_memo``).
     """
 
     subsystem: Subsystem

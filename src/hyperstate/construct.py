@@ -384,10 +384,7 @@ def repair_bipartite(
             )
         # Rows of mat run over the subsystem's factor, columns over the other;
         # transposed to (factor 0, factor 1) order when the subsystem is 1.
-        d = v.dims[0]
-        mat = np.zeros((d, d), dtype=np.complex128)
-        for ck, left, right in zip(coeffs, sd.left_vectors, sd.right_vectors):
-            mat += ck * np.outer(left, right)
+        mat = (sd.left_vectors.T * coeffs) @ sd.right_vectors
         if part.indices[0] == 1:
             mat = mat.T
         support = np.nonzero(mat)

@@ -425,24 +425,21 @@ def _immutable(a: np.ndarray) -> np.ndarray:
 def _memo(
     v: StateTensor, key: tuple, compute: Callable[[], tuple[np.ndarray, ...]]
 ) -> tuple[np.ndarray, ...]:
-    """The arrays ``compute()`` gives, computed on the first call for ``key`` and kept on ``v``.
+    """:func:`_immutable` copies of the arrays ``compute()`` gives, kept on ``v`` for ``key``.
 
     ``key`` names a split, never a threshold, so each state holds at most one
-    entry per split it was asked about.  The arrays are :func:`_immutable`
-    copies, so no caller can change what a later call returns; a ``compute``
-    that raises keeps nothing.  A state keeps at most ``DENSE_BUDGET`` bytes
-    in all: an entry that would go past it is returned read-only and not kept.
+    entry per split it was asked about.  No caller can change what a later
+    call returns, kept or not; a ``compute`` that raises keeps nothing.  A
+    state keeps at most ``DENSE_BUDGET`` bytes in all: an entry that would go
+    past it is returned, as immutable, and computed again on the next call.
     """
     found = v._memos.get(key)
     if found is not None:
         return found
-    arrays = compute()
+    found = tuple(map(_immutable, compute()))
     kept = sum(a.nbytes for entry in v._memos.values() for a in entry)
-    if kept + sum(a.nbytes for a in arrays) > DENSE_BUDGET:
-        for a in arrays:
-            a.flags.writeable = False
-        return tuple(arrays)
-    found = v._memos[key] = tuple(map(_immutable, arrays))
+    if kept + sum(a.nbytes for a in found) <= DENSE_BUDGET:
+        v._memos[key] = found
     return found
 
 
@@ -489,6 +486,6 @@ def slice_family(
     _check_dense(keys.size, part_dim)
     block = np.zeros((keys.size, part_dim), dtype=np.complex128)
     block[rows, _positions(v.indices, v.dims, part)] = v.amplitudes
-    block.flags.writeable = False
+    block = _immutable(block)
     labels = zip(*(c.tolist() for c in np.unravel_index(keys, [v.dims[k] for k in comp])))
     return dict(zip(labels, block))

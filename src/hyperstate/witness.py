@@ -65,6 +65,10 @@ class Projector:
         object.__setattr__(self, "basis", _immutable(basis))
         object.__setattr__(self, "subsystem", Subsystem.coerce(self.subsystem))
 
+    def __reduce__(self) -> tuple:
+        # pickle and copy rebuild through the constructor: the basis is checked and frozen again
+        return Projector, (self.subsystem, self.basis)
+
     @property
     def rank(self) -> int:
         return int(self.basis.shape[0])

@@ -551,6 +551,22 @@ class TestRepair:
         )
         assert dist <= 0.05
 
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 16), st.sampled_from([0, 1]))
+    def test_one_product_matches_the_outer_product_loop(self, seed, d, axis):
+        # the rebuilt matrix is sum_k c_k left_k (x) right_k, here summed term by term
+        rng = np.random.default_rng(seed)
+        v = random_schmidt_state(rng, d, int(rng.integers(1, d)))
+        out = repair_bipartite(v, axis, 0.05)
+        sd = schmidt_decompose(v, axis)
+        fill = 0.05 / (2.0 * math.sqrt(d - sd.rank))
+        mat = np.zeros((d, d), dtype=np.complex128)
+        for k, (left, right) in enumerate(zip(sd.left_vectors, sd.right_vectors)):
+            mat += (sd.coeffs[k] if k < sd.rank else fill) * np.outer(left, right)
+        mat = (mat.T if axis == 1 else mat) / np.linalg.norm(mat)
+        got = dense_tensor(out)
+        assert np.array_equal(got != 0, mat != 0)
+        np.testing.assert_allclose(got, mat, rtol=0, atol=1e-14)
+
     def test_large_tol_refused_beyond_delta(self):
         # tol = 0.6 cuts the coefficients 0.5 and 0.33; their fill of about
         # 0.035 would move the state about 0.57, so repair refuses

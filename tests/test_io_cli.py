@@ -1152,15 +1152,16 @@ class TestCliContract:
         assert os.environ["OMP_NUM_THREADS"] == "7"
 
     def test_invalid_thread_cap_is_an_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("HYPERSTATE_THREADS", "zero")
-        assert run_cli(["certify", "--paper", "bohm"]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == ""
-        rep = json.loads(captured.out)
-        assert set(rep) == {"argv", "command", "error", "timing_ms"}
-        assert rep["argv"] == ["certify", "--paper", "bohm"]
-        assert rep["command"] is None  # the cap is read before argv is parsed
-        assert "HYPERSTATE_THREADS" in rep["error"]
+        for cap in ("zero", "0", "-2"):  # not an integer, then integers below 1
+            monkeypatch.setenv("HYPERSTATE_THREADS", cap)
+            assert run_cli(["certify", "--paper", "bohm"]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            rep = json.loads(captured.out)
+            assert set(rep) == {"argv", "command", "error", "timing_ms"}
+            assert rep["argv"] == ["certify", "--paper", "bohm"]
+            assert rep["command"] is None  # the cap is read before argv is parsed
+            assert rep["error"].endswith(f"positive integer, got {cap!r}")
         # and through a real process, where the cap has its effect
         proc = subprocess.run(
             [sys.executable, "-m", "hyperstate", "certify", "--paper", "bohm"],

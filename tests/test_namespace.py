@@ -144,6 +144,23 @@ def test_one_hex_decoder():
     assert [stem for stem, _ in found] == ["io"], found
 
 
+def test_one_freeze_rule():
+    # state._immutable is the one way an array is made read-only: no flag is
+    # cleared in place, where any holder of the array could set it back
+    def freezes(node: ast.AST) -> bool:
+        if isinstance(node, (ast.Attribute, ast.Subscript)) and isinstance(node.ctx, ast.Store):
+            return ".flags" in ast.unparse(node)
+        return isinstance(node, ast.Call) and ast.unparse(node.func).endswith(".setflags")
+
+    found = [
+        (path.stem, node.lineno)
+        for path in sorted(pathlib.Path(hyperstate.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if freezes(node)
+    ]
+    assert found == [], found
+
+
 def test_spectral_kernels_run_once_per_split():
     # a state keeps its Schmidt SVD and its density spectrum (state._memo), so
     # the one eigvalsh and bilinear's one reduced SVD run only inside a

@@ -6,6 +6,7 @@ import tracemalloc
 import warnings
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from hyperstate import (
     support_test,
     unfold,
 )
+from hyperstate import state as hs_state
 
 R2 = 1.0 / math.sqrt(2.0)
 
@@ -303,8 +305,23 @@ def test_slices_are_readonly():
         fam[(1,)][0] = 0.0
 
 
+def unkept_schmidt(attr: str) -> np.ndarray:
+    """An array of a decomposition the state could not keep: the budget admits the 2x2
+    unfolding (64 bytes) but not its SVD (144 bytes)."""
+    v = copy.copy(paper_state("hardy2"))
+    with mock.patch.object(hs_state, "DENSE_BUDGET", 100):
+        sd = schmidt_decompose(v, 0)
+    assert v._memos == {}
+    return getattr(sd, attr)
+
+
 HANDED_OUT = {
     "Projector.basis": lambda: Projector((0,), [[1.0, 0.0]]).basis,
+    "copied Projector.basis": lambda: copy.copy(Projector((0,), [[1.0, 0.0]])).basis,
+    "deep-copied Projector.basis": lambda: copy.deepcopy(Projector((0,), [[1.0, 0.0]])).basis,
+    "unpickled Projector.basis": lambda: pickle.loads(
+        pickle.dumps(Projector((0,), [[1.0, 0.0]]))
+    ).basis,
     "steering_operator": lambda: steering_operator(paper_state("bohm"), 0, [1.0, 0.0]),
     "WitnessResult.target": lambda: correlation_witness(
         CorrelationQuery(paper_state("hardy2"), (0,), Projector((1,), [[1.0, 0.0]]))
@@ -315,6 +332,9 @@ HANDED_OUT = {
     "reduced_density": lambda: reduced_density(paper_state("hardy2"), 0),
     "scaled coeffs": lambda: schmidt_decompose(scaled_state(paper_state("hardy2"), 300), 0).coeffs,
     "CyclicityResult.witness": lambda: cyclicity_test(paper_state("spin1_two_term"), 0).witness,
+    "unkept coeffs": lambda: unkept_schmidt("coeffs"),
+    "unkept left_vectors": lambda: unkept_schmidt("left_vectors"),
+    "unkept right_vectors": lambda: unkept_schmidt("right_vectors"),
 }
 
 

@@ -1,5 +1,6 @@
 import copy
 import math
+import pickle
 import re
 import tracemalloc
 
@@ -83,6 +84,19 @@ class TestProjector:
         p = rank1(0, [1.0, 0.0])
         with pytest.raises(ValueError):
             p.basis[0, 0] = 0.0
+
+    @pytest.mark.parametrize(
+        "rebuild",
+        [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_are_checked_again(self, rebuild):
+        p = rank1(0, [1.0, 0.0])
+        object.__setattr__(p, "basis", np.array([[2.0, 0.0]]))  # past the frozen dataclass
+        with pytest.raises(ValueError, match="projector range vectors are not orthonormal"):
+            rebuild(p)
+        q = rebuild(rank1(0, [1.0, 0.0]))
+        assert q.subsystem == Subsystem((0,)) and np.array_equal(q.basis, [[1.0, 0.0]])
 
 
 class TestConditionalProbability:
