@@ -477,7 +477,8 @@ def slice_family(
     is the dense view with a row for every key).  Reassembling the sum
     reproduces ``v`` entry for entry: slice extraction only moves amplitudes,
     it never does arithmetic on them.  The block of nonzero slices is refused
-    beyond ``DENSE_BUDGET`` bytes.
+    beyond ``DENSE_BUDGET`` bytes; it is frozen by one :func:`_immutable` copy,
+    so building it briefly needs twice its size.
     """
     part = Subsystem.coerce(subsystem)
     comp = part.complement(v.nfactors)

@@ -551,21 +551,42 @@ class TestRepair:
         )
         assert dist <= 0.05
 
-    @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 16), st.sampled_from([0, 1]))
-    def test_one_product_matches_the_outer_product_loop(self, seed, d, axis):
+    @staticmethod
+    def _assert_matches_the_outer_product_loop(v, axis):
         # the rebuilt matrix is sum_k c_k left_k (x) right_k, here summed term by term
-        rng = np.random.default_rng(seed)
-        v = random_schmidt_state(rng, d, int(rng.integers(1, d)))
         out = repair_bipartite(v, axis, 0.05)
         sd = schmidt_decompose(v, axis)
-        fill = 0.05 / (2.0 * math.sqrt(d - sd.rank))
-        mat = np.zeros((d, d), dtype=np.complex128)
+        fill = 0.05 / (2.0 * math.sqrt(sd.coeffs.size - sd.rank))
+        mat = np.zeros(v.dims, dtype=np.complex128)
         for k, (left, right) in enumerate(zip(sd.left_vectors, sd.right_vectors)):
             mat += (sd.coeffs[k] if k < sd.rank else fill) * np.outer(left, right)
         mat = (mat.T if axis == 1 else mat) / np.linalg.norm(mat)
         got = dense_tensor(out)
         assert np.array_equal(got != 0, mat != 0)
         np.testing.assert_allclose(got, mat, rtol=0, atol=1e-14)
+
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(2, 16), st.sampled_from([0, 1]))
+    def test_one_product_matches_the_outer_product_loop(self, seed, d, axis):
+        rng = np.random.default_rng(seed)
+        v = random_schmidt_state(rng, d, int(rng.integers(1, d)))
+        self._assert_matches_the_outer_product_loop(v, axis)
+
+    # states with exact zeros, where a rounding-level entry would change the support
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize(
+        "v",
+        [
+            paper_state("spin1_two_term"),
+            make_state((2, 2), {(0, 0): 1.0}),
+            make_state((5, 5), {(0, 0): 1.0}),
+            make_state((3, 3), {(2, 1): 1.0}),
+            make_state((3, 3), {(0, 0): 0.6, (1, 2): 0.8}),
+            make_state((4, 4), {(0, 1): 2.0, (1, 0): -1.0j, (2, 3): 1.0}, normalize=True),
+        ],
+        ids=["spin1_two_term", "product2", "product5", "product3_off", "rank2of3", "rank3of4"],
+    )
+    def test_structured_repair_matches_the_outer_product_loop(self, v, axis):
+        self._assert_matches_the_outer_product_loop(v, axis)
 
     def test_large_tol_refused_beyond_delta(self):
         # tol = 0.6 cuts the coefficients 0.5 and 0.33; their fill of about

@@ -1161,7 +1161,7 @@ class TestCliContract:
             assert set(rep) == {"argv", "command", "error", "timing_ms"}
             assert rep["argv"] == ["certify", "--paper", "bohm"]
             assert rep["command"] is None  # the cap is read before argv is parsed
-            assert rep["error"].endswith(f"positive integer, got {cap!r}")
+            assert rep["error"] == f"HYPERSTATE_THREADS must be a positive integer, got {cap!r}"
         # and through a real process, where the cap has its effect
         proc = subprocess.run(
             [sys.executable, "-m", "hyperstate", "certify", "--paper", "bohm"],
