@@ -44,9 +44,7 @@ def _apply_thread_cap() -> None:
     try:
         n = int(cap)
     except ValueError:
-        raise ValueError(
-            f"HYPERSTATE_THREADS must be a positive integer, got {cap!r}"
-        ) from None
+        n = 0
     if n < 1:
         raise ValueError(f"HYPERSTATE_THREADS must be a positive integer, got {cap!r}")
     for var in _BLAS_VARS:

@@ -46,9 +46,9 @@ _PAIRING_MAX = 2**64 - 1
 class PairingFn:
     """An injection j(a, b) on pairs of nonnegative integers.
 
-    The support constructions only need injectivity plus the growth property
-    j(a, b) >= max(a, b).  :func:`pairing_eval` checks the latter on each
-    pair it evaluates; :func:`method1_build` assumes it to skip pairs, so a
+    The constructions need injectivity, and :func:`pairing_eval`, the one
+    check of a value, needs an integer of at most 64 bits with j(a, b) >=
+    max(a, b).  :func:`method1_build` assumes growth to skip pairs, so a
     custom evaluator that breaks it only on skipped pairs builds unchecked.
     """
 
@@ -65,8 +65,6 @@ def _pow_2a3b(a: int, b: int) -> int:
 
 
 def _interleave_bits(a: int, b: int) -> int:
-    if a.bit_length() > 32 or b.bit_length() > 32:
-        raise OverflowError(f"j({a}, {b}) exceeds the 64-bit range")
     # Bit i of a lands at position 2i, bit i of b at position 2i + 1.
     out = 0
     shift = 0
@@ -98,11 +96,11 @@ def pairing_fn(kind: str) -> PairingFn:
 
 
 def pairing_eval(p: PairingFn, a: int, b: int) -> int:
-    """Evaluate j(a, b) with range and growth checks."""
+    """j(a, b) as an ``int``: the one check of a value (``operator.index``, 64 bits, growth)."""
     a, b = operator.index(a), operator.index(b)
     if a < 0 or b < 0:
         raise ValueError(f"pairing arguments must be nonnegative, got ({a}, {b})")
-    value = p.func(a, b)
+    value = operator.index(p.func(a, b))
     if value > _PAIRING_MAX:
         # Report the width, not the value: a custom pairing may return an
         # integer too large for str conversion.
@@ -158,10 +156,10 @@ def method1_build(
     Lists the :func:`support_test` support clause by clause: coordinate t is
     j folded over the others, where that is below ``bounds[t]``.  Assuming
     j(a, b) >= max(a, b), the others run only below min(their bound,
-    ``bounds[t]``): O(n b**(n-1)) pairing evaluations, and only those pairs
-    are checked against the growth rule.  The indices are
-    weighted in lexicographic order (default geometric decay) and
-    normalized.  The result is flagged as a truncation of an
+    ``bounds[t]``): O(n b**(n-1)) pairing evaluations, each checked by
+    :func:`pairing_eval`.  The sorted indices, weighted in lexicographic order
+    (default geometric decay), go as rows to the one array constructor and
+    are normalized.  The result is flagged as a truncation of an
     infinite-dimensional state; its certification target is window
     certificates, not the finite hyperentanglement test.
     """
@@ -181,18 +179,18 @@ def method1_build(
             value = _fold(pairing, rest)
             if value is not None and value < bound:
                 support.add(rest[:t] + (value,) + rest[t:])
-    entries: dict[MultiIndex, complex] = {}
-    for idx in sorted(support):
-        amp = complex(rule(idx))
-        if abs(amp) <= DROP_THRESHOLD:
-            raise ValueError(f"weight rule vanishes on support index {idx}")
-        entries[idx] = amp
-    if not entries:
+    if not support:
         raise ValueError(f"no support indices within bounds {bounds_t}")
+    rows = sorted(support)
+    amps = np.array([complex(rule(idx)) for idx in rows], dtype=np.complex128)
+    vanishing = np.flatnonzero(np.abs(amps) <= DROP_THRESHOLD)
+    if vanishing.size:
+        raise ValueError(f"weight rule vanishes on support index {rows[vanishing[0]]}")
 
-    return make_state(
+    return _state_from_arrays(
         bounds_t,
-        entries,
+        rows,
+        amps,
         normalize=True,
         truncated_from_infinite=True,
         metadata={

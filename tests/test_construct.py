@@ -34,6 +34,7 @@ from hyperstate import (
     support_test,
     window_certificate,
 )
+from hyperstate.construct import geometric_weights
 from hyperstate.io import load_state, save_state
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -116,7 +117,7 @@ class TestPairing:
         with pytest.raises(OverflowError):
             pairing_eval(p23, 0, 41)
         inter = pairing_fn("bijection_interleave")
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError, match="bits"):  # pairing_eval's one 64-bit rule
             pairing_eval(inter, 2 ** 33, 0)
         # boundary values still evaluate
         assert pairing_eval(inter, 2 ** 32 - 1, 0) == 0x5555555555555555
@@ -128,6 +129,26 @@ class TestPairing:
         huge = PairingFn(kind="huge", func=lambda a, b: 1 << 100)
         with pytest.raises(OverflowError, match="bits"):
             pairing_eval(huge, 0, 0)
+
+    def test_float_pairing_refused_alike(self):
+        # a pairing value is an integer by contract, checked in pairing_eval alone
+        fl = PairingFn(kind="float", func=lambda a, b: float(2**a * 3**b))
+        message = "'float' object cannot be interpreted as an integer"
+        with pytest.raises(TypeError, match=message):
+            pairing_eval(fl, 1, 1)
+        with pytest.raises(TypeError, match=message):
+            support_test(fl, (6, 1, 1))
+        with pytest.raises(TypeError, match=message):
+            method1_build(3, fl, (3, 3, 37))
+
+    def test_numpy_integer_pairing(self):
+        np_int = PairingFn(kind="injection_2a3b", func=lambda a, b: np.int64(2**a * 3**b))
+        value = pairing_eval(np_int, 2, 1)
+        assert type(value) is int and value == 12
+        assert_same_state(
+            method1_build(3, np_int, (3, 3, 37)),
+            method1_build(3, pairing_fn("injection_2a3b"), (3, 3, 37)),
+        )
 
 
 class TestSupport:
@@ -186,6 +207,24 @@ class TestSupport:
                 assert not support_test(p23, (a, b, c)), (a, b, c)
 
 
+def assert_same_state(v, ref):
+    # equal bit for bit, with the same kept scale, norm and metadata
+    assert v == ref
+    assert np.array_equal(v.amplitudes.view(np.uint64), ref.amplitudes.view(np.uint64))
+    assert (v._norm, v._scale, v.metadata) == (ref._norm, ref._scale, ref.metadata)
+
+
+def entry_by_entry(p, bounds, support, rule=geometric_weights):
+    # Method 1's state built through make_state's entry table, the oracle for the array route
+    return make_state(
+        bounds,
+        {idx: rule(idx) for idx in support},
+        normalize=True,
+        truncated_from_infinite=True,
+        metadata={"construction": "pairing_support", "pairing": p.kind, "bounds": bounds},
+    )
+
+
 class TestMethod1:
     def test_reference_build(self):
         p23 = pairing_fn("injection_2a3b")
@@ -232,6 +271,17 @@ class TestMethod1:
             return
         v = method1_build(len(bounds), p, bounds)
         assert [idx for idx, _ in v.items()] == want
+        assert_same_state(v, entry_by_entry(p, bounds, want))
+
+    def test_custom_weights_equal_entry_route(self):
+        def rule(idx):
+            return complex(1 + idx[0], -idx[2] / 7)
+
+        bounds = [5, 6, 40]
+        p = pairing_fn("bijection_interleave")
+        want = [idx for idx in itertools.product(*map(range, bounds)) if support_test(p, idx)]
+        v = method1_build(3, p, bounds, weights=rule)
+        assert_same_state(v, entry_by_entry(p, bounds, want, rule))
 
     def test_huge_bound_lists_the_same_support(self):
         # j(a, b) >= max(a, b): no coordinate beyond the small bounds can pair
