@@ -186,23 +186,21 @@ def reduced_density(v: StateTensor, subsystem: Subsystem | int | Iterable[int]) 
     _check_dense(kept_rows.shape[0], kept_rows.shape[0])
     kept_rows = _ldexp(kept_rows, -v._scale)
     rho = kept_rows @ kept_rows.conj().T
-    return _immutable((rho + rho.conj().T) / 2.0)
+    rho += rho.conj().T
+    rho /= 2.0
+    return _immutable(rho)
 
 
 def _cyclicity(
     v: StateTensor, part: Subsystem, tol: float | None = None
-) -> tuple[RankReport, np.ndarray, np.ndarray]:
-    """The cyclicity rule: the rank rule on the nonincreasing spectrum of the density
-    on S', returned with that density and spectrum, both kept on ``v`` (``_memo``).
-    """
+) -> tuple[RankReport, np.ndarray]:
+    """The cyclicity rule: the rank rule on the nonincreasing spectrum of the density on S',
+    returned with that spectrum, which ``v`` keeps (``_memo``) without the density."""
     comp = part.complement(v.nfactors)  # checks the subsystem
-
-    def density() -> tuple[np.ndarray, np.ndarray]:
-        rho = reduced_density(v, comp)
-        return rho, np.linalg.eigvalsh(rho)[::-1]  # nonincreasing
-
-    rho, eig = _memo(v, ("density", comp), density)
-    return _rank_report(eig, eig.size, tol), rho, eig
+    (eig,) = _memo(
+        v, ("density", comp), lambda: (np.linalg.eigvalsh(reduced_density(v, comp))[::-1],)
+    )
+    return _rank_report(eig, eig.size, tol), eig
 
 
 def _pull_back(v: StateTensor, part: Subsystem, rhs: np.ndarray) -> tuple[bool, int, np.ndarray]:

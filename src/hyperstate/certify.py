@@ -30,6 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bilinear import RankReport, _cutoff, _cyclicity, numerical_rank, rank_tolerance
+from .bilinear import reduced_density
 from .state import StateTensor, Subsystem, _check_dense, _DenseBudgetError, _immutable, _ldexp
 
 __all__ = [
@@ -92,7 +93,7 @@ class CyclicityResult:
     its eigenvalues, with the margins and ``tied`` flag.  On failure
     ``witness`` is a unit eigenvector of that operator with eigenvalue <=
     the threshold, i.e. a direction on S' the state almost annihilates; it is
-    computed on first access from the density a failing result keeps.
+    computed on first access from the state a failing result keeps.
     """
 
     subsystem: Subsystem
@@ -100,13 +101,14 @@ class CyclicityResult:
     min_eigenvalue: float
     full_dim: int
     report: RankReport
-    _density: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _state: StateTensor | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def witness(self) -> np.ndarray | None:
-        if self._density is None:
+        if self._state is None:
             return None
-        _, vecs = np.linalg.eigh(self._density)
+        comp = self.subsystem.complement(self._state.nfactors)
+        _, vecs = np.linalg.eigh(reduced_density(self._state, comp))
         return _immutable(vecs[:, 0])  # eigenvector of the smallest eigenvalue
 
     @property
@@ -129,11 +131,11 @@ def cyclicity_test(
     ``tol`` (>= 0) cuts the eigenvalues of :func:`reduced_density` on the
     complement (squared Schmidt weights; of the scaled state when its peak is
     beyond ``2**+-200``); ``None`` uses the default policy, scaled to the largest one.
-    The density and its spectrum are made once per state and split and kept on
-    ``v`` while the state's memo has room (see ``state._memo``).
+    The spectrum is computed once per state and split and kept on ``v`` while
+    the state's memo has room (see ``state._memo``); the density is not kept.
     """
     part = Subsystem.coerce(subsystem)
-    report, rho, eig = _cyclicity(v, part, tol)
+    report, eig = _cyclicity(v, part, tol)
     passed = report.rank == eig.size
     return CyclicityResult(
         subsystem=part,
@@ -141,7 +143,7 @@ def cyclicity_test(
         min_eigenvalue=float(eig[-1]),
         full_dim=eig.size,
         report=report,
-        _density=None if passed else rho,
+        _state=None if passed else v,
     )
 
 

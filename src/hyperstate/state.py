@@ -6,9 +6,9 @@ strictly increasing lexicographic order) and their complex amplitudes;
 absent indices are exact zeros.  Every layer reads these arrays directly.
 Reductions run in a fixed order or exactly (the norm uses ``math.fsum``), so
 results do not depend on insertion order or on how work is split across
-threads.  A state also keeps the dense decompositions later layers ask of it
-(:func:`_memo`), one per split and ``DENSE_BUDGET`` bytes in all, so each
-that fits is computed once in its lifetime.
+threads.  A state also keeps the spectra later layers ask of it (:func:`_memo`):
+a split's SVD and its complement density's eigenvalues, one entry per split and
+``DENSE_BUDGET`` bytes in all, so each that fits is computed once in its lifetime.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import math
 import pickle
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from helpers import dense_tensor, loop_reduced_density, random_state
 from hyperstate import (
     DENSE_BUDGET,
     PAPER_STATE_NAMES,
+    CyclicityResult,
     RankReport,
     Subsystem,
     certify_state,
@@ -265,6 +267,17 @@ class TestReducedDensity:
         with pytest.raises(ValueError):
             rho[0, 0] = 0.0
 
+    def test_peak_is_three_densities(self):
+        # the unfolding, its conjugate and rho: the sum is formed in place
+        v = make_state((512, 512), {(i, i): 1.0 for i in range(512)}, normalize=True)
+        tracemalloc.start()
+        try:
+            rho = reduced_density(v, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * rho.nbytes + 2**20
+
     def test_rows_and_columns_follow_the_subsystem(self):
         # factors (0, 2) of (2, 3, 5), C order: index 5 * i0 + i2
         v = make_state((2, 3, 5), {(1, 2, 4): 1.0})
@@ -275,13 +288,16 @@ class TestReducedDensity:
 
 def _bits(x):
     """``x`` in a form whose ``==`` is bit for bit: arrays by dtype, shape and
-    bytes, floats by their hex, dataclasses field by field."""
+    bytes, floats by their hex, dataclasses field by field; a check's kept
+    state is compared through the witness it builds."""
     if isinstance(x, np.ndarray):
         return (x.dtype.str, x.shape, x.tobytes())
     if isinstance(x, float):
         return x.hex()
     if dataclasses.is_dataclass(x):
-        return tuple((f.name, _bits(getattr(x, f.name))) for f in dataclasses.fields(x))
+        names = [f.name for f in dataclasses.fields(x) if f.name != "_state"]
+        names += ["witness"] if isinstance(x, CyclicityResult) else []
+        return tuple((name, _bits(getattr(x, name))) for name in names)
     return x
 
 
@@ -355,10 +371,10 @@ class TestStateMemo:
             sd = schmidt_decompose(v, 0)
             check = cyclicity_test(v, 0)
             assert not check.passed
-            for arr in (sd.coeffs, sd.left_vectors, sd.right_vectors, check._density):
+            spectrum = v._memos[("density", Subsystem((1,)))][0]
+            for arr in (sd.coeffs, sd.left_vectors, sd.right_vectors, spectrum, check.witness):
                 with pytest.raises(ValueError):
                     arr.flags.writeable = True
-        assert cyclicity_test(v, 0).witness is not None
 
     def test_budget_refusal_keeps_nothing(self):
         v = make_state((2, 2**21 + 1), {(0, 0): 1.0, (1, 2**21): 1.0})
@@ -369,20 +385,46 @@ class TestStateMemo:
         assert v._memos == {}
 
     def test_kept_bytes_stay_within_the_budget(self, monkeypatch):
-        # Each complement density of a 4x4x4 state is 16x16: 4096 + 128 bytes
-        # with its spectrum.  A budget of 9000 keeps two of the three.
-        monkeypatch.setattr(hs_state, "DENSE_BUDGET", 9000)
+        # Each complement spectrum of a 4x4x4 state is 16 eigenvalues, 128 bytes.
+        # With the three single-factor SVDs kept (3 x 1312 bytes), a budget of
+        # 4200 leaves room for two of the three; the 16x16 density (4096) fits it.
+        monkeypatch.setattr(hs_state, "DENSE_BUDGET", 4200)
         v = random_state(np.random.default_rng(11), (4, 4, 4))
+        for sel in range(3):
+            schmidt_decompose(v, sel)
         eigvalsh, calls = np.linalg.eigvalsh, []
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
         for _ in range(2):
             res = hyperentanglement_test(v)
             for sel, check in enumerate(res.checks):
                 assert _bits(check) == _bits(cyclicity_test(copy.copy(v), sel))
-                assert not check._density.flags.writeable
+                assert not check.witness.flags.writeable
         kept = [a.nbytes for entry in v._memos.values() for a in entry]
-        assert len(v._memos) == 2 and sum(kept) <= 9000
-        assert len(calls) == 3 + 1 + 3 * 2  # the unkept density is made on each call
+        assert sum(key[0] == "density" for key in v._memos) == 2 and sum(kept) <= 4200
+        assert len(calls) == 3 + 1 + 3 * 2  # the unkept spectrum is made on each call
+
+    def test_kept_spectra_leave_room_for_all_three(self, monkeypatch):
+        # 9000 bytes hold all three 128-byte spectra of a 4x4x4 state, so a
+        # repeat test computes nothing; no density matrix is kept.
+        monkeypatch.setattr(hs_state, "DENSE_BUDGET", 9000)
+        v = random_state(np.random.default_rng(11), (4, 4, 4))
+        hyperentanglement_test(v)
+        eigvalsh, calls = np.linalg.eigvalsh, []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+        hyperentanglement_test(v)
+        assert calls == []
+        kept = [a for key, entry in v._memos.items() if key[0] == "density" for a in entry]
+        assert len(kept) == 3 and all(a.ndim == 1 for a in kept)
+
+    def test_witness_on_a_kept_spectrum_is_the_eigh_vector(self):
+        # a miss, then a hit: both witnesses are rebuilt from the state
+        v = copy.copy(paper_state("spin1_two_term"))
+        rho = reduced_density(v, Subsystem((0,)).complement(v.nfactors))
+        expect = np.ascontiguousarray(np.linalg.eigh(rho)[1][:, 0])
+        for _ in range(2):
+            w = cyclicity_test(v, 0).witness
+            assert np.array_equal(w.view(np.uint64), expect.view(np.uint64))
+        assert ("density", Subsystem((1,))) in v._memos
 
     def test_copies_start_empty_and_compare_equal(self):
         v = copy.copy(paper_state("hardy2"))
