@@ -7,9 +7,12 @@ the standard library is imported at module load: the numerical modules, and
 the catalog and pairing names the parser offers as choices, are pulled in by
 ``run_cli`` after the HYPERSTATE_THREADS cap has been applied to the
 environment, so the linear algebra backend sees it when it initializes.
-The parser is built once per process, by the first ``run_cli`` call that
-gets past the thread cap, and reused by every later call, so in-process
-callers (tests, notebooks, benchmarks) pay for building it once.
+That is why :func:`canonical_report_json`, the package's one JSON renderer,
+lives here: a call refused for its thread cap renders its report without
+loading numpy, and ``io`` imports the renderer from here for the files it
+writes.  The parser is built once per process, by the first ``run_cli``
+call that gets past the thread cap, and reused by every later call, so
+in-process callers (tests, notebooks, benchmarks) pay for building it once.
 """
 
 from __future__ import annotations
@@ -356,40 +359,40 @@ def _cmd_degree(args: argparse.Namespace) -> tuple[int, dict, dict]:
     return 0, result, {"tol": args.tol, "seed": args.seed}
 
 
+def canonical_report_json(report: dict) -> str:
+    """The package's only JSON renderer: every CLI report and every written file."""
+    try:
+        return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except TypeError as exc:  # a value or key JSON cannot encode, such as np.int64
+        raise ValueError(f"cannot render as JSON: {exc}") from None
+
+
 def run_cli(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    # Both reports echo strings, so a library caller's NaN or dict renders too.
+    echo = [a if isinstance(a, str) else str(a) for a in argv]
     start = time.perf_counter()
     # The subcommand lands here before its own arguments are parsed, so a
     # usage error inside a subcommand still reports which one it was.
     args = argparse.Namespace(command=None)
+
+    def render(**fields) -> str:
+        timing_ms = (time.perf_counter() - start) * 1000.0
+        return canonical_report_json(
+            {"argv": echo, "command": args.command, "timing_ms": timing_ms, **fields}
+        )
+
     try:
         _apply_thread_cap()  # before the first _build_parser imports the numerical modules
         _build_parser().parse_args(argv, namespace=args)
         code, result, tolerances = args.run(args)
-        from .io import canonical_report_json
-
-        # Serialised in here: a non-finite value (a NaN --tol, say) must
+        # Rendered in here: a non-finite value (a NaN --tol, say) must
         # become an exit-2 error report, not a traceback.
-        text = canonical_report_json(
-            {
-                "argv": argv,
-                "command": args.command,
-                "result": result,
-                "timing_ms": (time.perf_counter() - start) * 1000.0,
-                "tolerances": tolerances,
-            }
-        )
+        text = render(result=result, tolerances=tolerances)
     except SystemExit as exc:  # --help; usage errors raise ValueError instead
         return exc.code if isinstance(exc.code, int) else 2
     except Exception as exc:  # malformed input must exit 2, never a traceback
-        report = {
-            "argv": argv,
-            "command": args.command,
-            "error": str(exc) or type(exc).__name__,  # MemoryError() has no text
-            "timing_ms": (time.perf_counter() - start) * 1000.0,
-        }
-        print(json.dumps(report, indent=2, sort_keys=True, default=str))
-        return 2
+        code, text = 2, render(error=str(exc) or type(exc).__name__)  # MemoryError() has no text
 
     sys.stdout.write(text)
     return code

@@ -1,9 +1,10 @@
-"""On-disk formats: state files, projector files, report serialization.
+"""On-disk formats: state files and projector files.
 
 State files are JSON with amplitudes as 17-significant-digit decimal strings
 plus hex-float companions, so a save/load round trip is bit-exact.  All
 validation errors cite the offending field and raise
-:class:`StateFileError`, which the CLI maps to exit code 2.
+:class:`StateFileError`, which the CLI maps to exit code 2.  Both formats
+are laid out by :func:`canonical_report_json`, re-exported here from ``cli``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
+from .cli import canonical_report_json
 from .state import StateTensor, Subsystem, _is_finite_number, _json_nodes, _state_from_arrays
 from .witness import Projector
 
@@ -329,10 +331,3 @@ def load_projector(path: str | Path) -> Projector:
     except ValueError as exc:
         raise _fail(where, str(exc)) from None
 
-
-def canonical_report_json(report: dict) -> str:
-    """Deterministic rendering of every CLI report and every written file."""
-    try:
-        return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    except TypeError as exc:  # a value or key JSON cannot encode, such as np.int64
-        raise ValueError(f"cannot render as JSON: {exc}") from None

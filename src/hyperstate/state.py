@@ -158,8 +158,8 @@ def _json_nodes(
 
 
 def _refuse_non_json(path: str, x: object) -> None:
-    """Refuse, citing ``path``, the node ``x`` if ``json.dumps(x, allow_nan=False)``
-    would refuse it or ``json.loads`` give it back changed; float and int subclasses pass."""
+    """Refuse, citing ``path``, the node ``x`` if ``cli.canonical_report_json`` would
+    refuse it or ``json.loads`` give it back changed; float and int subclasses pass."""
     problem = None
     try:
         if isinstance(x, dict):
@@ -172,7 +172,7 @@ def _refuse_non_json(path: str, x: object) -> None:
         elif not isinstance(x, (list, str, int, float, type(None))):
             problem = f"{x!r} ({type(x).__name__}) is not a JSON value"
         elif isinstance(x, int):
-            int.__repr__(x)  # what json.dumps writes; past the digit limit, ValueError
+            int.__repr__(x)  # what the encoder writes; past the digit limit, ValueError
     except ValueError:  # an integer, or the repr of one, past sys.get_int_max_str_digits()
         problem = "integer too long to write as JSON"
     if problem:

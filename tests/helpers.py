@@ -330,3 +330,8 @@ def loop_degree_multipartite(
         restarts_used=restarts,
         sweeps=best_sweeps,
     )
+
+
+def refuse_constant(token: str):
+    """A ``json.loads`` ``parse_constant`` that fails on ``NaN``/``Infinity``."""
+    raise AssertionError(f"report holds the non-JSON token {token}")

@@ -3,12 +3,13 @@
 Token sequences are drawn from the real subcommands and flags, with hostile
 values mixed in: NaN and infinities, 5000-digit integers, empty strings, a
 NUL byte, flags with their value left out or given twice, and malformed
-``--split`` strings.  Whatever the argv, ``run_cli`` must print one JSON
-report on stdout, exit 0, 1 or 2 and leave stderr empty, with no warning
-raised on the way; a ``degree`` report that exits 0 echoes a finite
-``tol`` >= 0 and a ``seed`` >= 0.  Every numeric value that sets an amount of work is
-capped (at most 3 restarts, 5 sweeps, method1 bounds of 6 and 2 stages), so
-no draw runs long.  ``--help`` and ``HYPERSTATE_THREADS`` are never drawn.
+``--split`` strings.  Whatever the argv, ``run_cli`` must print one strict
+JSON report (no ``NaN`` or ``Infinity`` token) on stdout, exit 0, 1 or 2
+and leave stderr empty, with no warning raised on the way; a ``degree``
+report that exits 0 echoes a finite ``tol`` >= 0 and a ``seed`` >= 0.
+Every numeric value that sets an amount of work is capped (at most 3
+restarts, 5 sweeps, method1 bounds of 6 and 2 stages), so no draw runs long.
+``--help`` and ``HYPERSTATE_THREADS`` are never drawn.
 """
 
 import contextlib
@@ -23,6 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import refuse_constant
 from hyperstate import (
     PAIRING_NAMES,
     PAPER_STATE_NAMES,
@@ -207,7 +209,7 @@ def test_every_argv_gives_one_json_report(workdir, argv):
     assert code in (0, 1, 2)
     assert err.getvalue() == ""
     assert [str(w.message) for w in caught] == []
-    report = json.loads(out.getvalue())
+    report = json.loads(out.getvalue(), parse_constant=refuse_constant)
     assert report["argv"] == argv
     assert ("error" in report) == (code == 2)
     if code == 0 and report["command"] == "degree":  # both routes echo what they were given

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import dense_tensor, rand_unit, random_state, scaled_state
+from helpers import dense_tensor, rand_unit, random_state, refuse_constant, scaled_state
 from hyperstate import Projector, Subsystem, certify_state, make_state, method2_build
 from hyperstate.cli import run_cli
 from hyperstate.io import (
@@ -795,6 +795,30 @@ class TestCliConstructAndCertify:
         assert set(rep) == {"argv", "command", "error", "timing_ms"}
         assert rep["error"].endswith("use a delta above 1e-08")
         assert not fixed.exists()
+
+
+class TestLibraryArgv:
+    # A library caller may pass items that are not strings: run_cli parses
+    # them as given, echoes each through str() and prints one strict JSON report.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--paper", "bohm", "--tol", float("nan")],
+            ["degree", "--paper", "bohm", "--tol", float("inf")],
+            [{(1, 2): 3}],
+            [b"certify", "--paper", "bohm"],
+            ["certify", None],
+            ["certify", "--state", GOLDEN / "state_method1_3_3_37.json"],
+        ],
+        ids=["nan", "inf", "tuple-key", "bytes", "none", "path"],
+    )
+    def test_non_string_items_give_one_strict_json_report(self, capsys, argv):
+        code = run_cli(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2)
+        assert captured.err == ""
+        report = json.loads(captured.out, parse_constant=refuse_constant)
+        assert report["argv"] == [a if isinstance(a, str) else str(a) for a in argv]
 
 
 class TestCertifyPrintsLibraryVerdict:

@@ -111,24 +111,18 @@ def test_every_benchmark_name_is_bound():
 
 
 def test_io_states_one_json_layout():
-    # every written document renders through canonical_report_json; the one
-    # other json.dumps that lays text out with indent= is run_cli's error
-    # report, which must render whatever argv a library caller passes
+    # canonical_report_json is the one JSON renderer: every written file and
+    # every run_cli report, error reports included, is laid out by it
     owners = {}
     for path in sorted(pathlib.Path(hyperstate.__file__).parent.glob("*.py")):
         for func in ast.walk(ast.parse(path.read_text())):
             if isinstance(func, ast.FunctionDef):
                 for node in ast.walk(func):
-                    if (
-                        isinstance(node, ast.Call)
-                        and ast.unparse(node.func) == "json.dumps"
-                        and any(kw.arg == "indent" for kw in node.keywords)
-                    ):
+                    if isinstance(node, ast.Call) and ast.unparse(node.func) == "json.dumps":
                         keywords = {kw.arg: ast.unparse(kw.value) for kw in node.keywords}
                         owners.setdefault(f"{path.stem}.{func.name}", []).append(keywords)
     assert owners == {
-        "cli.run_cli": [{"indent": "2", "sort_keys": "True", "default": "str"}],
-        "io.canonical_report_json": [{"indent": "2", "sort_keys": "True", "allow_nan": "False"}],
+        "cli.canonical_report_json": [{"indent": "2", "sort_keys": "True", "allow_nan": "False"}],
     }, owners
 
 
