@@ -31,7 +31,8 @@ import numpy as np
 
 from .bilinear import RankReport, _cutoff, _cyclicity, numerical_rank, rank_tolerance
 from .bilinear import reduced_density
-from .state import StateTensor, Subsystem, _check_dense, _DenseBudgetError, _immutable, _ldexp
+from .state import StateTensor, Subsystem, _check_dense, _check_dims, _DenseBudgetError, _immutable
+from .state import _ldexp
 
 __all__ = [
     "Feasibility",
@@ -68,15 +69,13 @@ class Feasibility:
 
 
 def dimension_gate(dims: Sequence[int], truncated_from_infinite: bool = False) -> Feasibility:
-    """Pure dimension check, no tensor data needed.
+    """Pure dimension check, no tensor data needed; dims :func:`make_state` refuses raise first.
 
     Equal factor dimensions are necessary.  With more than two factors a
     finite common dimension is ruled out as well, unless the state is a
     declared truncation of an infinite-dimensional construction.
     """
-    dims_t = tuple(map(operator.index, dims))
-    if len(dims_t) < 2 or any(d < 2 for d in dims_t):
-        raise ValueError(f"invalid dims {dims_t}: need >= 2 factors, each of dim >= 2")
+    dims_t = _check_dims(dims)
     if len(set(dims_t)) != 1:
         return Feasibility(False, "unequal_dims")
     if len(dims_t) > 2 and not truncated_from_infinite:
@@ -321,8 +320,8 @@ def window_certificate(
 
 
 def cube_window(dims: Sequence[int], axis: int, size: int) -> Window:
-    """The window of all slice keys with every coordinate below ``size``."""
-    dims_t = tuple(map(operator.index, dims))
+    """The window of keys with every coordinate below ``size``; ``dims`` as :func:`make_state`'s."""
+    dims_t = _check_dims(dims)
     axis, size = operator.index(axis), operator.index(size)
     if axis < 0 or axis >= len(dims_t):
         raise ValueError(f"axis {axis} out of range for dims {dims_t}")

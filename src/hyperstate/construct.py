@@ -19,7 +19,7 @@ import numpy as np
 from .bilinear import schmidt_decompose
 from .certify import HYPERENTANGLED, cube_window, hyperentanglement_test, window_certificate
 from .state import DROP_THRESHOLD, MultiIndex, StateTensor, Subsystem, make_state, norm
-from .state import _state_from_arrays
+from .state import _check_dims, _state_from_arrays
 
 __all__ = [
     "PairingFn",
@@ -153,23 +153,21 @@ def method1_build(
 ) -> StateTensor:
     """Truncated pairing-support state on ``n`` factors.
 
-    Lists the :func:`support_test` support clause by clause: coordinate t is
-    j folded over the others, where that is below ``bounds[t]``.  Assuming
-    j(a, b) >= max(a, b), the others run only below min(their bound,
-    ``bounds[t]``): O(n b**(n-1)) pairing evaluations, each checked by
-    :func:`pairing_eval`.  The sorted indices, weighted in lexicographic order
-    (default geometric decay), go as rows to the one array constructor and
-    are normalized.  The result is flagged as a truncation of an
-    infinite-dimensional state; its certification target is window
-    certificates, not the finite hyperentanglement test.
+    Bounds that :func:`make_state` would refuse as dims are refused first.  Then the
+    :func:`support_test` support is listed clause by clause: coordinate t is j folded
+    over the others, where that is below ``bounds[t]``.  Assuming j(a, b) >= max(a, b),
+    the others run only below min(their bound, ``bounds[t]``): O(n b**(n-1)) pairing
+    evaluations, each checked by :func:`pairing_eval`.  The sorted indices, weighted in
+    lexicographic order (default geometric decay), go as rows to the one array
+    constructor and are normalized.  The result is flagged as a truncation of an
+    infinite-dimensional state; its certification target is window certificates, not
+    the finite hyperentanglement test.
     """
     if n not in (3, 4):
         raise ValueError(f"pairing-support construction needs n in {{3, 4}}, got {n}")
-    bounds_t = tuple(map(operator.index, bounds))
+    bounds_t = _check_dims(bounds)
     if len(bounds_t) != n:
         raise ValueError(f"bounds {bounds_t} must have length {n}")
-    if any(b < 2 for b in bounds_t):
-        raise ValueError(f"every bound must be >= 2, got {bounds_t}")
     rule = geometric_weights if weights is None else weights
 
     support: set[MultiIndex] = set()
@@ -244,17 +242,19 @@ def method2_extend(
 ) -> StateTensor:
     """One extension stage of the seed-and-extend construction.
 
-    A stage's only input checks: 3 factors, dims (p, p, p), a ``stage_history``
+    Output dims (p', p', p') that :func:`make_state` would refuse are refused first.
+    Then a stage's only input checks: 3 factors, dims (p, p, p), a ``stage_history``
     that is empty or ends at p, and independent m-window slice vectors on each
-    axis.  The p**3 block is preserved verbatim.  Along each axis, the slices
-    keyed by pairs with a coordinate >= m are appended with scaled standard-basis
-    vectors (pairwise distinct directions, lexicographic key order), the others
-    are extended by zeros, and the rest of the p'**3 cube stays zero.  The
-    appended mass is exactly ``epsilon``, split evenly over the axes.  The stage
-    is recorded in ``stage_history``, and ``window_sizes`` lists every record's
-    p.  As in :func:`make_state`, only ``normalize=True`` normalizes the result.
+    axis.  The p**3 block is preserved verbatim.  Along each axis, the slices keyed
+    by pairs with a coordinate >= m are appended with scaled standard-basis vectors
+    (pairwise distinct directions, lexicographic key order), the others are
+    extended by zeros, and the rest of the p'**3 cube stays zero.  The appended mass
+    is exactly ``epsilon``, split evenly over the axes.  The stage is recorded in
+    ``stage_history``, and ``window_sizes`` lists every record's p.  As in
+    :func:`make_state`, only ``normalize=True`` normalizes the result.
     """
     p, m = params.p, params.m
+    pp = _check_dims((params.p_prime,) * 3)[0]
     if v.nfactors != 3:
         raise ValueError(f"extension is defined for 3 factors, got {v.nfactors}")
     if v.dims != (p, p, p):
@@ -271,7 +271,6 @@ def method2_extend(
                 f"rank {cert.rank} < {cert.size} for the {m}-window"
             )
 
-    pp = params.p_prime
     # Pairs (x, y) with a coordinate >= m, in lexicographic order; pair i
     # gets the new coordinate p + i on axis 2, then axis 1, then axis 0.
     x, y = np.divmod(np.arange(p * p), p)
@@ -333,8 +332,7 @@ def method2_build(
     for e in eps:
         plan.append(ExtensionParams(p=p, m=m, epsilon=e))
         p, m = plan[-1].p_prime, p
-        if p**3 >= 2**63:
-            raise ValueError(f"{stages} stages give dims {(p,) * 3}: over 2**63 - 1 positions")
+        _check_dims((p,) * 3)
     v = default_seed() if seed is None else seed
     for k, params in enumerate(plan, 1):
         v = method2_extend(v, params, normalize=k == stages)

@@ -61,6 +61,18 @@ def _check_dense(rows: int, cols: int) -> None:
         )
 
 
+def _check_dims(dims: Iterable[int]) -> tuple[int, ...]:
+    """``dims`` as ints where a state may have them, else ``ValueError``: the one dims rule."""
+    dims_t = tuple(map(operator.index, dims))
+    if len(dims_t) < 2:
+        raise ValueError(f"need at least two tensor factors, got dims={dims_t}")
+    if any(d < 2 for d in dims_t):
+        raise ValueError(f"every factor dimension must be >= 2, got dims={dims_t}")
+    if math.prod(dims_t) >= 2**63:  # every index must have an int64 position
+        raise ValueError(f"dims {dims_t} span more than 2**63 - 1 positions")
+    return dims_t
+
+
 @dataclass(frozen=True)
 class Subsystem:
     """A nonempty set of factor positions, kept strictly increasing.
@@ -369,13 +381,7 @@ def _state_from_arrays(
 ) -> StateTensor:
     """:func:`make_state` for index rows and an amplitude array."""
     meta = _check_metadata(metadata if isinstance(metadata, dict) else dict(metadata or {}))
-    dims_t = tuple(map(operator.index, dims))
-    if len(dims_t) < 2:
-        raise ValueError(f"need at least two tensor factors, got dims={dims_t}")
-    if any(d < 2 for d in dims_t):
-        raise ValueError(f"every factor dimension must be >= 2, got dims={dims_t}")
-    if math.prod(dims_t) >= 2**63:  # every index must have an int64 position
-        raise ValueError(f"dims {dims_t} span more than 2**63 - 1 positions")
+    dims_t = _check_dims(dims)
     try:
         idx = np.asarray(indices, dtype=np.int64).reshape(len(amps), len(dims_t))
         bad = ((idx < 0) | (idx >= dims_t)).any(axis=1) | ~np.isfinite(amps)

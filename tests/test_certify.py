@@ -53,12 +53,22 @@ class TestDimensionGate:
         assert not gate.feasible and gate.reason == "unequal_dims"
 
     def test_malformed_dims(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"need at least two tensor factors, got dims=\(2,\)"):
             dimension_gate((2,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"factor dimension must be >= 2, got dims=\(2, 1\)"):
             dimension_gate((2, 1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"need at least two tensor factors, got dims=\(\)"):
             dimension_gate(())
+
+    @pytest.mark.parametrize("dims", [(), (5,), (2, 1), (3, 0, 3), (2**32, 2**32)])
+    def test_dims_refused_as_make_state_refuses_them(self, dims):
+        # one dims rule: the gate and cube_window refuse what the constructor refuses
+        with pytest.raises(ValueError) as built:
+            make_state(dims, {})
+        for call in (dimension_gate, lambda d: cube_window(d, 0, 1)):
+            with pytest.raises(ValueError) as refused:
+                call(dims)
+            assert str(refused.value) == str(built.value)
 
 
 class TestCyclicity:

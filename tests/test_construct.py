@@ -316,7 +316,7 @@ class TestMethod1:
             method1_build(2, p23, (3, 3))
         with pytest.raises(ValueError):
             method1_build(3, p23, (3, 3))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"factor dimension must be >= 2, got dims=\(3, 3, 1\)"):
             method1_build(3, p23, (3, 3, 1))
         with pytest.raises(ValueError):
             method1_build(3, p23, (3, 3, 37), weights=lambda idx: 0.0)
@@ -470,6 +470,19 @@ class TestMethod2:
             method2_build(3, (0.01, 0.01, float("nan")))
         with pytest.raises(Built):  # stage 4 (458330**3) still starts building
             method2_build(4, (0.01,) * 4)
+
+    def test_oversized_stage_refused_before_any_window(self, monkeypatch):
+        # a stage from p = 458330 gives p' = 210066388901, whose cube has no int64
+        # positions: refused before the input checks and their window certificates
+        from hyperstate import construct
+
+        def certificate(v, window, tol=None):
+            raise AssertionError("window_certificate must not run")
+
+        monkeypatch.setattr(construct, "window_certificate", certificate)
+        v = make_state((458330,) * 3, {(0, 0, 0): 1.0}, truncated_from_infinite=True)
+        with pytest.raises(ValueError, match=r"\(210066388901, 210066388901, 210066388901\).*2\*\*63"):
+            method2_extend(v, ExtensionParams(458330, 677, 1e-3))
 
     @pytest.mark.parametrize("stages", [1, 2, 3])
     @pytest.mark.parametrize("custom", [False, True])

@@ -785,6 +785,29 @@ class TestCliConstructAndCertify:
         code, rep = run(capsys, "certify", "--state", str(fixed))
         assert code == 0
 
+    @pytest.mark.parametrize("n, bounds", [
+        ("3", "3000000000,3000000000,3000000000"),
+        ("4", "60000,60000,60000,60000"),  # enumerating would run for minutes
+    ])
+    def test_method1_dims_past_int64_exit_two_before_enumerating(
+        self, capsys, tmp_path, monkeypatch, n, bounds
+    ):
+        from hyperstate import construct
+
+        def fold(pairing, rest):
+            raise AssertionError("method1_build must not enumerate")
+
+        monkeypatch.setattr(construct, "_fold", fold)
+        out = tmp_path / "m1.json"
+        code = run_cli(["construct", "method1", "--n", n, "--bounds", bounds, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        rep = json.loads(captured.out, parse_constant=refuse_constant)
+        assert set(rep) == {"argv", "command", "error", "timing_ms"}
+        assert rep["error"] == f"dims ({bounds.replace(',', ', ')}) span more than 2**63 - 1 positions"
+        assert not out.exists()
+
     def test_repair_refuses_a_delta_too_small_to_certify(self, capsys, tmp_path):
         fixed = tmp_path / "fixed.json"
         code, rep = run(

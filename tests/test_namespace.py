@@ -324,6 +324,30 @@ def test_one_scale_rule():
     assert peaks == [], peaks
 
 
+def test_one_dims_rule():
+    # state._check_dims alone decides which dims a state may have: no other
+    # code compares a product against 2**63 or words a dims refusal
+    def is_int64_limit(node):
+        if isinstance(node, ast.Constant):
+            return node.value in (2**63, 2**63 - 1)
+        return ast.unparse(node) in ("2 ** 63", "2 ** 63 - 1")
+
+    messages = (
+        "need at least two tensor factors",
+        "every factor dimension must be >= 2",
+        "span more than 2**63 - 1 positions",
+    )
+    found = []
+    for owner, node in _owned_nodes():
+        if isinstance(node, ast.Compare) and any(map(is_int64_limit, ast.walk(node))):
+            found.append(("2**63 comparison", owner))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found += [(m, owner) for m in messages if m in node.value]
+    assert sorted(found) == sorted(
+        [("2**63 comparison", "state._check_dims")] + [(m, "state._check_dims") for m in messages]
+    ), found
+
+
 def test_one_reader_for_files():
     # io._read_document reads every state and projector file and checks its
     # top level and format_version, so both loaders share those rules
