@@ -21,7 +21,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .state import StateTensor, Subsystem, _check_dense, _immutable, _ldexp, _memo, _positions
+from .state import StateTensor, Subsystem, _check_dense, _immutable, _ldexp, _memo, _scatter
+from .state import _split_entries
 
 __all__ = [
     "RANK_SAFETY",
@@ -113,12 +114,8 @@ def unfold(v: StateTensor, subsystem: Subsystem | int | Iterable[int]) -> np.nda
     """
     part = Subsystem.coerce(subsystem)
     comp = part.complement(v.nfactors)
-    shape = (math.prod(v.dims[k] for k in comp), math.prod(v.dims[k] for k in part))
-    _check_dense(*shape)
-    m = np.zeros(shape, dtype=np.complex128)
-    rows, cols = (_positions(v.indices, v.dims, s) for s in (comp, part))
-    m[rows, cols] = v.amplitudes
-    return m
+    _check_dense(*(math.prod(v.dims[k] for k in s) for s in (comp, part)))  # before the gather
+    return _scatter(*_split_entries(v, part))
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,8 @@ import numpy as np
 
 from .bilinear import RankReport, _cutoff, _cyclicity, numerical_rank, rank_tolerance
 from .bilinear import reduced_density
-from .state import StateTensor, Subsystem, _check_dense, _check_dims, _DenseBudgetError, _immutable
-from .state import _ldexp
+from .state import StateTensor, Subsystem, _check_dims, _DenseBudgetError, _immutable, _ldexp
+from .state import _scatter, _split_entries
 
 __all__ = [
     "Feasibility",
@@ -270,28 +270,23 @@ def window_certificate(
 ) -> WindowCertificate:
     """Pass iff the window's slice vectors have full numerical rank.
 
-    Only the entries whose complement key lies in the cube are gathered, so
-    this applies to truncated constructions far beyond the dense budget; row r
-    is the r-th key in lexicographic order.  Singleton elimination
-    (:func:`_singleton_bound`) settles the rank when its bound clears
-    ``STRUCTURAL_MARGIN`` times both the cutoff in force and
-    :func:`rank_tolerance` scaled by the Frobenius norm (which bounds the
-    largest singular value); the SVD could then neither drop a row nor flag
-    a tie.  The bound and the norm come from the magnitudes scaled as
-    :func:`reduced_density` scales the state, and are compared in true
-    units.  Otherwise the window matrix is built densely, up to
-    ``DENSE_BUDGET`` bytes, and :func:`numerical_rank` decides with
-    ``tol`` (>= 0, checked on either route) cutting singular values.
+    The window matrix is the rows of the unfolding across (axis | rest) at the
+    cube's keys, renumbered on the cube grid by ``unfold``'s gather (row r is the
+    r-th key in lexicographic order); only the entries in the cube are read, so
+    this applies to truncated constructions far beyond the dense budget.  Singleton
+    elimination (:func:`_singleton_bound`) settles the rank when its bound clears
+    ``STRUCTURAL_MARGIN`` times both the cutoff in force and :func:`rank_tolerance`
+    scaled by the Frobenius norm (which bounds the largest singular value); the SVD
+    could then neither drop a row nor flag a tie.  The bound and the norm come from
+    the magnitudes scaled as :func:`reduced_density` scales the state, and are
+    compared in true units.  Otherwise the window matrix is scattered as
+    ``unfold``'s is, up to ``DENSE_BUDGET`` bytes, and :func:`numerical_rank`
+    decides with ``tol`` (>= 0, checked on either route) cutting singular values.
     """
     axis, side = window.axis, window.size
     cube_window(v.dims, axis, side)  # checks the axis and size against the dims
-    comp = [k for k in range(v.nfactors) if k != axis]
-    keys = v.indices[:, comp]
-    hit = (keys < side).all(axis=1)
-    rows_a = np.ravel_multi_index(keys[hit].T, (side,) * len(comp))
-    cols_a, amps_a = v.indices[hit, axis], v.amplitudes[hit]
-    size = side ** len(comp)
-    shape = (size, v.dims[axis])
+    rows_a, cols_a, amps_a, shape = _split_entries(v, Subsystem((axis,)), side)
+    size = shape[0]
     e = v._scale
     mags = np.abs(_ldexp(amps_a, -e))
     bound = _singleton_bound(rows_a, cols_a, mags, size)
@@ -304,10 +299,7 @@ def window_certificate(
         )
         route = "structural"
     else:
-        _check_dense(*shape)
-        mat = np.zeros(shape, dtype=np.complex128)
-        mat[rows_a, cols_a] = amps_a
-        report = numerical_rank(mat, tol)
+        report = numerical_rank(_scatter(rows_a, cols_a, amps_a, shape), tol)
         route = "dense_svd"
     return WindowCertificate(
         window=window,

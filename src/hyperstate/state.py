@@ -2,13 +2,15 @@
 
 A pure state on factors of dimensions ``dims`` is stored as two read-only
 arrays: the indices of its nonzero entries (int64, one row per entry, in
-strictly increasing lexicographic order) and their complex amplitudes;
-absent indices are exact zeros.  Every layer reads these arrays directly.
-Reductions run in a fixed order or exactly (the norm uses ``math.fsum``), so
-results do not depend on insertion order or on how work is split across
-threads.  A state also keeps the spectra later layers ask of it (:func:`_memo`):
-a split's SVD and its complement density's eigenvalues, one entry per split and
-``DENSE_BUDGET`` bytes in all, so each that fits is computed once in its lifetime.
+strictly increasing lexicographic order) and their complex amplitudes; absent
+indices are exact zeros.  One gather, ``_split_entries``, lays them out in a
+matrix across a split (S | S') or a cube window of one, for ``unfold``,
+``window_certificate`` and :func:`slice_family`.  Reductions run in a fixed
+order or exactly (the norm uses ``math.fsum``), so results do not depend on
+insertion order or on how work is split across threads.  A state also keeps
+the spectra later layers ask of it (:func:`_memo`): a split's SVD and its
+complement density's eigenvalues, one entry per split and ``DENSE_BUDGET``
+bytes in all, so each that fits is computed once in its lifetime.
 """
 
 from __future__ import annotations
@@ -248,11 +250,6 @@ def _scale_and_norm(amps: np.ndarray) -> tuple[int, float]:
     return e, _ldexp_scalar(math.sqrt(math.fsum((a.real**2 + a.imag**2).tolist())), e)
 
 
-def _positions(indices: np.ndarray, dims: Sequence[int], axes: Iterable[int]) -> np.ndarray:
-    """C-order position of each row's coordinates on ``axes``, within those factors."""
-    return np.ravel_multi_index([indices[:, k] for k in axes], [dims[k] for k in axes])
-
-
 @dataclass(frozen=True, eq=False, repr=False)
 class StateTensor:
     """Immutable sparse tensor of complex amplitudes.
@@ -399,7 +396,7 @@ def _state_from_arrays(
             else:
                 continue
             raise ValueError(f"entries[{k}]: {problem}")
-    flat = _positions(idx, dims_t, range(len(dims_t)))
+    flat = np.ravel_multi_index(idx.T, dims_t)
     order = np.argsort(flat, kind="stable")
     repeats = order[1:][flat[order[1:]] == flat[order[:-1]]]
     if repeats.size:
@@ -449,6 +446,31 @@ def _memo(
     return found
 
 
+def _split_entries(
+    v: StateTensor, part: Subsystem, side: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, int]]:
+    """``(rows, cols, amps, shape)`` of ``v``'s matrix across (``part`` | rest), each entry's row
+    and column raveled in C order over increasing factor position, its true amplitude: the one
+    split layout, which checks no budget.  With ``side``, rows run over the cube of keys below
+    ``side`` on every factor of the rest, and entries outside it are dropped."""
+    comp = [k for k in range(v.nfactors) if k not in part.indices]  # callers check ``part``
+    hit = slice(None) if side is None else (v.indices[:, comp] < side).all(axis=1)
+    idx, amps = v.indices[hit], v.amplitudes[hit]
+    row_dims = [v.dims[k] if side is None else side for k in comp]
+    col_dims = [v.dims[k] for k in part.indices]
+    rows = np.ravel_multi_index([idx[:, k] for k in comp], row_dims)
+    cols = np.ravel_multi_index([idx[:, k] for k in part.indices], col_dims)
+    return rows, cols, amps, (math.prod(row_dims), math.prod(col_dims))
+
+
+def _scatter(rows: np.ndarray, cols: np.ndarray, amps: np.ndarray, shape: tuple) -> np.ndarray:
+    """The complex ``shape`` matrix with ``amps`` at ``(rows, cols)``, its budget checked first."""
+    _check_dense(*shape)
+    m = np.zeros(shape, dtype=np.complex128)
+    m[rows, cols] = amps
+    return m
+
+
 def norm(v: StateTensor) -> float:
     """Euclidean norm, accumulated exactly (``math.fsum``) over the entries."""
     return v._norm
@@ -463,7 +485,7 @@ def inner(u: StateTensor, v: StateTensor) -> complex:
     """
     if u.dims != v.dims:
         raise ValueError(f"dimension mismatch: {u.dims} vs {v.dims}")
-    fu, fv = (_positions(w.indices, w.dims, range(w.nfactors)) for w in (u, v))
+    fu, fv = (np.ravel_multi_index(w.indices.T, w.dims) for w in (u, v))
     _, iu, iv = np.intersect1d(fu, fv, assume_unique=True, return_indices=True)
     eu, ev = u._scale, v._scale
     a, b = _ldexp(u.amplitudes[iu], -eu), _ldexp(v.amplitudes[iv], -ev)
@@ -488,11 +510,8 @@ def slice_family(
     """
     part = Subsystem.coerce(subsystem)
     comp = part.complement(v.nfactors)
-    part_dim = math.prod(v.dims[k] for k in part)
-    keys, rows = np.unique(_positions(v.indices, v.dims, comp), return_inverse=True)
-    _check_dense(keys.size, part_dim)
-    block = np.zeros((keys.size, part_dim), dtype=np.complex128)
-    block[rows, _positions(v.indices, v.dims, part)] = v.amplitudes
-    block = _immutable(block)
+    rows, cols, amps, (_, part_dim) = _split_entries(v, part)
+    keys, rows = np.unique(rows, return_inverse=True)
+    block = _immutable(_scatter(rows, cols, amps, (keys.size, part_dim)))
     labels = zip(*(c.tolist() for c in np.unravel_index(keys, [v.dims[k] for k in comp])))
     return dict(zip(labels, block))

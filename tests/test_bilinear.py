@@ -32,6 +32,7 @@ from hyperstate import (
     schmidt_decompose,
     unfold,
 )
+from hyperstate import bilinear as hs_bilinear
 from hyperstate import state as hs_state
 
 R2 = 1.0 / math.sqrt(2.0)
@@ -160,14 +161,24 @@ class TestUnfold:
         np.testing.assert_allclose(u, [[R2, 0, 0, 0], [0, 0, 0, R2]])
 
     def test_matrix_layout_matches_dense_reshape(self):
+        # every proper split S of 2-, 3- and 4-factor states, dense and sparse:
+        # rows over the complement's factors, columns over S's, both in C order,
+        # so the unfolding is the dense tensor transposed and reshaped, bit for bit
         rng = np.random.default_rng(5)
-        v = random_state(rng, (2, 3, 2))
-        t = dense_tensor(v)
-        # split S=(1,): columns over factor 1, rows over factors (0, 2)
-        u = unfold(v, (1,))
-        assert type(u) is np.ndarray and u.dtype == np.complex128 and u.flags.c_contiguous
-        expect = np.transpose(t, (0, 2, 1)).reshape(4, 3)
-        np.testing.assert_array_equal(u, expect)
+        for dims in ((3, 2), (2, 3, 2), (3, 2, 4), (2, 3, 2, 3)):
+            full = random_state(rng, dims)
+            sparse = make_state(dims, {i: a for i, a in full.items() if rng.uniform() < 0.4})
+            for v in (full, sparse):
+                t = dense_tensor(v)
+                for r in range(1, len(dims)):
+                    for part in itertools.combinations(range(len(dims)), r):
+                        comp = tuple(k for k in range(len(dims)) if k not in part)
+                        u = unfold(v, part)
+                        assert type(u) is np.ndarray and u.dtype == np.complex128
+                        assert u.flags.c_contiguous
+                        shape = (math.prod(dims[k] for k in comp), math.prod(dims[k] for k in part))
+                        expect = np.transpose(t, comp + part).reshape(shape)
+                        assert u.shape == shape and u.tobytes() == expect.tobytes(), (dims, part)
 
     @given(st.integers(0, 2 ** 31 - 1))
     def test_frobenius_equals_norm_exactly(self, seed):
@@ -187,6 +198,18 @@ class TestUnfold:
         # above the old cap of 4096 total dims, far inside the budget
         v = make_state((2,) * 13, {(0,) * 13: 1.0})
         assert unfold(v, 0).shape == (4096, 2)
+
+    def test_budget_refused_before_any_entry_is_read(self, monkeypatch):
+        # unfold checks the split's shape from the dims alone, so an over-budget
+        # split is refused before the entry gather runs
+        def gather(*args, **kwargs):
+            raise AssertionError("entries gathered for a refused split")
+
+        monkeypatch.setattr(hs_bilinear, "_split_entries", gather)
+        v = make_state((2, 2**21 + 1), {(0, 0): 1.0, (1, 2**21): 1.0})
+        for sel in (0, 1):
+            with pytest.raises(ValueError, match="(2097153x2|2x2097153).*budget"):
+                unfold(v, sel)
 
     def test_reduced_density_checked_before_the_product(self):
         # the 4096 x 2 unfolding fits, its 4096 x 4096 density (256 MiB) does not

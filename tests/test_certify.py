@@ -27,12 +27,14 @@ from hyperstate import (
     make_state,
     method1_build,
     method2_build,
+    numerical_rank,
     pairing_eval,
     pairing_fn,
     rank_tolerance,
     recorded_windows,
     window_certificate,
 )
+from hyperstate import certify as hs_certify
 
 HARDY2_MIN_EIG = (3.0 - math.sqrt(5.0)) / 6.0
 
@@ -440,8 +442,21 @@ class TestWindowRoutes:
         if not entries:
             return
         v = make_state(dims, entries)
-        cert = window_certificate(v, cube_window(dims, axis, size))
+        handed = []  # each matrix the dense route hands to numerical_rank
+
+        def spy(a, tol=None):
+            handed.append(a)
+            return numerical_rank(a, tol)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hs_certify, "numerical_rank", spy)
+            cert = window_certificate(v, cube_window(dims, axis, size))
         m = cube_window_matrix(v, axis, size)
+        if cert.route == "dense_svd":
+            assert len(handed) == 1 and handed[0].dtype == m.dtype and handed[0].shape == m.shape
+            assert handed[0].tobytes() == m.tobytes()
+        else:
+            assert handed == []
         rank, sigma_min = svd_rank(m)
         assert cert.size == size ** (n - 1)
         assert (cert.rank, cert.passed) == (rank, rank == cert.size)

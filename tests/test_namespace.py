@@ -441,3 +441,20 @@ def test_runtime_imports_are_stdlib_or_numpy():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
+
+
+def test_one_split_layout():
+    # state._split_entries alone places each entry in a split or window matrix:
+    # np.ravel_multi_index appears there and, for the full flat position, in
+    # _state_from_arrays and inner; no _positions helper is left
+    ravels, positions = [], []
+    for owner, node in _owned_nodes():
+        names = {getattr(node, k, None) for k in ("id", "attr", "name")}
+        if "ravel_multi_index" in names:
+            ravels.append(owner)
+        if "_positions" in names:
+            positions.append(owner)
+    assert sorted(set(ravels)) == [
+        "state._split_entries", "state._state_from_arrays", "state.inner"
+    ], ravels
+    assert positions == [], positions
